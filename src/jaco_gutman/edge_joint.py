@@ -6,9 +6,14 @@ G.  The joint is called trivial when both anchors are the first vertex.
 
 Every distance between a G-vertex x and an H-vertex y crosses the bridge
 exactly once, so dist(x, y) = d_G(x, v) + 1 + d_H(u, y), and distances inside
-G and inside H are unchanged.  Summing deg * deg * dist over the pair classes
-(both in G / both in H / the bridge pair / anchor-to-far-side / far-to-far)
-gives an exact closed form for arbitrary anchors.
+G and inside H are unchanged.  The bridge raises the degrees of v and u by
+one.  Summing deg * deg * dist over pairs inside G, inside H and across the
+bridge gives an exact closed form for arbitrary anchors, in per-graph
+aggregates only:
+
+    Gut(G) + Gut(H) + A_G * A_H + T_G * (A_H + 1) + T_H * (A_G + 1),
+
+where A = sum of degrees + 1 and T = sum over x of deg(x) * dist(anchor, x).
 
 The published right-hand side for the trivial joint of two identity Jaco
 graphs omits one pair class: low G-vertices paired with H's anchor.  Its
@@ -23,10 +28,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph_core import (
     SimpleGraph,
-    _checked_distance_raw,
+    _pair_sum,
+    _require_connected,
+    dense_adjacency,
     from_edges,
+    gutman_index,
+    layered_distance_matrix,
 )
 from .jaco import IDENTITY, JacoGraph, build_jaco
 
@@ -56,50 +67,31 @@ class JointSpec:
 def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
     """Disjoint union plus bridge; H's indices are shifted by G's order."""
     shift = spec.g.order
-    edges = spec.g.edge_list()
-    edges.extend((a + shift, b + shift) for a, b in spec.h.edge_list())
-    edges.append((spec.v, spec.u + shift))
+    bridge = np.array([[spec.v, spec.u + shift]], dtype=np.int64)
+    edges = np.concatenate((spec.g.edge_array, spec.h.edge_array + shift, bridge))
     return from_edges(spec.g.order + spec.h.order, edges)
 
 
-def _index_parts(g: SimpleGraph, what: str) -> tuple[list[int], list[list[int]], int]:
-    """Degrees, distance rows, and Gutman index, all exact Python ints."""
-    dist = _checked_distance_raw(g, what).tolist()
-    deg = [int(d) for d in g.degree_array()]
-    total = 0
-    for a in range(g.order):
-        row = dist[a]
-        da = deg[a]
-        for b in range(a + 1, g.order):
-            total += da * deg[b] * row[b]
-    return deg, dist, total
+def _index_parts(g: SimpleGraph, what: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Degrees, distance matrix, and Gutman index of a connected graph."""
+    dist = _require_connected(layered_distance_matrix(dense_adjacency(g)), what)
+    deg = g.degree_array()
+    return deg, dist, _pair_sum(deg, dist)
 
 
 def closed_form_joint_gutman(spec: JointSpec) -> int:
     """Gutman index of the edge joint, by the exact pair-class decomposition.
 
-    Works for arbitrary anchors; both inputs must be connected.
+    Works for arbitrary anchors; both inputs must be connected.  O(n + m)
+    once each side's distances and index are known.
     """
     what = "the edge-joint Gutman closed form"
     dg, DG, gut_g = _index_parts(spec.g, what)
     dh, DH, gut_h = _index_parts(spec.h, what)
-    v = spec.v - 1
-    u = spec.u - 1
-    n, m = spec.g.order, spec.h.order
-    total = gut_g + gut_h
-    total += sum(dg[x] * DG[x][v] for x in range(n) if x != v)
-    total += sum(dh[y] * DH[y][u] for y in range(m) if y != u)
-    total += (dg[v] + 1) * (dh[u] + 1)
-    total += (dg[v] + 1) * sum(dh[y] * (DH[u][y] + 1) for y in range(m) if y != u)
-    total += (dh[u] + 1) * sum(dg[x] * (DG[v][x] + 1) for x in range(n) if x != v)
-    total += sum(
-        dg[x] * dh[y] * (DG[x][v] + DH[u][y] + 1)
-        for x in range(n)
-        if x != v
-        for y in range(m)
-        if y != u
-    )
-    return total
+    a_g, a_h = int(dg.sum()) + 1, int(dh.sum()) + 1
+    t_g = int(dg @ DG[spec.v - 1])
+    t_h = int(dh @ DH[spec.u - 1])
+    return gut_g + gut_h + a_g * a_h + t_g * (a_h + 1) + t_h * (a_g + 1)
 
 
 def _require_jaco_pair(jn: JacoGraph, jm: JacoGraph) -> None:
@@ -118,6 +110,7 @@ def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
     what = "the published joint formula"
     dg, DG, gut_g = _index_parts(jn.underlying, what)
     dh, DH, gut_h = _index_parts(jm.underlying, what)
+    dg, dh, DG, DH = dg.tolist(), dh.tolist(), DG.tolist(), DH.tolist()
     n, m = jn.n, jm.n
     total = gut_g + gut_h
     total += sum(dg[k] * DG[0][k] for k in range(1, n))
@@ -134,10 +127,8 @@ def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
 def missing_anchor_block(jn: JacoGraph, jm: JacoGraph) -> int:
     """Predicted value of the pair class absent from the published formula."""
     _require_jaco_pair(jn, jm)
-    what = "the missing-block prediction"
-    dg, DG, _ = _index_parts(jn.underlying, what)
-    dh = [int(d) for d in jm.underlying.degree_array()]
-    return (dh[0] + 1) * sum(dg[k] * (DG[0][k] + 1) for k in range(1, jn.n))
+    dg, DG, _ = _index_parts(jn.underlying, "the missing-block prediction")
+    return (int(jm.underlying.degree_array()[0]) + 1) * int(dg[1:] @ (DG[0, 1:] + 1))
 
 
 @dataclass(frozen=True)
@@ -174,7 +165,7 @@ def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | Non
     jn = build_jaco(IDENTITY, n)
     jm = build_jaco(IDENTITY, m)
     spec = JointSpec(jn.underlying, jm.underlying, vi, uj)
-    direct = _gutman_direct(edge_joint_graph(spec))
+    direct = gutman_index(edge_joint_graph(spec))
     closed = closed_form_joint_gutman(spec)
     row: dict[str, int | None] = {
         "n": n,
@@ -195,11 +186,6 @@ def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | Non
     return row
 
 
-def _gutman_direct(g: SimpleGraph) -> int:
-    _, _, total = _index_parts(g, "the Gutman index")
-    return total
-
-
 def joint_delta_report(n_max: int, m_max: int) -> list[JointDelta]:
     """Trivial-anchor audit over the grid 2 <= m <= min(n, m_max), m <= n <= n_max."""
     if n_max < 2 or m_max < 2:
@@ -210,7 +196,7 @@ def joint_delta_report(n_max: int, m_max: int) -> list[JointDelta]:
         for m in range(2, min(n, m_max) + 1):
             jm = build_jaco(IDENTITY, m)
             spec = JointSpec(jn.underlying, jm.underlying, 1, 1)
-            direct = _gutman_direct(edge_joint_graph(spec))
+            direct = gutman_index(edge_joint_graph(spec))
             rows.append(
                 JointDelta(
                     n=n,
@@ -265,7 +251,7 @@ def anchor_audit(
                         vi=vi,
                         uj=uj,
                         closed_form=closed_form_joint_gutman(spec),
-                        direct=_gutman_direct(edge_joint_graph(spec)),
+                        direct=gutman_index(edge_joint_graph(spec)),
                     )
                 )
     return checks

@@ -44,18 +44,46 @@ class _Unreachable:
 UNREACHABLE = _Unreachable()
 
 
-def _canonical_edge_array(order: int, edges: Iterable[Sequence[int]]) -> np.ndarray:
-    rows = set()
-    for edge in edges:
-        a, b = int(edge[0]), int(edge[1])
-        if not (1 <= a <= order and 1 <= b <= order):
-            raise ValueError(f"edge endpoint out of range 1..{order}: ({a}, {b})")
-        if a == b:
-            raise ValueError(f"self-loop at vertex {a} is not allowed")
-        rows.add((a, b) if a < b else (b, a))
-    out = np.array(sorted(rows), dtype=np.int64) if rows else np.empty((0, 2), np.int64)
-    out.setflags(write=False)
-    return out
+def _integer_rows(edges: Iterable[Sequence[int]]) -> np.ndarray:
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"expected a (k, 2) array of endpoint pairs, got shape {edges.shape}")
+        return np.asarray(edges, dtype=np.int64)
+    rows = []
+    for a, b in edges:
+        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in (a, b)):
+            raise ValueError(f"edge ({a!r}, {b!r}) has a non-integer endpoint")
+        rows.append((a, b))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def _canonical_edge_array(
+    order: int, edges: Iterable[Sequence[int]], *, oriented: bool = False
+) -> np.ndarray:
+    """Validated endpoint pairs as a read-only (k, 2) int64 array, rows sorted.
+
+    Endpoints must be integers in 1..order; bools, floats and strings raise
+    ValueError.  Unless `oriented`, each pair becomes (low, high), self-loops
+    raise and duplicates collapse.  An oriented table keeps every row as
+    given, for the caller to apply its own rules.
+    """
+    rows = _integer_rows(edges)
+    outside = (rows < 1) | (rows > order)
+    if outside.any():
+        a, b = rows[outside.argmax() // 2]
+        raise ValueError(f"endpoint out of range 1..{order}: ({a}, {b})")
+    if not oriented:
+        loops = rows[:, 0] == rows[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop at vertex {rows[loops.argmax(), 0]} is not allowed")
+        rows = np.sort(rows, axis=1)
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    if not oriented:
+        distinct = np.ones(len(rows), dtype=bool)
+        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[distinct]
+    rows.setflags(write=False)
+    return rows
 
 
 class SimpleGraph:
@@ -86,9 +114,6 @@ class SimpleGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         return [(int(a), int(b)) for a, b in self._edges]
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edge_list())
-
     def degree_array(self) -> np.ndarray:
         if self._degrees is None:
             deg = np.bincount(self._edges.ravel(), minlength=self.order + 1)[1:]
@@ -111,8 +136,8 @@ class SimpleGraph:
 def from_edges(order: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
     """Build a graph from an order and an edge iterable.
 
-    Duplicate edges (in either orientation) collapse to one; self-loops and
-    out-of-range endpoints raise ValueError.
+    Duplicate edges (in either orientation) collapse to one; self-loops,
+    out-of-range and non-integer endpoints raise ValueError.
     """
     return SimpleGraph(order, _canonical_edge_array(order, edges))
 
@@ -134,21 +159,24 @@ def dense_adjacency(g: SimpleGraph) -> np.ndarray:
     return a
 
 
-def layered_distance_matrix(adj: np.ndarray) -> np.ndarray:
-    """All-pairs BFS distances of the graph with dense adjacency `adj`.
+def layered_distance_matrix(adj: np.ndarray, sources: Sequence[int] | None = None) -> np.ndarray:
+    """BFS distances of the graph with dense adjacency `adj`.
 
-    Returns an int32 matrix with -1 encoding an unreachable pair.  Level k+1
-    is everything adjacent to the "reached within k" set; one matrix product
-    per level, diameter-many levels in total.
+    Returns an int32 matrix with -1 encoding an unreachable pair: all pairs,
+    or with `sources` (0-based vertex indices) only the rows of those
+    sources.  Level k+1 is everything adjacent to the "reached within k"
+    set; one matrix product per level, eccentricity-many levels in total.
     """
     order = adj.shape[0]
-    dist = np.full((order, order), -1, dtype=np.int32)
-    if order == 0:
+    rows = np.arange(order) if sources is None else np.asarray(sources, dtype=np.intp)
+    dist = np.full((len(rows), order), -1, dtype=np.int32)
+    if dist.size == 0:
         return dist
-    np.fill_diagonal(dist, 0)
-    adjacent = adj > 0
-    dist[adjacent] = 1
-    reached = adjacent | np.eye(order, dtype=bool)
+    reached = (adj if sources is None else adj[rows]) > 0
+    dist[reached] = 1
+    diagonal = (np.arange(len(rows)), rows)
+    dist[diagonal] = 0
+    reached[diagonal] = True
     level = 1
     while True:
         expanded = (reached.astype(np.float32) @ adj) > 0
@@ -204,43 +232,17 @@ def is_connected(g: SimpleGraph) -> bool:
     """True iff a BFS from vertex 1 reaches every vertex."""
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    if g.order == 1:
-        return True
-    adj = dense_adjacency(g)
-    reached = np.zeros(g.order, dtype=bool)
-    reached[0] = True
-    frontier = reached.astype(np.float32)
-    while True:
-        expanded = (adj @ frontier) > 0
-        fresh = expanded & ~reached
-        if not fresh.any():
-            return bool(reached.all())
-        reached |= fresh
-        frontier = fresh.astype(np.float32)
+    return bool((layered_distance_matrix(dense_adjacency(g), sources=[0]) >= 0).all())
 
 
-_INT64_SAFE = 2**61
+def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
+    """Return `dist` if every entry is reachable, else raise naming `what`.
 
-
-def _pair_sum(weights: np.ndarray, dist: np.ndarray, bound: int) -> int:
-    # Full ordered-pair sum halves to the unordered sum; the diagonal is 0.
-    if 2 * bound < _INT64_SAFE:
-        total = int((weights * dist.astype(np.int64)).sum())
-    else:
-        # Bound exceeds the int64 guard: accumulate in Python integers.
-        total = 0
-        wl = weights.tolist()
-        dl = dist.tolist()
-        for wrow, drow in zip(wl, dl):
-            total += sum(w * d for w, d in zip(wrow, drow))
-    assert total % 2 == 0
-    return total // 2
-
-
-def _checked_distance_raw(g: SimpleGraph, what: str) -> np.ndarray:
-    if g.order == 0:
+    An empty matrix (the order-0 graph) raises ValueError; an unreachable
+    entry raises DisconnectedGraphError.
+    """
+    if dist.size == 0:
         raise ValueError(f"{what} is undefined for the empty graph")
-    dist = layered_distance_matrix(dense_adjacency(g))
     if (dist < 0).any():
         raise DisconnectedGraphError(
             f"{what} is defined for connected graphs only and this graph is disconnected"
@@ -248,23 +250,38 @@ def _checked_distance_raw(g: SimpleGraph, what: str) -> np.ndarray:
     return dist
 
 
+_INT64_SAFE = 2**62
+
+
+def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
+    """Exact sum of w_a * w_b * d_ab over unordered pairs a < b.
+
+    `dist` is a symmetric nonnegative matrix with a zero diagonal, so the
+    ordered-pair total w . (dist w) is twice the answer.  That total runs in
+    int64 when (sum |w|)^2 * max(dist) bounds it below _INT64_SAFE, and in
+    Python integers otherwise.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    if int(np.abs(w).sum()) ** 2 * int(dist.max()) < _INT64_SAFE:
+        total = int(w @ (dist @ w))
+    else:
+        w = w.astype(object)
+        total = int(w @ (dist.astype(object) @ w))
+    if total % 2:
+        raise ArithmeticError(f"ordered pair total {total} is odd; the distances are not symmetric")
+    return total // 2
+
+
 def gutman_index(g: SimpleGraph) -> int:
     """Sum of deg(u) * deg(v) * dist(u, v) over unordered vertex pairs."""
-    dist = _checked_distance_raw(g, "the Gutman index")
-    deg = g.degree_array().astype(np.int64)
-    max_deg = int(deg.max()) if g.order else 0
-    max_dist = int(dist.max())
-    bound = g.order * g.order * max_deg * max_deg * max_dist
-    weights = np.outer(deg, deg)
-    return _pair_sum(weights, dist, bound)
+    dist = layered_distance_matrix(dense_adjacency(g))
+    return _pair_sum(g.degree_array(), _require_connected(dist, "the Gutman index"))
 
 
 def wiener_index(g: SimpleGraph) -> int:
     """Sum of dist(u, v) over unordered vertex pairs."""
-    dist = _checked_distance_raw(g, "the Wiener index")
-    bound = g.order * g.order * int(dist.max())
-    weights = np.ones((g.order, g.order), dtype=np.int64)
-    return _pair_sum(weights, dist, bound)
+    dist = layered_distance_matrix(dense_adjacency(g))
+    return _pair_sum(np.ones(g.order, np.int64), _require_connected(dist, "the Wiener index"))
 
 
 def induced_subgraph(

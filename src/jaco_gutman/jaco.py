@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import SimpleGraph, induced_subgraph
+from .graph_core import SimpleGraph, _canonical_edge_array, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class LinearFunction:
     c: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and isinstance(self.c, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.m, self.c)):
             raise ValueError("coefficients must be integers")
         if self.m < 0 or self.c < 0:
             raise ValueError("coefficients must be nonnegative")
@@ -162,24 +162,21 @@ def jaco_from_arcs(f: LinearFunction, n: int, arcs: Iterable[Sequence[int]]) -> 
     """Assemble a JacoGraph from an explicit arc list (for audits and tests).
 
     The arcs are canonicalized but not checked against the arc rule; run
-    `verify_definition_fixed_point` for that.  Duplicates are an error.
+    `verify_definition_fixed_point` for that.  Every arc must run from lower
+    to higher index, and duplicates are an error.
     """
     if n < 1:
         raise ValueError("order n must be at least 1")
-    rows = []
-    for arc in arcs:
-        a, b = int(arc[0]), int(arc[1])
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"arc endpoint out of range 1..{n}: ({a}, {b})")
-        if a >= b:
-            raise ValueError(f"arc ({a}, {b}) must run from lower to higher index")
-        rows.append((a, b))
-    rows.sort()
-    for prev, cur in zip(rows, rows[1:]):
-        if prev == cur:
-            raise ValueError(f"duplicate arc {cur}")
-    array = np.array(rows, dtype=np.int64) if rows else np.empty((0, 2), np.int64)
-    return JacoGraph(f, n, array)
+    rows = _canonical_edge_array(n, arcs, oriented=True)
+    backward = rows[:, 0] >= rows[:, 1]
+    if backward.any():
+        a, b = rows[backward.argmax()]
+        raise ValueError(f"arc ({a}, {b}) must run from lower to higher index")
+    repeated = (rows[1:] == rows[:-1]).all(axis=1)
+    if repeated.any():
+        a, b = rows[repeated.argmax()]
+        raise ValueError(f"duplicate arc ({a}, {b})")
+    return JacoGraph(f, n, rows)
 
 
 def verify_definition_fixed_point(j: JacoGraph) -> bool:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
-    DisconnectedGraphError,
     _pair_sum,
+    _require_connected,
     dense_adjacency,
     layered_distance_matrix,
 )
@@ -66,6 +66,8 @@ class RecursionTerms:
 
 
 TERM_NAMES = ("base", "cross", "hope_pairs", "new_low", "new_hope", "constants")
+
+_WHAT = "the recursion formulas"
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,6 @@ def _require_identity(jn: JacoGraph) -> None:
         raise ValueError("recursion formulas require order n >= 2")
 
 
-def _distances(jn: JacoGraph) -> np.ndarray:
-    dist = layered_distance_matrix(dense_adjacency(jn.underlying))
-    if (dist < 0).any():
-        raise DisconnectedGraphError(
-            "recursion formulas require a connected underlying graph"
-        )
-    return dist
-
-
 def _extension_prime_index(jn: JacoGraph, jnext: JacoGraph) -> int:
     # Characterization via the next vertex's attachment count.
     return jn.n - jnext.in_degree(jn.n + 1)
@@ -162,9 +155,7 @@ def _evaluate(jn: JacoGraph, dist: np.ndarray, i: int, *, verbatim: bool) -> Rec
     h = n - i
     low = deg[:i]
     hope = deg[i:]
-    max_deg = int(deg.max())
-    max_dist = int(dist.max())
-    base = _pair_sum(np.outer(deg, deg), dist, n * n * max_deg * max_deg * max_dist)
+    base = _pair_sum(deg, dist)
     cross = int((low[:, None] * dist[:i, i:].astype(np.int64)).sum())
     hope_pairs = (h - 1) * int(hope.sum()) if h >= 2 else 0
     hope_deg_sum = int(hope.sum())
@@ -182,21 +173,24 @@ def _evaluate(jn: JacoGraph, dist: np.ndarray, i: int, *, verbatim: bool) -> Rec
     return RecursionTerms(n, i, base, cross, hope_pairs, new_low, new_hope, constants)
 
 
-def recursion_paper_terms(jn: JacoGraph) -> RecursionTerms:
-    """Term breakdown of the published right-hand side, exactly as printed."""
+def _terms(jn: JacoGraph, *, verbatim: bool) -> RecursionTerms:
     _require_identity(jn)
     jnext = build_jaco(IDENTITY, jn.n + 1)
-    return _evaluate(jn, _distances(jn), _extension_prime_index(jn, jnext), verbatim=True)
+    dist = _require_connected(layered_distance_matrix(dense_adjacency(jn.underlying)), _WHAT)
+    i = _extension_prime_index(jn, jnext)
+    if not verbatim:
+        _check_structure(jn, jnext, dist, i)
+    return _evaluate(jn, dist, i, verbatim=verbatim)
+
+
+def recursion_paper_terms(jn: JacoGraph) -> RecursionTerms:
+    """Term breakdown of the published right-hand side, exactly as printed."""
+    return _terms(jn, verbatim=True)
 
 
 def recursion_exact_terms(jn: JacoGraph) -> RecursionTerms:
     """Term breakdown of the corrected decomposition, preconditions enforced."""
-    _require_identity(jn)
-    jnext = build_jaco(IDENTITY, jn.n + 1)
-    dist = _distances(jn)
-    i = _extension_prime_index(jn, jnext)
-    _check_structure(jn, jnext, dist, i)
-    return _evaluate(jn, dist, i, verbatim=False)
+    return _terms(jn, verbatim=False)
 
 
 def recursion_paper_rhs(jn: JacoGraph) -> int:
@@ -220,17 +214,16 @@ def recursion_delta_report(n_max: int) -> list[RecursionDelta]:
         raise ValueError("n_max must be at least 2")
     rows = []
     jn = build_jaco(IDENTITY, 2)
-    dist = _distances(jn)
+    dist = _require_connected(layered_distance_matrix(dense_adjacency(jn.underlying)), _WHAT)
     for n in range(2, n_max + 1):
         jnext = build_jaco(IDENTITY, n + 1)
-        dist_next = _distances(jnext)
+        dist_next = _require_connected(layered_distance_matrix(dense_adjacency(jnext.underlying)), _WHAT)
         i = _extension_prime_index(jn, jnext)
         _check_structure(jn, jnext, dist, i)
         paper = _evaluate(jn, dist, i, verbatim=True)
         exact = _evaluate(jn, dist, i, verbatim=False)
-        deg_next = (jnext.in_degree_array + jnext.out_degree_array).astype(np.int64)
-        bound = (n + 1) * (n + 1) * int(deg_next.max()) ** 2 * int(dist_next.max())
-        direct = _pair_sum(np.outer(deg_next, deg_next), dist_next, bound)
+        deg_next = jnext.in_degree_array + jnext.out_degree_array
+        direct = _pair_sum(deg_next, dist_next)
         rows.append(RecursionDelta(paper=paper, exact=exact, direct=direct))
         jn, dist = jnext, dist_next
     return rows

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph_core import (
-    DisconnectedGraphError,
     _pair_sum,
+    _require_connected,
     dense_adjacency,
     layered_distance_matrix,
 )
@@ -36,30 +34,6 @@ class SequenceTable:
     name: str
     f: LinearFunction
     rows: tuple[tuple[int, int], ...]
-
-
-def _first_to_last_distance(adj_view: np.ndarray) -> int:
-    """BFS distance from vertex 1 to the last vertex on a dense prefix view."""
-    n = adj_view.shape[0]
-    if n == 1:
-        return 0
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = reached.astype(np.float32)
-    level = 0
-    while True:
-        expanded = (adj_view @ frontier) > 0
-        fresh = expanded & ~reached
-        if not fresh.any():
-            raise DisconnectedGraphError(
-                f"v_{n} is unreachable from v_1 at order {n}; "
-                "the distance sequence requires connected graphs"
-            )
-        level += 1
-        if fresh[n - 1]:
-            return level
-        reached |= fresh
-        frontier = fresh.astype(np.float32)
 
 
 def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
@@ -79,20 +53,14 @@ def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
 
     adj = dense_adjacency(build_jaco(f, n_max).underlying)
     values = []
-    if name == "v1_vn_distance":
-        for n in range(1, n_max + 1):
-            values.append(_first_to_last_distance(adj[:n, :n]))
-    else:
-        for n in range(1, n_max + 1):
-            view = adj[:n, :n]
+    for n in range(1, n_max + 1):
+        view = adj[:n, :n]
+        if name == "v1_vn_distance":
+            dist = layered_distance_matrix(view, sources=[0])
+            dist = _require_connected(dist, f"the distance sequence at order {n}")
+            values.append(int(dist[0, -1]))
+        else:
             dist = layered_distance_matrix(view)
-            if (dist < 0).any():
-                raise DisconnectedGraphError(
-                    f"the order-{n} graph is disconnected; "
-                    "the Gutman index sequence requires connected graphs"
-                )
-            deg = view.sum(axis=1).astype(np.int64)
-            max_deg = int(deg.max()) if n else 0
-            bound = n * n * max_deg * max_deg * int(dist.max())
-            values.append(_pair_sum(np.outer(deg, deg), dist, bound))
+            dist = _require_connected(dist, f"the Gutman index sequence at order {n}")
+            values.append(_pair_sum(view.sum(axis=1), dist))
     return SequenceTable(name, f, tuple(zip(range(1, n_max + 1), values)))

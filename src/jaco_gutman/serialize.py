@@ -14,7 +14,7 @@ import json
 from typing import Iterable, Mapping
 
 from .edge_joint import JointDelta
-from .jaco import JacoGraph, LinearFunction, jaco_from_arcs
+from .jaco import JacoGraph, LinearFunction, jaco_from_arcs, verify_definition_fixed_point
 from .recursion import TERM_NAMES, RecursionDelta
 from .sequences import SequenceTable
 
@@ -42,8 +42,13 @@ def jaco_from_json(text: str) -> JacoGraph:
     missing = {"m", "c", "n", "arcs"} - payload.keys()
     if missing:
         raise ValueError(f"graph JSON missing keys: {sorted(missing)}")
-    f = LinearFunction(int(payload["m"]), int(payload["c"]))
-    return jaco_from_arcs(f, int(payload["n"]), payload["arcs"])
+    not_int = [key for key in ("m", "c", "n") if type(payload[key]) is not int]
+    if not_int:
+        raise ValueError(f"graph JSON fields must be integers: {not_int}")
+    j = jaco_from_arcs(LinearFunction(payload["m"], payload["c"]), payload["n"], payload["arcs"])
+    if not verify_definition_fixed_point(j):
+        raise ValueError(f"graph JSON arcs do not follow the arc rule of {j.f} at n={j.n}")
+    return j
 
 
 def jaco_to_csv(j: JacoGraph) -> str:

@@ -60,6 +60,27 @@ class TestBuild:
         with pytest.raises(ValueError):
             jaco_from_json('{"m":1,"c":0}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m":1,"c":0,"n":3.7,"arcs":[[1,2],[2,3]]}',
+            '{"m":1,"c":0,"n":"3","arcs":[[1,2],[2,3]]}',
+            '{"m":true,"c":0,"n":3,"arcs":[[1,2],[2,3]]}',
+            '{"m":1,"c":0.0,"n":3,"arcs":[[1,2],[2,3]]}',
+        ],
+    )
+    def test_json_rejects_non_integer_fields(self, text):
+        with pytest.raises(ValueError, match="must be integers"):
+            jaco_from_json(text)
+
+    def test_json_rejects_non_integer_arcs(self):
+        with pytest.raises(ValueError):
+            jaco_from_json('{"m":1,"c":0,"n":3,"arcs":[["1",2.9],[2,3]]}')
+
+    def test_json_rejects_arcs_breaking_the_rule(self):
+        with pytest.raises(ValueError, match="arc rule"):
+            jaco_from_json('{"m":1,"c":0,"n":3,"arcs":[[1,2]]}')
+
 
 class TestScalarCommands:
     def test_gutman(self, capsys):

@@ -149,6 +149,19 @@ class TestClosedForm:
             expected = brute_gutman(composed.order, composed.edge_list())
             assert closed_form_joint_gutman(spec) == expected
 
+    def test_single_vertex_side_vs_bruteforce(self):
+        rng = random.Random(99)
+        k1 = from_edges(1, [])
+        for _ in range(20):
+            order, edges = random_connected_graph(rng, max_order=9)
+            g = from_edges(order, edges)
+            anchor = rng.randint(1, order)
+            for spec in (JointSpec(g, k1, anchor, 1), JointSpec(k1, g, 1, anchor)):
+                composed = edge_joint_graph(spec)
+                expected = brute_gutman(composed.order, composed.edge_list())
+                assert closed_form_joint_gutman(spec) == expected
+        assert closed_form_joint_gutman(JointSpec(k1, k1, 1, 1)) == 1
+
     def test_disconnected_input_rejected(self):
         g = from_edges(3, [(1, 2)])
         with pytest.raises(DisconnectedGraphError):

@@ -1,5 +1,7 @@
 """Graph primitives: construction, distances, and the two indices."""
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +19,16 @@ from jaco_gutman import (
     is_connected,
     wiener_index,
 )
-from jaco_gutman.graph_core import _pair_sum
+from jaco_gutman import graph_core
+from jaco_gutman.graph_core import _pair_sum, dense_adjacency, layered_distance_matrix
 
-from bruteforce import brute_gutman, brute_wiener, random_connected_graph
+from bruteforce import (
+    adjacency_from_edges,
+    bfs_distances,
+    brute_gutman,
+    brute_wiener,
+    random_connected_graph,
+)
 
 
 def path(n):
@@ -60,6 +69,22 @@ class TestConstruction:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             from_edges(-1, [])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(1, 2.9)], [(True, 2)], [("1", 2)], [(1, 2, 3)], np.array([[1.0, 2.0]])],
+    )
+    def test_non_integer_endpoint_rejected(self, edges):
+        with pytest.raises(ValueError):
+            from_edges(3, edges)
+
+    def test_integer_array_is_not_iterated(self):
+        class NoIteration(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("integer edge array iterated element by element")
+
+        edges = np.array([[3, 1], [2, 1], [1, 3]], dtype=np.int32).view(NoIteration)
+        assert from_edges(3, edges).edge_list() == [(1, 2), (1, 3)]
 
     def test_equality_and_hash(self):
         a = from_edges(3, [(1, 2), (2, 3)])
@@ -177,16 +202,32 @@ class TestIndices:
                 from_edges(order, edges)
             )
 
-    def test_pair_sum_bigint_path_agrees(self):
-        # force the arbitrary-precision branch with an inflated bound
-        w = np.arange(1, 17, dtype=np.int64).reshape(4, 4)
-        w = w + w.T
-        d = np.abs(np.arange(16).reshape(4, 4) - np.arange(16).reshape(4, 4).T)
-        np.fill_diagonal(d, 0)
-        d = d + d.T
-        fast = _pair_sum(w, d, bound=10)
-        slow = _pair_sum(w, d, bound=2**62)
-        assert fast == slow
+    def test_pair_sum_bigint_path_agrees(self, monkeypatch):
+        rng = random.Random(2718)
+        cases = [random_connected_graph(rng, max_order=12) for _ in range(20)]
+        fast = [_pair_sum(*self._degrees_and_distances(o, e)) for o, e in cases]
+        # no bound is below zero, so every sum takes the Python-integer branch
+        monkeypatch.setattr(graph_core, "_INT64_SAFE", 0)
+        slow = [_pair_sum(*self._degrees_and_distances(o, e)) for o, e in cases]
+        assert fast == slow == [brute_gutman(o, e) for o, e in cases]
+        assert all(type(value) is int for value in slow)
+
+    @staticmethod
+    def _degrees_and_distances(order, edges):
+        g = from_edges(order, edges)
+        return g.degree_array(), all_pairs_distances(g).raw
+
+    def test_pair_sum_parity_check_survives_optimize(self):
+        # an asymmetric matrix makes the ordered-pair total odd; under -O an
+        # assert would vanish and the halving would floor silently
+        code = (
+            "import numpy as np\n"
+            "from jaco_gutman.graph_core import _pair_sum\n"
+            "_pair_sum(np.array([1, 1]), np.array([[0, 1], [0, 0]]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ArithmeticError: ordered pair total 1 is odd" in proc.stderr
 
 
 class TestInducedSubgraph:
@@ -255,3 +296,27 @@ def test_distance_matrix_properties(ge):
     assert (raw >= 0).all()
     for a, b in edges:
         assert raw[a - 1, b - 1] == 1
+
+
+@st.composite
+def any_graphs(draw, max_order=9):
+    order = draw(st.integers(1, max_order))
+    pairs = st.tuples(st.integers(1, order), st.integers(1, order))
+    edges = {(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=14)) if a != b}
+    return order, sorted(edges)
+
+
+@given(any_graphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_source_rows_and_connectivity_match_oracle(ge, data):
+    order, edges = ge
+    g = from_edges(order, edges)
+    sources = data.draw(st.lists(st.integers(0, order - 1), max_size=order))
+    adj = dense_adjacency(g)
+    assert (layered_distance_matrix(adj, sources=sources) == layered_distance_matrix(adj)[sources]).all()
+    oracle = adjacency_from_edges(order, edges)
+    for s in sources:
+        reach = bfs_distances(oracle, s + 1)
+        expected = [reach.get(v, -1) for v in range(1, order + 1)]
+        assert layered_distance_matrix(adj, sources=[s])[0].tolist() == expected
+    assert is_connected(g) == (len(bfs_distances(oracle, 1)) == order)

@@ -50,6 +50,12 @@ class TestLinearFunction:
         with pytest.raises(ValueError):
             LinearFunction(1.5, 0)
 
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError):
+            LinearFunction(True, False)
+        with pytest.raises(ValueError):
+            LinearFunction(1, True)
+
 
 class TestBuilder:
     def test_order_five_identity(self):
@@ -129,6 +135,11 @@ class TestFromArcs:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             jaco_from_arcs(IDENTITY, 3, [(1, 4)])
+
+    def test_rejects_non_integer_endpoints(self):
+        for arc in ((1, 2.9), (1, True), ("1", 2)):
+            with pytest.raises(ValueError):
+                jaco_from_arcs(IDENTITY, 3, [arc])
 
 
 class TestFixedPoint:

@@ -13,6 +13,8 @@ from jaco_gutman import (
     sequence_table,
 )
 
+from bruteforce import adjacency_from_edges, bfs_distances, slow_jaco_arcs
+
 IDENTITY_FIRST_SEVEN = {
     "edges": (0, 1, 2, 3, 5, 7, 10),
     "gutman": (0, 1, 6, 19, 58, 127, 263),
@@ -55,6 +57,14 @@ class TestCrossChecks:
         for n, value in table.rows:
             d = all_pairs_distances(build_jaco(IDENTITY, n).underlying)
             assert value == d.get(1, n)
+
+    @pytest.mark.parametrize("m, c", [(2, 1), (1, 3)])
+    def test_distance_matches_oracle(self, m, c):
+        table = sequence_table("v1_vn_distance", LinearFunction(m, c), 40)
+        arcs = slow_jaco_arcs(m, c, 40)
+        for n, value in table.rows:
+            prefix = [(a, b) for a, b in arcs if b <= n]
+            assert value == bfs_distances(adjacency_from_edges(n, prefix), 1)[n]
 
 
 class TestErrors:
