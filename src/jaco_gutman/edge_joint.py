@@ -32,12 +32,11 @@ import numpy as np
 
 from .graph_core import (
     SimpleGraph,
+    _distances,
     _pair_sum,
     _require_connected,
-    dense_adjacency,
     from_edges,
     gutman_index,
-    layered_distance_matrix,
 )
 from .jaco import IDENTITY, JacoGraph, build_jaco
 
@@ -74,7 +73,7 @@ def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
 
 def _index_parts(g: SimpleGraph, what: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Degrees, distance matrix, and Gutman index of a connected graph."""
-    dist = _require_connected(layered_distance_matrix(dense_adjacency(g)), what)
+    dist = _require_connected(_distances(g), what)
     deg = g.degree_array()
     return deg, dist, _pair_sum(deg, dist)
 
@@ -186,15 +185,25 @@ def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | Non
     return row
 
 
+def _identity_jacos(n_max: int) -> dict[int, JacoGraph]:
+    """Identity Jaco graphs of orders 2..n_max, keyed by order.
+
+    Built once per audit, so each graph's distances are computed once (they
+    are memoized on its underlying graph) however many grid points use it.
+    """
+    return {k: build_jaco(IDENTITY, k) for k in range(2, n_max + 1)}
+
+
 def joint_delta_report(n_max: int, m_max: int) -> list[JointDelta]:
     """Trivial-anchor audit over the grid 2 <= m <= min(n, m_max), m <= n <= n_max."""
     if n_max < 2 or m_max < 2:
         raise ValueError("n_max and m_max must be at least 2")
+    jacos = _identity_jacos(n_max)
     rows = []
     for n in range(2, n_max + 1):
-        jn = build_jaco(IDENTITY, n)
+        jn = jacos[n]
         for m in range(2, min(n, m_max) + 1):
-            jm = build_jaco(IDENTITY, m)
+            jm = jacos[m]
             spec = JointSpec(jn.underlying, jm.underlying, 1, 1)
             direct = gutman_index(edge_joint_graph(spec))
             rows.append(
@@ -233,11 +242,12 @@ def anchor_audit(
     if n_max < 2 or m_max < 2:
         raise ValueError("n_max and m_max must be at least 2")
     rng = random.Random(seed)
+    graphs = {k: j.underlying for k, j in _identity_jacos(n_max).items()}
     checks = []
     for n in range(2, n_max + 1):
-        gn = build_jaco(IDENTITY, n).underlying
+        gn = graphs[n]
         for m in range(2, min(n, m_max) + 1):
-            gm = build_jaco(IDENTITY, m).underlying
+            gm = graphs[m]
             for _ in range(per_pair):
                 vi, uj = 1, 1
                 while vi == 1 and uj == 1:

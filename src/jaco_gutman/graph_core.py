@@ -1,5 +1,5 @@
-"""Exact primitives for finite simple graphs: construction, BFS distances,
-and the distance-based Gutman and Wiener indices.
+"""Exact primitives for finite simple graphs: construction, distances, and
+the distance-based Gutman and Wiener indices.
 
 Vertices are the integers 1..order.  Edges are unordered pairs stored in a
 canonical form: each pair as (low, high), the whole list sorted
@@ -7,12 +7,17 @@ lexicographically.  All distances and index values are exact integers;
 unreachable pairs are reported through the UNREACHABLE sentinel, never as a
 large finite number.
 
-Distances come from layered breadth-first search driven by dense matrix
-products.  The products only feed a positivity test and path counts never
-exceed the vertex count, far below float32's exact-integer ceiling of 2**24,
-so the results are exact.  Index sums run in int64 when an a-priori bound
-shows that is safe and otherwise fall back to arbitrary-precision Python
-integers.
+Distances come from one kernel with two paths, chosen from the input.  A
+proper interval graph in index order (every closed neighbourhood an index
+interval whose ends never decrease, as in the underlying graph of a linear
+Jaco graph) gets its distances by counting greedy farthest-reach jumps, in
+O(n^2 + n * diameter).  Every other graph takes layered breadth-first search
+driven by dense matrix products, O(n^3 * diameter).  The products only feed
+a positivity test and path counts never exceed the vertex count, far below
+float32's exact-integer ceiling of 2**24, so both paths are exact.  A
+graph's all-pairs matrix is computed once and kept on the graph.  Index sums
+run in int64 when an a-priori bound shows that is safe and otherwise fall
+back to arbitrary-precision Python integers.
 """
 from __future__ import annotations
 
@@ -91,10 +96,11 @@ class SimpleGraph:
 
     The edge table is kept as a read-only (size, 2) int64 array in canonical
     order, which keeps large graphs cheap; `edge_list` materializes plain
-    tuples for small-scale inspection.
+    tuples for small-scale inspection.  Degrees and the distance matrix are
+    computed once, on first use, and kept read-only.
     """
 
-    __slots__ = ("order", "_edges", "_degrees")
+    __slots__ = ("order", "_edges", "_degrees", "_dist")
 
     def __init__(self, order: int, edge_array: np.ndarray):
         if order < 0:
@@ -102,6 +108,7 @@ class SimpleGraph:
         self.order = order
         self._edges = edge_array
         self._degrees: np.ndarray | None = None
+        self._dist: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -159,19 +166,88 @@ def dense_adjacency(g: SimpleGraph) -> np.ndarray:
     return a
 
 
+def _interval_reach(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lo, hi) if `adj` is a proper interval graph in index order, else None.
+
+    That holds when every closed neighbourhood is the index interval
+    [lo[v], hi[v]], hi is nondecreasing, and lo[v] is the first vertex whose
+    interval reaches v.  Given the first two, the third is equivalent to a
+    symmetric `adj`, at O(n log n) instead of an n^2 transpose compare.
+    """
+    order = adj.shape[0]
+    closed = adj > 0
+    closed[np.diag_indices(order)] = True
+    lo = closed.argmax(axis=1)
+    hi = order - 1 - closed[:, ::-1].argmax(axis=1)
+    if not np.array_equal(np.count_nonzero(closed, axis=1), hi - lo + 1):
+        return None
+    if (np.diff(hi) < 0).any():
+        return None
+    if not np.array_equal(lo, np.searchsorted(hi, np.arange(order))):
+        return None
+    return lo, hi
+
+
+def _jump_counts(hi: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Distances from each start to every later vertex, by greedy hi jumps.
+
+    Row r holds dist(starts[r], b) for b > starts[r], 0 at and before the
+    start, and -1 past the start's component.  With p_0 = start and
+    p_{k+1} = hi[p_k], the distance is the number of k with p_k < b: one
+    mark per jump at column p_k + 1 and a cumulative sum along the row.
+    """
+    order = len(hi)
+    counts = np.zeros((len(starts), order), dtype=np.int32)
+    rows = np.arange(len(starts))
+    pos = starts
+    # A walk stops at a fixed point of hi: the last vertex of its component.
+    # Columns past it are unreachable, so it needs no mark of its own.
+    ends = np.empty_like(starts)
+    while len(rows):
+        jumped = hi[pos]
+        moving = jumped > pos
+        ends[rows[~moving]] = pos[~moving]
+        rows, pos, jumped = rows[moving], pos[moving], jumped[moving]
+        counts[rows, pos + 1] = 1
+        pos = jumped
+    np.cumsum(counts, axis=1, dtype=np.int32, out=counts)
+    if (ends < order - 1).any():
+        counts[np.arange(order) > ends[:, None]] = -1
+    return counts
+
+
 def layered_distance_matrix(adj: np.ndarray, sources: Sequence[int] | None = None) -> np.ndarray:
-    """BFS distances of the graph with dense adjacency `adj`.
+    """Exact distances of the graph with dense adjacency `adj`.
 
     Returns an int32 matrix with -1 encoding an unreachable pair: all pairs,
     or with `sources` (0-based vertex indices) only the rows of those
-    sources.  Level k+1 is everything adjacent to the "reached within k"
-    set; one matrix product per level, eccentricity-many levels in total.
+    sources.  Any positive entry of `adj` is an edge.
+
+    The kernel is chosen from the input.  When the graph is a proper
+    interval graph in index order (`_interval_reach`), as the underlying
+    graph of every linear Jaco graph is, dist(a, b) for b > a is the number
+    of greedy farthest-reach jumps from a that stay below b (Looges and
+    Olariu 1993), filled in O(n^2 + n * diameter).  Every other graph takes
+    layered breadth-first search: level k+1 is everything adjacent to the
+    "reached within k" set, one float32 matrix product per level and
+    eccentricity-many levels, O(n^3 * diameter).
     """
     order = adj.shape[0]
     rows = np.arange(order) if sources is None else np.asarray(sources, dtype=np.intp)
-    dist = np.full((len(rows), order), -1, dtype=np.int32)
-    if dist.size == 0:
+    if len(rows) == 0:
+        return np.full((0, order), -1, dtype=np.int32)
+    if rows.min() < 0 or rows.max() >= order:
+        raise ValueError(f"source indices must lie in 0..{order - 1}")
+    reach = _interval_reach(adj)
+    if reach is not None:
+        lo, hi = reach
+        dist = _jump_counts(hi, rows)
+        # Distances to earlier vertices are the later-vertex distances of
+        # the index-reversed graph, whose reach is the mirrored lo.  Row-wise
+        # like the first fill, this beats adding the transpose for all pairs.
+        dist += _jump_counts(order - 1 - lo[::-1], order - 1 - rows)[:, ::-1]
         return dist
+    dist = np.full((len(rows), order), -1, dtype=np.int32)
     reached = (adj if sources is None else adj[rows]) > 0
     dist[reached] = 1
     diagonal = (np.arange(len(rows)), rows)
@@ -223,9 +299,18 @@ class DistanceMatrix:
         ]
 
 
+def _distances(g: SimpleGraph) -> np.ndarray:
+    """All-pairs distances of `g` as a read-only int32 matrix, computed once."""
+    if g._dist is None:
+        dist = layered_distance_matrix(dense_adjacency(g))
+        dist.setflags(write=False)
+        g._dist = dist
+    return g._dist
+
+
 def all_pairs_distances(g: SimpleGraph) -> DistanceMatrix:
     """Exact shortest-path distances between every vertex pair."""
-    return DistanceMatrix(g.order, layered_distance_matrix(dense_adjacency(g)))
+    return DistanceMatrix(g.order, _distances(g))
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -274,14 +359,12 @@ def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
 
 def gutman_index(g: SimpleGraph) -> int:
     """Sum of deg(u) * deg(v) * dist(u, v) over unordered vertex pairs."""
-    dist = layered_distance_matrix(dense_adjacency(g))
-    return _pair_sum(g.degree_array(), _require_connected(dist, "the Gutman index"))
+    return _pair_sum(g.degree_array(), _require_connected(_distances(g), "the Gutman index"))
 
 
 def wiener_index(g: SimpleGraph) -> int:
     """Sum of dist(u, v) over unordered vertex pairs."""
-    dist = layered_distance_matrix(dense_adjacency(g))
-    return _pair_sum(np.ones(g.order, np.int64), _require_connected(dist, "the Wiener index"))
+    return _pair_sum(np.ones(g.order, np.int64), _require_connected(_distances(g), "the Wiener index"))
 
 
 def induced_subgraph(

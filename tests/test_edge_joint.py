@@ -20,6 +20,7 @@ from jaco_gutman import (
     joint_paper_rhs,
     missing_anchor_block,
 )
+from jaco_gutman import graph_core
 
 from bruteforce import brute_gutman, random_connected_graph
 
@@ -219,3 +220,21 @@ class TestJointCheck:
         a = anchor_audit(6, 6, per_pair=2, seed=5)
         b = anchor_audit(6, 6, per_pair=2, seed=5)
         assert a == b
+
+    def test_audits_compute_each_graph_distances_once(self, monkeypatch):
+        # one call per composed graph (the independent direct value) and one
+        # per identity graph J_2..J_n_max, however many grid points share it
+        calls = []
+        real = graph_core.layered_distance_matrix
+
+        def counting(adj, sources=None):
+            calls.append(adj.shape[0])
+            return real(adj, sources)
+
+        monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
+        rows = joint_delta_report(7, 4)
+        assert len(calls) == len(rows) + 6
+        calls.clear()
+        checks = anchor_audit(7, 4, per_pair=3, seed=2)
+        assert len(calls) == len(checks) + 6
+        assert all(c.ok for c in checks)

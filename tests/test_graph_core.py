@@ -230,6 +230,48 @@ class TestIndices:
         assert "ArithmeticError: ordered pair total 1 is odd" in proc.stderr
 
 
+class TestDistanceMemo:
+    def test_one_kernel_call_per_graph(self, monkeypatch):
+        calls = []
+        real = graph_core.layered_distance_matrix
+
+        def counting(adj, sources=None):
+            calls.append(adj.shape[0])
+            return real(adj, sources)
+
+        monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
+        g = cycle(9)
+        assert gutman_index(g) == gutman_index(g) == 4 * wiener_index(g)
+        assert all_pairs_distances(g).get(1, 5) == 4
+        assert calls == [9]
+
+    def test_memoized_matrix_is_read_only(self):
+        g = path(5)
+        assert gutman_index(g) == brute_gutman(5, g.edge_list())
+        raw = graph_core._distances(g)
+        assert not raw.flags.writeable
+        with pytest.raises(ValueError):
+            raw[0, 4] = 1
+        assert gutman_index(g) == brute_gutman(5, g.edge_list())
+
+    def test_all_pairs_and_gutman_agree_on_a_shared_graph(self):
+        rng = random.Random(31)
+        for first in ("gutman", "distances") * 10:
+            order, edges = random_connected_graph(rng, max_order=12)
+            g = from_edges(order, edges)
+            if first == "gutman":
+                gut = gutman_index(g)
+                raw = all_pairs_distances(g).raw
+            else:
+                raw = all_pairs_distances(g).raw
+                gut = gutman_index(g)
+            oracle = adjacency_from_edges(order, edges)
+            for a in range(order):
+                reach = bfs_distances(oracle, a + 1)
+                assert raw[a].tolist() == [reach[v] for v in range(1, order + 1)]
+            assert gut == _pair_sum(g.degree_array(), raw) == brute_gutman(order, edges)
+
+
 class TestInducedSubgraph:
     def test_relabeling_and_mapping(self):
         g = from_edges(6, [(1, 2), (2, 5), (5, 6), (2, 6), (3, 4)])

@@ -1,0 +1,150 @@
+"""The interval fast path of the distance kernel against dense BFS and the oracle.
+
+`layered_distance_matrix` fills distances by greedy jumps when the graph is a
+proper interval graph in index order and runs layered BFS otherwise.  The BFS
+is forced here by making `_interval_reach` report every input as
+non-interval, and both are compared with the pure-Python BFS oracle.
+"""
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jaco_gutman import from_edges, graph_core
+from jaco_gutman.graph_core import _interval_reach, dense_adjacency, layered_distance_matrix
+
+from bruteforce import adjacency_from_edges, bfs_distances, slow_jaco_arcs
+from test_graph_core import any_graphs
+
+
+def dense_bfs(adj, sources=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_interval_reach", lambda adj: None)
+        return layered_distance_matrix(adj, sources=sources)
+
+
+def oracle_rows(order, edges, sources):
+    adj = adjacency_from_edges(order, edges)
+    rows = []
+    for s in sources:
+        reach = bfs_distances(adj, s + 1)
+        rows.append([reach.get(v, -1) for v in range(1, order + 1)])
+    return np.array(rows, dtype=np.int32).reshape(len(rows), order)
+
+
+def agree_on_sources(adj, order, edges, sources):
+    got = layered_distance_matrix(adj, sources=sources)
+    assert got.dtype == np.int32
+    assert (got == dense_bfs(adj, sources)).all()
+    assert (got == oracle_rows(order, edges, sources)).all()
+
+
+def check_graph(adj, order, edges, data):
+    everything = layered_distance_matrix(adj)
+    assert everything.dtype == np.int32
+    assert (everything == dense_bfs(adj)).all()
+    assert (everything == oracle_rows(order, edges, range(order))).all()
+    agree_on_sources(adj, order, edges, [data.draw(st.integers(0, order - 1))])
+    agree_on_sources(adj, order, edges, data.draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=6)))
+    agree_on_sources(adj, order, edges, data.draw(st.permutations(range(order))))
+
+
+# m = 0 gives the disconnected families, and m = 0 = c the edgeless ones.
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_jaco_graphs_and_prefixes(m, c, n, data):
+    arcs = slow_jaco_arcs(m, c, n)
+    adj = dense_adjacency(from_edges(n, arcs))
+    assert _interval_reach(adj) is not None
+    check_graph(adj, n, arcs, data)
+    k = data.draw(st.integers(1, n))
+    view = adj[:k, :k]
+    assert _interval_reach(view) is not None
+    check_graph(view, k, [(a, b) for a, b in arcs if b <= k], data)
+
+
+@st.composite
+def interval_graphs(draw, max_order=14):
+    """Edges i < j <= hi[i] for a random nondecreasing reach hi[i] >= i."""
+    order = draw(st.integers(1, max_order))
+    hi = []
+    for i in range(order):
+        hi.append(draw(st.integers(max(i, hi[-1] if hi else 0), order - 1)))
+    edges = [(i + 1, j + 1) for i in range(order) for j in range(i + 1, hi[i] + 1)]
+    return order, edges, hi
+
+
+@given(interval_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_interval_graphs(ohe, data):
+    order, edges, hi = ohe
+    adj = dense_adjacency(from_edges(order, edges))
+    reach = _interval_reach(adj)
+    assert reach is not None and reach[1].tolist() == hi
+    check_graph(adj, order, edges, data)
+
+
+@given(any_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_graphs(ge, data):
+    order, edges = ge
+    adj = dense_adjacency(from_edges(order, edges))
+    reach = _interval_reach(adj)
+    if reach is not None:
+        # every accepted graph really has the closed neighbourhoods [lo, hi]
+        oracle = adjacency_from_edges(order, edges)
+        for v, (lo, hi) in enumerate(zip(*reach)):
+            assert oracle[v + 1] | {v + 1} == set(range(lo + 1, hi + 2))
+    check_graph(adj, order, edges, data)
+
+
+def test_sources_are_not_taken_for_all_pairs():
+    # a full-length permutation of the rows must not be answered as all pairs
+    adj = dense_adjacency(from_edges(3, [(1, 2), (2, 3)]))
+    assert layered_distance_matrix(adj, sources=[1, 0]).tolist() == [[1, 0, 1], [0, 1, 2]]
+    assert layered_distance_matrix(adj, sources=[2, 0, 1]).tolist() == [[2, 1, 0], [0, 1, 2], [1, 0, 1]]
+
+
+def test_sources_out_of_range_rejected():
+    adj = dense_adjacency(from_edges(3, [(1, 2)]))
+    for sources in ([3], [-1], [0, 5]):
+        with pytest.raises(ValueError, match="source indices"):
+            layered_distance_matrix(adj, sources=sources)
+    assert layered_distance_matrix(adj, sources=[]).shape == (0, 3)
+
+
+# Each near miss breaks exactly one of the three structure conditions.
+NEAR_MISSES = {
+    "asymmetric": ([[0, 1], [0, 0]], [[0, 1], [-1, 0]]),
+    "row with a gap": (
+        [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]],
+        [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]],
+    ),
+    "hi decreasing": ([[0, 1, 1], [1, 0, 0], [0, 0, 0]], [[0, 1, 1], [1, 0, 2], [-1, -1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", NEAR_MISSES)
+def test_near_misses_take_the_bfs(name):
+    matrix, expected = NEAR_MISSES[name]
+    adj = np.array(matrix, dtype=np.float32)
+    assert _interval_reach(adj) is None
+    assert layered_distance_matrix(adj).tolist() == expected
+    rows = list(range(len(matrix)))[::-1]
+    assert layered_distance_matrix(adj, sources=rows).tolist() == expected[::-1]
+
+
+def test_structure_check_survives_optimize():
+    code = (
+        "import numpy as np\n"
+        "from jaco_gutman.graph_core import _interval_reach\n"
+        f"near = {[matrix for matrix, _ in NEAR_MISSES.values()]!r}\n"
+        "print([_interval_reach(np.array(a, dtype=np.float32)) is None for a in near])\n"
+        "print(_interval_reach(np.array([[0, 1], [1, 0]], dtype=np.float32)) is None)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[True, True, True]", "False"]
