@@ -55,7 +55,11 @@ def _integer_rows(edges: Iterable[Sequence[int]]) -> np.ndarray:
             raise ValueError(f"expected a (k, 2) array of endpoint pairs, got shape {edges.shape}")
         return np.asarray(edges, dtype=np.int64)
     rows = []
-    for a, b in edges:
+    for row in edges:
+        try:
+            a, b = row
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {row!r} is not a pair of endpoints") from None
         if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in (a, b)):
             raise ValueError(f"edge ({a!r}, {b!r}) has a non-integer endpoint")
         rows.append((a, b))
@@ -119,7 +123,7 @@ class SimpleGraph:
         return self._edges
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [(int(a), int(b)) for a, b in self._edges]
+        return list(zip(*self._edges.T.tolist()))
 
     def degree_array(self) -> np.ndarray:
         if self._degrees is None:

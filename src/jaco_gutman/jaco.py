@@ -78,7 +78,7 @@ class JacoGraph:
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         if self._tuples is None:
-            self._tuples = tuple((int(a), int(b)) for a, b in self._arcs)
+            self._tuples = tuple(zip(*self._arcs.T.tolist()))
         return self._tuples
 
     @property

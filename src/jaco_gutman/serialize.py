@@ -22,14 +22,34 @@ RECURSION_HEADER = "n,i,paper_rhs,exact_rhs,direct,delta_paper"
 JOINT_HEADER = "n,m,paper_rhs,closed_form,direct,delta_paper,missing_block,residual"
 
 
+def _arc_runs(j: JacoGraph, pre: str, mid: str, post: str, sep: str) -> list[str]:
+    """The arc table as text, one string per run of consecutive arcs sharing a tail.
+
+    Arc (a, b) renders as pre + a + mid + b + post and arcs are separated by
+    sep, so `sep.join` of the result renders the whole table in stored order.
+    Each run is one `str.join` over its heads' names: the arcs are never
+    visited one numpy row at a time.  Runs follow the stored order, so tails
+    need not be sorted or grouped and heads need not be contiguous, and the
+    names cover every stored index, even one past n.
+    """
+    tails = j.arc_array[:, 0]
+    heads = j.arc_array[:, 1]
+    if not len(tails):
+        return []
+    names = [str(v) for v in range(max(j.n, int(j.arc_array.max())) + 1)]
+    bounds = ((tails[1:] != tails[:-1]).nonzero()[0] + 1).tolist()
+    starts = [0, *bounds]
+    ends = [*bounds, len(tails)]
+    texts = []
+    for start, end, tail in zip(starts, ends, tails[starts].tolist()):
+        lead = pre + names[tail] + mid
+        texts.append(lead + (post + sep + lead).join([names[h] for h in heads[start:end].tolist()]) + post)
+    return texts
+
+
 def jaco_to_json(j: JacoGraph) -> str:
-    payload = {
-        "m": j.f.m,
-        "c": j.f.c,
-        "n": j.n,
-        "arcs": [[int(a), int(b)] for a, b in j.arc_array],
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    arcs = ",".join(_arc_runs(j, "[", ",", "]", ","))
+    return f'{{"m":{j.f.m},"c":{j.f.c},"n":{j.n},"arcs":[{arcs}]}}\n'
 
 
 def jaco_from_json(text: str) -> JacoGraph:
@@ -45,6 +65,8 @@ def jaco_from_json(text: str) -> JacoGraph:
     not_int = [key for key in ("m", "c", "n") if type(payload[key]) is not int]
     if not_int:
         raise ValueError(f"graph JSON fields must be integers: {not_int}")
+    if not isinstance(payload["arcs"], list):
+        raise ValueError("graph JSON arcs must be a list of [tail, head] pairs")
     j = jaco_from_arcs(LinearFunction(payload["m"], payload["c"]), payload["n"], payload["arcs"])
     if not verify_definition_fixed_point(j):
         raise ValueError(f"graph JSON arcs do not follow the arc rule of {j.f} at n={j.n}")
@@ -52,8 +74,7 @@ def jaco_from_json(text: str) -> JacoGraph:
 
 
 def jaco_to_csv(j: JacoGraph) -> str:
-    lines = ["tail,head"]
-    lines.extend(f"{int(a)},{int(b)}" for a, b in j.arc_array)
+    lines = ["tail,head", *_arc_runs(j, "", ",", "", "\n")]
     return "\n".join(lines) + "\n"
 
 
@@ -61,7 +82,7 @@ def jaco_to_dot(j: JacoGraph, directed: bool = False) -> str:
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
     lines = [f"{kind} J{j.n} {{"]
     lines.extend(f"  v{v};" for v in range(1, j.n + 1))
-    lines.extend(f"  v{int(a)} {joiner} v{int(b)};" for a, b in j.arc_array)
+    lines.extend(_arc_runs(j, "  v", f" {joiner} v", ";", "\n"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

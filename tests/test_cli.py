@@ -77,6 +77,19 @@ class TestBuild:
         with pytest.raises(ValueError):
             jaco_from_json('{"m":1,"c":0,"n":3,"arcs":[["1",2.9],[2,3]]}')
 
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ("5", "must be a list"),
+            ("null", "must be a list"),
+            ("[5]", "edge 5 is not a pair"),
+            ("[[1,2,3]]", r"edge \[1, 2, 3\] is not a pair"),
+        ],
+    )
+    def test_json_rejects_arcs_that_are_not_pairs(self, arcs, message):
+        with pytest.raises(ValueError, match=message):
+            jaco_from_json(f'{{"m":1,"c":0,"n":3,"arcs":{arcs}}}')
+
     def test_json_rejects_arcs_breaking_the_rule(self):
         with pytest.raises(ValueError, match="arc rule"):
             jaco_from_json('{"m":1,"c":0,"n":3,"arcs":[[1,2]]}')

@@ -1,0 +1,92 @@
+"""Graph exports against naive per-arc renderings of the defining rule.
+
+`jaco_to_json`, `jaco_to_csv` and `jaco_to_dot` render the arc table one run
+of equal tails at a time.  Here each output is compared with text built arc by
+arc from `bruteforce.slow_jaco_arcs`, with the standard library's JSON
+encoder for the JSON format.
+"""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, build_jaco
+from jaco_gutman.serialize import jaco_from_json, jaco_to_csv, jaco_to_dot, jaco_to_json
+
+from bruteforce import slow_jaco_arcs
+
+
+def naive_json(m, c, n, arcs):
+    payload = {"m": m, "c": c, "n": n, "arcs": [[a, b] for a, b in arcs]}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def naive_csv(arcs):
+    return "tail,head\n" + "".join(f"{a},{b}\n" for a, b in arcs)
+
+
+def naive_dot(n, arcs, directed):
+    kind, joiner = ("digraph", "->") if directed else ("graph", "--")
+    vertices = "".join(f"  v{v};\n" for v in range(1, n + 1))
+    lines = "".join(f"  v{a} {joiner} v{b};\n" for a, b in arcs)
+    return f"{kind} J{n} {{\n{vertices}{lines}}}\n"
+
+
+def check_renderings(j, m, c, arcs):
+    assert jaco_to_json(j) == naive_json(m, c, j.n, arcs)
+    assert jaco_to_csv(j) == naive_csv(arcs)
+    assert jaco_to_dot(j) == naive_dot(j.n, arcs, directed=False)
+    assert jaco_to_dot(j, directed=True) == naive_dot(j.n, arcs, directed=True)
+
+
+# m = 0 gives the disconnected families, m = 0 = c the graphs without arcs.
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 60))
+@example(0, 0, 9)
+@example(0, 3, 17)
+@example(2, 1, 1)
+@settings(max_examples=120, deadline=None)
+def test_exports_match_naive_renderings(m, c, n):
+    arcs = slow_jaco_arcs(m, c, n)
+    j = build_jaco(LinearFunction(m, c), n)
+    check_renderings(j, m, c, arcs)
+    assert jaco_from_json(jaco_to_json(j)) == j
+
+
+def test_unsorted_ungrouped_tails_render_in_stored_order():
+    # tails revisit 1 and 3 after other tails, and heads skip and go backwards
+    arcs = [(3, 5), (1, 2), (1, 4), (3, 4), (1, 3), (2, 5), (4, 5)]
+    j = JacoGraph(IDENTITY, 5, np.array(arcs, dtype=np.int32))
+    check_renderings(j, 1, 0, arcs)
+
+
+def test_heads_beyond_the_order_render_as_stored():
+    arcs = [(1, 2), (2, 12)]
+    j = JacoGraph(IDENTITY, 3, np.array(arcs, dtype=np.int64))
+    check_renderings(j, 1, 0, arcs)
+
+
+def test_arc_table_is_not_iterated_row_by_row():
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("arc table iterated one row at a time")
+
+    plain = build_jaco(LinearFunction(2, 1), 40)
+    guarded = JacoGraph(plain.f, plain.n, np.array(plain.arc_array).view(NoIteration))
+    assert jaco_to_json(guarded) == jaco_to_json(plain)
+    assert jaco_to_csv(guarded) == jaco_to_csv(plain)
+    for directed in (False, True):
+        assert jaco_to_dot(guarded, directed) == jaco_to_dot(plain, directed)
+    assert guarded.arcs == plain.arcs
+    assert guarded.underlying.edge_list() == plain.underlying.edge_list()
+
+
+@pytest.mark.parametrize("m, c, n", [(1, 0, 30), (0, 2, 7), (0, 0, 4)])
+def test_tuple_views_hold_python_ints(m, c, n):
+    j = build_jaco(LinearFunction(m, c), n)
+    expected = slow_jaco_arcs(m, c, n)
+    assert j.arcs == tuple(expected)
+    assert j.underlying.edge_list() == expected
+    assert all(type(x) is int for arc in j.arcs for x in arc)
+    assert all(type(x) is int for edge in j.underlying.edge_list() for x in edge)
