@@ -2,8 +2,9 @@
 
 Subcommands: build, gutman, wiener, recursion-check, joint, sequences,
 erratum.  Exit codes: 0 success, 1 usage error (bad flags, unknown names,
-out-of-range anchors), 2 domain error (disconnected graph where an index
-needs connectivity, failed structural precondition, mismatched audit).
+out-of-range anchors, an --out path that cannot be written), 2 domain error
+(disconnected graph where an index needs connectivity, failed structural
+precondition, mismatched audit).
 
 All output is deterministic; the only randomized piece, the non-trivial
 anchor audit inside `erratum`, draws from a seeded generator (--seed,
@@ -232,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, StructureAssumptionViolated) as exc:

@@ -35,6 +35,7 @@ from .graph_core import (
     _distances,
     _pair_sum,
     _require_connected,
+    _require_vertex,
     from_edges,
     gutman_index,
 )
@@ -53,10 +54,8 @@ class JointSpec:
     def __post_init__(self) -> None:
         if self.g.order < 1 or self.h.order < 1:
             raise ValueError("both graphs must have at least one vertex")
-        if not 1 <= self.v <= self.g.order:
-            raise ValueError(f"anchor v={self.v} out of range 1..{self.g.order}")
-        if not 1 <= self.u <= self.h.order:
-            raise ValueError(f"anchor u={self.u} out of range 1..{self.h.order}")
+        _require_vertex(self.v, self.g.order, "anchor v")
+        _require_vertex(self.u, self.h.order, "anchor u")
 
     @property
     def trivial(self) -> bool:

@@ -49,6 +49,17 @@ class _Unreachable:
 UNREACHABLE = _Unreachable()
 
 
+def _is_int(value: object) -> bool:
+    """True for an int or a numpy integer; False for a bool and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_vertex(v: object, order: int, what: str = "vertex") -> None:
+    """Raise ValueError unless v is an integer (not a bool) in 1..order."""
+    if not _is_int(v) or not 1 <= v <= order:
+        raise ValueError(f"{what} {v!r} is not an integer in 1..{order}")
+
+
 def _integer_rows(edges: Iterable[Sequence[int]]) -> np.ndarray:
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -60,56 +71,65 @@ def _integer_rows(edges: Iterable[Sequence[int]]) -> np.ndarray:
             a, b = row
         except (TypeError, ValueError):
             raise ValueError(f"edge {row!r} is not a pair of endpoints") from None
-        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in (a, b)):
+        if not (_is_int(a) and _is_int(b)):
             raise ValueError(f"edge ({a!r}, {b!r}) has a non-integer endpoint")
         rows.append((a, b))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
-def _canonical_edge_array(
-    order: int, edges: Iterable[Sequence[int]], *, oriented: bool = False
-) -> np.ndarray:
-    """Validated endpoint pairs as a read-only (k, 2) int64 array, rows sorted.
+def _canonical_edge_array(edges: Iterable[Sequence[int]], *, oriented: bool = False) -> np.ndarray:
+    """Endpoint pairs as a (k, 2) int64 array with rows in lexicographic order.
 
-    Endpoints must be integers in 1..order; bools, floats and strings raise
-    ValueError.  Unless `oriented`, each pair becomes (low, high), self-loops
-    raise and duplicates collapse.  An oriented table keeps every row as
-    given, for the caller to apply its own rules.
+    Endpoints must be integers; bools, floats and strings raise ValueError.
+    Unless `oriented`, each pair becomes (low, high) and duplicates collapse.
+    An oriented table keeps every row as given.  The rows are not checked
+    against an order: `SimpleGraph` does that when the table is used.
     """
     rows = _integer_rows(edges)
-    outside = (rows < 1) | (rows > order)
-    if outside.any():
-        a, b = rows[outside.argmax() // 2]
-        raise ValueError(f"endpoint out of range 1..{order}: ({a}, {b})")
     if not oriented:
-        loops = rows[:, 0] == rows[:, 1]
-        if loops.any():
-            raise ValueError(f"self-loop at vertex {rows[loops.argmax(), 0]} is not allowed")
         rows = np.sort(rows, axis=1)
     rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     if not oriented:
         distinct = np.ones(len(rows), dtype=bool)
         distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         rows = rows[distinct]
-    rows.setflags(write=False)
     return rows
 
 
 class SimpleGraph:
     """Immutable undirected graph on vertices 1..order.
 
-    The edge table is kept as a read-only (size, 2) int64 array in canonical
-    order, which keeps large graphs cheap; `edge_list` materializes plain
-    tuples for small-scale inspection.  Degrees and the distance matrix are
-    computed once, on first use, and kept read-only.
+    The edge table is an int64 array of shape (size, 2) whose rows (a, b)
+    satisfy 1 <= a < b <= order and strictly increase in lexicographic order,
+    so no edge repeats.  The constructor checks this invariant and raises
+    ValueError on a breach, on another dtype or shape, and on an order that
+    is not a nonnegative integer (a bool is not one).  The passed table is
+    frozen in place (made read-only) and owned by the graph from then on.
+    `edge_list` materializes plain tuples for small-scale inspection.
+    Degrees and the distance matrix are computed once, on first use, and kept
+    read-only.
     """
 
     __slots__ = ("order", "_edges", "_degrees", "_dist")
 
     def __init__(self, order: int, edge_array: np.ndarray):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        self.order = order
+        if not _is_int(order) or order < 0:
+            raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+        if not isinstance(edge_array, np.ndarray) or edge_array.dtype != np.int64 or edge_array.shape[1:] != (2,):
+            got = getattr(edge_array, "dtype", type(edge_array).__name__), getattr(edge_array, "shape", "")
+            raise ValueError(f"edge table must be an int64 array of shape (k, 2), got {got[0]} {got[1]}")
+        a, b = edge_array[:, 0], edge_array[:, 1]
+        rising = (a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))
+        if not rising.all():
+            k = int(rising.argmin())
+            first, second = edge_array[k : k + 2].tolist()
+            raise ValueError(f"edge {tuple(second)} follows {tuple(first)}; rows must strictly increase")
+        # Rising rows have nondecreasing first endpoints, so a[0] is their minimum.
+        if len(a) and (a[0] < 1 or b.max() > order or (a >= b).any()):
+            row = edge_array[((a < 1) | (a >= b) | (b > order)).argmax()].tolist()
+            raise ValueError(f"edge {tuple(row)} breaks 1 <= a < b <= {order}")
+        edge_array.setflags(write=False)
+        self.order = int(order)
         self._edges = edge_array
         self._degrees: np.ndarray | None = None
         self._dist: np.ndarray | None = None
@@ -150,13 +170,12 @@ def from_edges(order: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
     Duplicate edges (in either orientation) collapse to one; self-loops,
     out-of-range and non-integer endpoints raise ValueError.
     """
-    return SimpleGraph(order, _canonical_edge_array(order, edges))
+    return SimpleGraph(order, _canonical_edge_array(edges))
 
 
 def degree(g: SimpleGraph, v: int) -> int:
     """Number of edges incident to vertex v."""
-    if not 1 <= v <= g.order:
-        raise ValueError(f"vertex {v} out of range 1..{g.order}")
+    _require_vertex(v, g.order)
     return int(g.degree_array()[v - 1])
 
 
@@ -379,21 +398,13 @@ def induced_subgraph(
     Returns (subgraph, mapping) where mapping[new - 1] is the original index
     of new vertex `new`.
     """
-    keep = sorted(set(int(v) for v in vertices))
-    for v in keep:
-        if not 1 <= v <= g.order:
-            raise ValueError(f"vertex {v} out of range 1..{g.order}")
-    mapping = tuple(keep)
-    if not keep:
-        return SimpleGraph(0, np.empty((0, 2), np.int64)), mapping
+    vertices = list(vertices)
+    for v in vertices:
+        _require_vertex(v, g.order)
+    mapping = tuple(sorted(set(int(v) for v in vertices)))
     lookup = np.zeros(g.order + 1, dtype=np.int64)
-    lookup[list(keep)] = np.arange(1, len(keep) + 1)
+    lookup[list(mapping)] = np.arange(1, len(mapping) + 1)
     e = g.edge_array
-    if e.shape[0]:
-        mask = (lookup[e[:, 0]] > 0) & (lookup[e[:, 1]] > 0)
-        # The relabeling is monotone, so canonical ordering survives it.
-        sub = np.ascontiguousarray(lookup[e[mask]])
-    else:
-        sub = np.empty((0, 2), np.int64)
-    sub.setflags(write=False)
-    return SimpleGraph(len(keep), sub), mapping
+    mask = (lookup[e[:, 0]] > 0) & (lookup[e[:, 1]] > 0)
+    # The relabeling is monotone, so canonical ordering survives it.
+    return SimpleGraph(len(mapping), np.ascontiguousarray(lookup[e[mask]])), mapping

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import SimpleGraph, _canonical_edge_array, induced_subgraph
+from .graph_core import SimpleGraph, _canonical_edge_array, _is_int, _require_vertex, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class LinearFunction:
     c: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.m, self.c)):
+        if not (_is_int(self.m) and _is_int(self.c)):
             raise ValueError("coefficients must be integers")
         if self.m < 0 or self.c < 0:
             raise ValueError("coefficients must be nonnegative")
@@ -47,80 +47,83 @@ IDENTITY = LinearFunction(1, 0)
 
 
 class JacoGraph:
-    """Finite directed Jaco graph of order n for a linear function.
+    """Finite directed Jaco graph of order n >= 1 for a linear function.
 
-    Arcs are stored as a read-only (count, 2) int64 array of (tail, head)
-    rows in lexicographic order; tail < head always holds.  The undirected
-    shadow obtained by forgetting orientation is available as `underlying`
-    and shares the arc table (every arc is a distinct undirected edge).
+    Arcs are stored as an int64 array of shape (count, 2) whose (tail, head)
+    rows satisfy 1 <= tail < head <= n and strictly increase in lexicographic
+    order.  That is the edge-table invariant of `SimpleGraph`: the
+    constructor builds the undirected shadow `underlying` on the same table,
+    which checks it, so a JacoGraph cannot hold a backward, repeated or
+    out-of-range arc.  The passed table is frozen in place and owned by the
+    graph.  In- and out-degree arrays are computed on first use.
     """
 
-    __slots__ = ("f", "n", "_arcs", "_in_deg", "_out_deg", "_underlying", "_tuples")
+    __slots__ = ("f", "n", "_underlying", "_in_deg", "_out_deg", "_tuples")
 
     def __init__(self, f: LinearFunction, n: int, arc_array: np.ndarray):
+        # SimpleGraph first: it rejects an n that is not an integer.
+        self._underlying = SimpleGraph(n, arc_array)
+        if n < 1:
+            raise ValueError("order n must be at least 1")
         self.f = f
-        self.n = n
-        arc_array.setflags(write=False)
-        self._arcs = arc_array
-        in_deg = np.bincount(arc_array[:, 1], minlength=n + 1)[1:] if len(arc_array) else np.zeros(n, np.int64)
-        out_deg = np.bincount(arc_array[:, 0], minlength=n + 1)[1:] if len(arc_array) else np.zeros(n, np.int64)
-        in_deg.setflags(write=False)
-        out_deg.setflags(write=False)
-        self._in_deg = in_deg
-        self._out_deg = out_deg
-        self._underlying: SimpleGraph | None = None
+        self.n = self._underlying.order
+        self._in_deg: np.ndarray | None = None
+        self._out_deg: np.ndarray | None = None
         self._tuples: tuple[tuple[int, int], ...] | None = None
 
     @property
     def arc_array(self) -> np.ndarray:
-        return self._arcs
+        return self._underlying.edge_array
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         if self._tuples is None:
-            self._tuples = tuple(zip(*self._arcs.T.tolist()))
+            self._tuples = tuple(zip(*self.arc_array.T.tolist()))
         return self._tuples
 
     @property
     def arc_count(self) -> int:
-        return int(self._arcs.shape[0])
+        return self._underlying.size
 
     def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._in_deg[v - 1])
+        _require_vertex(v, self.n)
+        return int(self.in_degree_array[v - 1])
 
     def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._out_deg[v - 1])
+        _require_vertex(v, self.n)
+        return int(self.out_degree_array[v - 1])
 
     def degree(self, v: int) -> int:
         return self.in_degree(v) + self.out_degree(v)
 
+    def _counts(self, column: int) -> np.ndarray:
+        counts = np.bincount(self.arc_array[:, column], minlength=self.n + 1)[1:]
+        counts.setflags(write=False)
+        return counts
+
     @property
     def in_degree_array(self) -> np.ndarray:
+        if self._in_deg is None:
+            self._in_deg = self._counts(1)
         return self._in_deg
 
     @property
     def out_degree_array(self) -> np.ndarray:
+        if self._out_deg is None:
+            self._out_deg = self._counts(0)
         return self._out_deg
 
     @property
     def underlying(self) -> SimpleGraph:
-        if self._underlying is None:
-            self._underlying = SimpleGraph(self.n, self._arcs)
         return self._underlying
-
-    def _check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JacoGraph):
             return NotImplemented
-        return self.f == other.f and self.n == other.n and np.array_equal(self._arcs, other._arcs)
+        return self.f == other.f and self.n == other.n and np.array_equal(self.arc_array, other.arc_array)
 
     def __hash__(self) -> int:
-        return hash((self.f, self.n, self._arcs.tobytes()))
+        return hash((self.f, self.n, self.arc_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"JacoGraph({self.f}, n={self.n}, arcs={self.arc_count})"
@@ -133,8 +136,8 @@ def build_jaco(f: LinearFunction, n: int) -> JacoGraph:
     below i + 1 simply contributes no arcs.  In-degree updates are tracked
     with a difference array so the scan itself is O(n).
     """
-    if n < 1:
-        raise ValueError("order n must be at least 1")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"order n must be an integer, at least 1, got {n!r}")
     delta = [0] * (n + 2)
     running = 0
     hi_per_tail = np.zeros(n, dtype=np.int64)
@@ -147,36 +150,31 @@ def build_jaco(f: LinearFunction, n: int) -> JacoGraph:
         if hi >= i + 1:
             delta[i + 1] += 1
             delta[hi + 1] -= 1
-    tails_base = np.arange(1, n + 1, dtype=np.int64)
-    counts = np.maximum(hi_per_tail - tails_base, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return JacoGraph(f, n, np.empty((0, 2), np.int64))
+    return JacoGraph(f, n, _arc_table(hi_per_tail))
+
+
+def _arc_table(reach: np.ndarray) -> np.ndarray:
+    """The arc table in which tail i sends arcs to i + 1..reach[i - 1].
+
+    A reach at or below its tail contributes no arcs.  Rows come out in
+    lexicographic order, as `JacoGraph` requires.
+    """
+    tails_base = np.arange(1, len(reach) + 1, dtype=np.int64)
+    counts = np.maximum(reach - tails_base, 0)
     tails = np.repeat(tails_base, counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    heads = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + tails + 1
-    return JacoGraph(f, n, np.column_stack((tails, heads)))
+    starts = np.cumsum(counts) - counts
+    heads = np.arange(len(tails), dtype=np.int64) - np.repeat(starts, counts) + tails + 1
+    return np.column_stack((tails, heads))
 
 
 def jaco_from_arcs(f: LinearFunction, n: int, arcs: Iterable[Sequence[int]]) -> JacoGraph:
     """Assemble a JacoGraph from an explicit arc list (for audits and tests).
 
-    The arcs are canonicalized but not checked against the arc rule; run
-    `verify_definition_fixed_point` for that.  Every arc must run from lower
-    to higher index, and duplicates are an error.
+    The arcs are sorted into an arc table, which `JacoGraph` checks (integer
+    endpoints in 1..n, tail below head, no duplicates); they are not checked
+    against the arc rule, which is what `verify_definition_fixed_point` does.
     """
-    if n < 1:
-        raise ValueError("order n must be at least 1")
-    rows = _canonical_edge_array(n, arcs, oriented=True)
-    backward = rows[:, 0] >= rows[:, 1]
-    if backward.any():
-        a, b = rows[backward.argmax()]
-        raise ValueError(f"arc ({a}, {b}) must run from lower to higher index")
-    repeated = (rows[1:] == rows[:-1]).all(axis=1)
-    if repeated.any():
-        a, b = rows[repeated.argmax()]
-        raise ValueError(f"duplicate arc ({a}, {b})")
-    return JacoGraph(f, n, rows)
+    return JacoGraph(f, n, _canonical_edge_array(arcs, oriented=True))
 
 
 def verify_definition_fixed_point(j: JacoGraph) -> bool:
@@ -187,24 +185,9 @@ def verify_definition_fixed_point(j: JacoGraph) -> bool:
     admits j exactly when j <= f(i) + i - d-(v_i), equality of these interval
     out-sets is equivalent to the pairwise biconditional over all i < j.
     """
-    n = j.n
-    arcs = j.arc_array
-    tails = arcs[:, 0]
-    heads = arcs[:, 1]
-    if len(arcs) and not (tails < heads).all():
-        return False
-    indeg = np.bincount(heads, minlength=n + 1)[1:]
-    i_vec = np.arange(1, n + 1, dtype=np.int64)
-    reach = j.f.m * i_vec + j.f.c + i_vec - indeg
-    expected_counts = np.clip(np.minimum(reach, n) - i_vec, 0, None)
-    counts = np.bincount(tails, minlength=n + 1)[1:]
-    if not np.array_equal(counts, expected_counts):
-        return False
-    if len(arcs) == 0:
-        return True
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = np.arange(len(arcs), dtype=np.int64) - starts[tails - 1]
-    return bool(np.array_equal(heads, tails + 1 + positions))
+    i_vec = np.arange(1, j.n + 1, dtype=np.int64)
+    reach = j.f.m * i_vec + j.f.c + i_vec - j.in_degree_array
+    return bool(np.array_equal(j.arc_array, _arc_table(np.minimum(reach, j.n))))
 
 
 @dataclass(frozen=True)
@@ -237,7 +220,9 @@ class PropertyReport:
 def verify_fundamental_properties(j: JacoGraph) -> PropertyReport:
     """Audit three structural properties of a (purported) Jaco graph.
 
-    1. Every arc runs from a lower to a higher index.
+    1. Every arc runs from a lower to a higher index.  The arc table
+       invariant that `JacoGraph` checks on construction guarantees this,
+       so the check always passes.
     2. In-neighborhoods are contiguous intervals ending at the head's
        predecessor: N-(v_j) = [j - d-(v_j), j - 1].
     3. Vertices whose out-reach f(i) + i - d-(v_i) lies within the order have
@@ -245,42 +230,29 @@ def verify_fundamental_properties(j: JacoGraph) -> PropertyReport:
        exempt.
     """
     n = j.n
-    arcs = j.arc_array
-    tails = arcs[:, 0]
-    heads = arcs[:, 1]
+    tails = j.arc_array[:, 0]
+    heads = j.arc_array[:, 1]
+    indeg = j.in_degree_array
+    ordered = PropertyCheck("tails_precede_heads", True)
 
-    if len(arcs) and not (tails < heads).all():
-        bad = arcs[int(np.argmin(tails < heads))]
-        ordered = PropertyCheck(
-            "tails_precede_heads", False, f"arc ({int(bad[0])}, {int(bad[1])})"
+    # The d-(q) distinct tails below head q fill [q - d-(q), q - 1] exactly
+    # when none of them lies below that interval.
+    below = tails < heads - indeg[heads - 1]
+    if below.any():
+        q = int(heads[below].min())
+        contiguous = PropertyCheck(
+            "in_neighbors_contiguous",
+            False,
+            f"in-neighbors of v_{q} do not form the interval "
+            f"[{q - int(indeg[q - 1])}, {q - 1}]",
         )
     else:
-        ordered = PropertyCheck("tails_precede_heads", True)
-
-    indeg = np.bincount(heads, minlength=n + 1)[1:] if len(arcs) else np.zeros(n, np.int64)
-    contiguous = PropertyCheck("in_neighbors_contiguous", True)
-    if len(arcs):
-        order = np.argsort(heads, kind="stable")
-        sorted_tails = tails[order]
-        present = np.flatnonzero(indeg > 0) + 1
-        counts = indeg[present - 1]
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        firsts = sorted_tails[starts]
-        lasts = sorted_tails[starts + counts - 1]
-        bad_mask = (lasts != present - 1) | (lasts - firsts + 1 != counts)
-        if bad_mask.any():
-            q = int(present[int(np.argmax(bad_mask))])
-            contiguous = PropertyCheck(
-                "in_neighbors_contiguous",
-                False,
-                f"in-neighbors of v_{q} do not form the interval "
-                f"[{q - int(indeg[q - 1])}, {q - 1}]",
-            )
+        contiguous = PropertyCheck("in_neighbors_contiguous", True)
 
     i_vec = np.arange(1, n + 1, dtype=np.int64)
     reach = j.f.m * i_vec + j.f.c + i_vec - indeg
     realized = reach <= n
-    total_deg = indeg + (np.bincount(tails, minlength=n + 1)[1:] if len(arcs) else 0)
+    total_deg = indeg + j.out_degree_array
     f_values = j.f.m * i_vec + j.f.c
     bad_mask = realized & (total_deg != f_values)
     if bad_mask.any():
@@ -394,9 +366,9 @@ def prefix_scan(f: LinearFunction, n_max: int) -> list[PrefixFacts]:
         raise ValueError("n_max must be at least 1")
     full = build_jaco(f, n_max + 1)
     report = verify_fundamental_properties(full)
-    if not (report.tails_precede_heads.ok and report.in_neighbors_contiguous.ok):
+    if not report.in_neighbors_contiguous.ok:
         raise ValueError("arc table failed the contiguity audit; prefix scan unsupported")
-    indeg = np.bincount(full.arc_array[:, 1], minlength=n_max + 2)[1:]
+    indeg = full.in_degree_array
     # lowest in-neighbor of each head q, with s_q = q when q has no in-arcs
     s = np.arange(1, n_max + 2, dtype=np.int64) - indeg
     deg = np.zeros(n_max, dtype=np.int64)

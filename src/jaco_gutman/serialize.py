@@ -14,6 +14,7 @@ import json
 from typing import Iterable, Mapping
 
 from .edge_joint import JointDelta
+from .graph_core import _is_int
 from .jaco import JacoGraph, LinearFunction, jaco_from_arcs, verify_definition_fixed_point
 from .recursion import TERM_NAMES, RecursionDelta
 from .sequences import SequenceTable
@@ -28,15 +29,13 @@ def _arc_runs(j: JacoGraph, pre: str, mid: str, post: str, sep: str) -> list[str
     Arc (a, b) renders as pre + a + mid + b + post and arcs are separated by
     sep, so `sep.join` of the result renders the whole table in stored order.
     Each run is one `str.join` over its heads' names: the arcs are never
-    visited one numpy row at a time.  Runs follow the stored order, so tails
-    need not be sorted or grouped and heads need not be contiguous, and the
-    names cover every stored index, even one past n.
+    visited one numpy row at a time.
     """
     tails = j.arc_array[:, 0]
     heads = j.arc_array[:, 1]
     if not len(tails):
         return []
-    names = [str(v) for v in range(max(j.n, int(j.arc_array.max())) + 1)]
+    names = [str(v) for v in range(j.n + 1)]
     bounds = ((tails[1:] != tails[:-1]).nonzero()[0] + 1).tolist()
     starts = [0, *bounds]
     ends = [*bounds, len(tails)]
@@ -62,7 +61,7 @@ def jaco_from_json(text: str) -> JacoGraph:
     missing = {"m", "c", "n", "arcs"} - payload.keys()
     if missing:
         raise ValueError(f"graph JSON missing keys: {sorted(missing)}")
-    not_int = [key for key in ("m", "c", "n") if type(payload[key]) is not int]
+    not_int = [key for key in ("m", "c", "n") if not _is_int(payload[key])]
     if not_int:
         raise ValueError(f"graph JSON fields must be integers: {not_int}")
     if not isinstance(payload["arcs"], list):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from jaco_gutman import IDENTITY, build_jaco
-from jaco_gutman.cli import main
+from jaco_gutman.cli import entrypoint, main
 from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
 J5_JSON = '{"m":1,"c":0,"n":5,"arcs":[[1,2],[2,3],[3,4],[3,5],[4,5]]}\n'
@@ -254,6 +254,35 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "build")
         assert code == 1
+
+    def test_out_in_missing_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "build", "--n", "3", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and str(target) in err and err.count("\n") == 1
+
+    def test_out_directory_that_is_a_file_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "README.md"
+        target.write_text("kept\n")
+        code, out, err = run(capsys, "sequences", "--n-max", "3", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and str(target) in err and err.count("\n") == 1
+        assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["gutman", "--n", "5"], 0),
+            (["frobnicate"], 1),
+            (["gutman", "--m", "0", "--c", "2", "--n", "7"], 2),
+        ],
+    )
+    def test_entrypoint_exit_codes(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setattr(sys, "argv", ["jaco", *argv])
+        with pytest.raises(SystemExit) as stop:
+            entrypoint()
+        assert stop.value.code == expected
+        assert capsys.readouterr().out == ("58\n" if expected == 0 else "")
 
     def test_subprocess_domain_error(self):
         proc = subprocess.run(

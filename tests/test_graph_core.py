@@ -9,14 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jaco_gutman import (
+    IDENTITY,
     UNREACHABLE,
     DisconnectedGraphError,
+    JacoGraph,
+    JointSpec,
+    LinearFunction,
+    SimpleGraph,
     all_pairs_distances,
+    build_jaco,
     degree,
     from_edges,
     gutman_index,
     induced_subgraph,
     is_connected,
+    jaco_from_arcs,
     wiener_index,
 )
 from jaco_gutman import graph_core
@@ -99,6 +106,92 @@ class TestConstruction:
         assert g.degree_array().tolist() == [3, 1, 1, 1]
         with pytest.raises(ValueError):
             degree(g, 5)
+
+
+def table(rows, dtype=np.int64):
+    return np.array(rows, dtype=dtype).reshape(-1, 2)
+
+
+TABLE_BREACHES = [
+    pytest.param(3, table([[2, 1]]), id="backward row"),
+    pytest.param(3, table([[2, 2]]), id="self-loop"),
+    pytest.param(3, table([[0, 2]]), id="endpoint 0"),
+    pytest.param(3, table([[1, 2], [2, 12]]), id="endpoint past n"),
+    pytest.param(3, table([[1, 2], [1, 2]]), id="duplicate row"),
+    pytest.param(3, table([[1, 3], [1, 2]]), id="unsorted heads"),
+    pytest.param(3, table([[2, 3], [1, 2]]), id="unsorted tails"),
+    pytest.param(3, table([[1, 2]], np.int32), id="int32 dtype"),
+    pytest.param(3, np.array([[1, 2, 3]], dtype=np.int64), id="shape (k, 3)"),
+    pytest.param(3, [[1, 2]], id="list, not an array"),
+    pytest.param(2.5, table([[1, 2]]), id="order 2.5"),
+    pytest.param(True, table([[1, 2]]), id="order True"),
+]
+
+
+class TestTableInvariant:
+    @pytest.mark.parametrize("kind", ["SimpleGraph", "JacoGraph"])
+    @pytest.mark.parametrize("order, edges", TABLE_BREACHES)
+    def test_breach_rejected(self, kind, order, edges):
+        with pytest.raises(ValueError):
+            if kind == "SimpleGraph":
+                SimpleGraph(order, edges)
+            else:
+                JacoGraph(IDENTITY, order, edges)
+
+    def test_jaco_order_zero_rejected(self):
+        assert SimpleGraph(0, table([])).order == 0
+        with pytest.raises(ValueError, match="at least 1"):
+            JacoGraph(IDENTITY, 0, table([]))
+
+    def test_table_is_kept_and_frozen_in_place(self):
+        edges = table([[1, 2], [1, 3], [2, 3]])
+        g = SimpleGraph(3, edges)
+        assert g.edge_array is edges and not edges.flags.writeable
+        arcs = table([[1, 2], [2, 3]])
+        j = JacoGraph(IDENTITY, 3, arcs)
+        assert j.arc_array is arcs and j.underlying.edge_array is arcs
+        assert not arcs.flags.writeable
+
+    def test_numpy_integer_order_accepted(self):
+        g = SimpleGraph(np.int64(3), table([[1, 2]]))
+        assert g.order == 3 and type(g.order) is int
+
+
+def _joint(v, u):
+    return JointSpec(from_edges(3, [(1, 2), (2, 3)]), from_edges(2, [(1, 2)]), v, u)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: induced_subgraph(from_edges(3, []), [True, 2]), id="induced_subgraph bool"),
+        pytest.param(lambda: induced_subgraph(from_edges(3, []), [1, 2.7]), id="induced_subgraph float"),
+        pytest.param(lambda: degree(from_edges(3, []), True), id="degree bool"),
+        pytest.param(lambda: degree(from_edges(3, []), 2.0), id="degree float"),
+        pytest.param(lambda: _joint(True, 1), id="JointSpec v bool"),
+        pytest.param(lambda: _joint(1, 2.0), id="JointSpec u float"),
+        pytest.param(lambda: from_edges(2.5, [(1, 2)]), id="from_edges order float"),
+        pytest.param(lambda: from_edges(True, []), id="from_edges order bool"),
+        pytest.param(lambda: LinearFunction(1.0, 0), id="LinearFunction float"),
+        pytest.param(lambda: jaco_from_arcs(IDENTITY, 3.0, [(1, 2)]), id="jaco_from_arcs order float"),
+        pytest.param(lambda: build_jaco(IDENTITY, True), id="build_jaco order bool"),
+        pytest.param(lambda: build_jaco(IDENTITY, 2.5), id="build_jaco order float"),
+        pytest.param(lambda: build_jaco(IDENTITY, 3).in_degree(True), id="in_degree bool"),
+    ],
+)
+def test_non_integer_argument_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_numpy_integer_arguments_accepted():
+    g = from_edges(3, [(1, 2), (2, 3)])
+    assert degree(g, np.int64(2)) == 2
+    sub, mapping = induced_subgraph(g, np.array([3, 2]))
+    assert sub.edge_list() == [(1, 2)] and mapping == (2, 3)
+    assert all(type(v) is int for v in mapping)
+    assert _joint(np.int64(2), np.int32(1)).v == 2
+    assert LinearFunction(np.int64(1), 0) == IDENTITY
 
 
 class TestDistances:

@@ -303,3 +303,50 @@ def test_builder_is_fixed_point(m, c, n):
 @settings(max_examples=60, deadline=None)
 def test_builder_matches_slow_rule(m, c, n):
     assert build_jaco(LinearFunction(m, c), n).arcs == tuple(slow_jaco_arcs(m, c, n))
+
+
+@st.composite
+def forward_arc_sets(draw):
+    """(m, c, n, arcs): random forward arcs, half the time toggled against J_n's."""
+    m, c, n = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    if not pairs:
+        return m, c, n, []
+    toggled = set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    if draw(st.booleans()):
+        toggled ^= set(slow_jaco_arcs(m, c, n))
+    return m, c, n, draw(st.permutations(sorted(toggled)))
+
+
+def naive_validation(m, c, n, arcs):
+    """Per-tail and per-head sets: (rule holds, first gap head, first wrong degree)."""
+    def f(x):
+        return m * x + c
+
+    ins = {q: {a for a, b in arcs if b == q} for q in range(1, n + 1)}
+    outs = {i: {b for a, b in arcs if a == i} for i in range(1, n + 1)}
+    reach = {i: f(i) + i - len(ins[i]) for i in range(1, n + 1)}
+    rule = all(outs[i] == set(range(i + 1, min(reach[i], n) + 1)) for i in ins)
+    gaps = [q for q in ins if ins[q] != set(range(q - len(ins[q]), q))]
+    wrong = [i for i in ins if reach[i] <= n and len(ins[i]) + len(outs[i]) != f(i)]
+    return rule, gaps[:1], wrong[:1]
+
+
+# Toggling no arc against J_n gives J_n itself and a few toggles a near miss,
+# so every check both passes and fails over the run.
+@given(forward_arc_sets())
+@settings(max_examples=300, deadline=None)
+def test_validators_match_naive_sets(case):
+    m, c, n, arcs = case
+    j = jaco_from_arcs(LinearFunction(m, c), n, arcs)
+    rule, gaps, wrong = naive_validation(m, c, n, arcs)
+    assert verify_definition_fixed_point(j) == rule
+    report = verify_fundamental_properties(j)
+    assert report.tails_precede_heads.ok
+    contiguous, realized = report.in_neighbors_contiguous, report.realized_degrees_match_f
+    assert contiguous.ok == (not gaps)
+    if gaps:
+        assert contiguous.counterexample.startswith(f"in-neighbors of v_{gaps[0]} ")
+    assert realized.ok == (not wrong)
+    if wrong:
+        assert realized.counterexample.startswith(f"v_{wrong[0]} has degree")
