@@ -32,11 +32,11 @@ import numpy as np
 
 from .graph_core import (
     SimpleGraph,
-    _distances,
     _pair_sum,
+    _require_at_least,
     _require_connected,
     _require_vertex,
-    from_edges,
+    all_pairs_distances,
     gutman_index,
 )
 from .jaco import IDENTITY, JacoGraph, build_jaco
@@ -65,14 +65,18 @@ class JointSpec:
 def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
     """Disjoint union plus bridge; H's indices are shifted by G's order."""
     shift = spec.g.order
+    g_edges = spec.g.edge_array
+    # Both tables are canonical and every H row follows every G row, so the
+    # bridge (v, u + shift) goes right after G's rows with tail <= v.
+    cut = np.searchsorted(g_edges[:, 0], spec.v, side="right")
     bridge = np.array([[spec.v, spec.u + shift]], dtype=np.int64)
-    edges = np.concatenate((spec.g.edge_array, spec.h.edge_array + shift, bridge))
-    return from_edges(spec.g.order + spec.h.order, edges)
+    edges = np.concatenate((g_edges[:cut], bridge, g_edges[cut:], spec.h.edge_array + shift))
+    return SimpleGraph(shift + spec.h.order, edges)
 
 
 def _index_parts(g: SimpleGraph, what: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Degrees, distance matrix, and Gutman index of a connected graph."""
-    dist = _require_connected(_distances(g), what)
+    dist = _require_connected(all_pairs_distances(g), what)
     deg = g.degree_array()
     return deg, dist, _pair_sum(deg, dist)
 
@@ -195,8 +199,8 @@ def _identity_jacos(n_max: int) -> dict[int, JacoGraph]:
 
 def joint_delta_report(n_max: int, m_max: int) -> list[JointDelta]:
     """Trivial-anchor audit over the grid 2 <= m <= min(n, m_max), m <= n <= n_max."""
-    if n_max < 2 or m_max < 2:
-        raise ValueError("n_max and m_max must be at least 2")
+    _require_at_least(n_max, 2, "n_max")
+    _require_at_least(m_max, 2, "m_max")
     jacos = _identity_jacos(n_max)
     rows = []
     for n in range(2, n_max + 1):
@@ -238,8 +242,9 @@ def anchor_audit(
     n_max: int, m_max: int, per_pair: int = 5, seed: int = 0
 ) -> list[AnchorCheck]:
     """Seeded non-trivial anchor checks across the same (n, m) grid."""
-    if n_max < 2 or m_max < 2:
-        raise ValueError("n_max and m_max must be at least 2")
+    _require_at_least(n_max, 2, "n_max")
+    _require_at_least(m_max, 2, "m_max")
+    _require_at_least(per_pair, 0, "per_pair")
     rng = random.Random(seed)
     graphs = {k: j.underlying for k, j in _identity_jacos(n_max).items()}
     checks = []

@@ -3,9 +3,7 @@ the distance-based Gutman and Wiener indices.
 
 Vertices are the integers 1..order.  Edges are unordered pairs stored in a
 canonical form: each pair as (low, high), the whole list sorted
-lexicographically.  All distances and index values are exact integers;
-unreachable pairs are reported through the UNREACHABLE sentinel, never as a
-large finite number.
+lexicographically.  All distances and index values are exact integers.
 
 Distances come from one kernel with two paths, chosen from the input.  A
 proper interval graph in index order (every closed neighbourhood an index
@@ -15,9 +13,10 @@ O(n^2 + n * diameter).  Every other graph takes layered breadth-first search
 driven by dense matrix products, O(n^3 * diameter).  The products only feed
 a positivity test and path counts never exceed the vertex count, far below
 float32's exact-integer ceiling of 2**24, so both paths are exact.  A
-graph's all-pairs matrix is computed once and kept on the graph.  Index sums
-run in int64 when an a-priori bound shows that is safe and otherwise fall
-back to arbitrary-precision Python integers.
+graph's all-pairs matrix (-1 for an unreachable pair) is computed once, kept
+on the graph and read through `all_pairs_distances`.  Index sums run in int64
+when an a-priori bound shows that is safe and otherwise fall back to
+arbitrary-precision Python integers.
 """
 from __future__ import annotations
 
@@ -30,28 +29,15 @@ class DisconnectedGraphError(ValueError):
     """An index that is only defined for connected graphs was requested."""
 
 
-class _Unreachable:
-    """Sentinel for pair distances in disconnected graphs.
-
-    Deliberately supports no arithmetic: any attempt to add or multiply it
-    raises TypeError, so an unreachable distance can never leak into a sum.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNREACHABLE"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNREACHABLE = _Unreachable()
-
-
 def _is_int(value: object) -> bool:
     """True for an int or a numpy integer; False for a bool and anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_at_least(value: object, least: int, what: str) -> None:
+    """Raise ValueError naming `value` unless it is an integer (not a bool) >= least."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{what} must be an integer, at least {least}, got {value!r}")
 
 
 def _require_vertex(v: object, order: int, what: str = "vertex") -> None:
@@ -211,21 +197,20 @@ def _interval_reach(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return lo, hi
 
 
-def _jump_counts(hi: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Distances from each start to every later vertex, by greedy hi jumps.
+def _jump_counts(hi: np.ndarray) -> np.ndarray:
+    """Distances from each vertex to every later vertex, by greedy hi jumps.
 
-    Row r holds dist(starts[r], b) for b > starts[r], 0 at and before the
-    start, and -1 past the start's component.  With p_0 = start and
-    p_{k+1} = hi[p_k], the distance is the number of k with p_k < b: one
-    mark per jump at column p_k + 1 and a cumulative sum along the row.
+    Row a holds dist(a, b) for b > a, 0 at and before a, and -1 past a's
+    component.  With p_0 = a and p_{k+1} = hi[p_k], the distance is the
+    number of k with p_k < b: one mark per jump at column p_k + 1 and a
+    cumulative sum along the row.
     """
     order = len(hi)
-    counts = np.zeros((len(starts), order), dtype=np.int32)
-    rows = np.arange(len(starts))
-    pos = starts
+    counts = np.zeros((order, order), dtype=np.int32)
+    rows = pos = np.arange(order)
     # A walk stops at a fixed point of hi: the last vertex of its component.
     # Columns past it are unreachable, so it needs no mark of its own.
-    ends = np.empty_like(starts)
+    ends = np.empty_like(rows)
     while len(rows):
         jumped = hi[pos]
         moving = jumped > pos
@@ -239,12 +224,11 @@ def _jump_counts(hi: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return counts
 
 
-def layered_distance_matrix(adj: np.ndarray, sources: Sequence[int] | None = None) -> np.ndarray:
-    """Exact distances of the graph with dense adjacency `adj`.
+def layered_distance_matrix(adj: np.ndarray) -> np.ndarray:
+    """Exact all-pairs distances of the graph with dense adjacency `adj`.
 
-    Returns an int32 matrix with -1 encoding an unreachable pair: all pairs,
-    or with `sources` (0-based vertex indices) only the rows of those
-    sources.  Any positive entry of `adj` is an edge.
+    Returns an int32 matrix with -1 encoding an unreachable pair.  Any
+    positive entry of `adj` is an edge.
 
     The kernel is chosen from the input.  When the graph is a proper
     interval graph in index order (`_interval_reach`), as the underlying
@@ -256,24 +240,22 @@ def layered_distance_matrix(adj: np.ndarray, sources: Sequence[int] | None = Non
     eccentricity-many levels, O(n^3 * diameter).
     """
     order = adj.shape[0]
-    rows = np.arange(order) if sources is None else np.asarray(sources, dtype=np.intp)
-    if len(rows) == 0:
-        return np.full((0, order), -1, dtype=np.int32)
-    if rows.min() < 0 or rows.max() >= order:
-        raise ValueError(f"source indices must lie in 0..{order - 1}")
+    if order == 0:
+        # argmax, which the structure test uses, rejects an empty axis.
+        return np.zeros((0, 0), dtype=np.int32)
     reach = _interval_reach(adj)
     if reach is not None:
         lo, hi = reach
-        dist = _jump_counts(hi, rows)
+        dist = _jump_counts(hi)
         # Distances to earlier vertices are the later-vertex distances of
-        # the index-reversed graph, whose reach is the mirrored lo.  Row-wise
-        # like the first fill, this beats adding the transpose for all pairs.
-        dist += _jump_counts(order - 1 - lo[::-1], order - 1 - rows)[:, ::-1]
+        # the index-reversed graph, whose reach is the mirrored lo.  Filled
+        # row by row like the first, this beats adding the transpose.
+        dist += _jump_counts(order - 1 - lo[::-1])[::-1, ::-1]
         return dist
-    dist = np.full((len(rows), order), -1, dtype=np.int32)
-    reached = (adj if sources is None else adj[rows]) > 0
+    dist = np.full((order, order), -1, dtype=np.int32)
+    reached = adj > 0
     dist[reached] = 1
-    diagonal = (np.arange(len(rows)), rows)
+    diagonal = np.diag_indices(order)
     dist[diagonal] = 0
     reached[diagonal] = True
     level = 1
@@ -287,43 +269,13 @@ def layered_distance_matrix(adj: np.ndarray, sources: Sequence[int] | None = Non
         reached |= fresh
 
 
-class DistanceMatrix:
-    """Exact all-pairs distances with sentinel handling.
+def all_pairs_distances(g: SimpleGraph) -> np.ndarray:
+    """Exact distances between every vertex pair of `g`, computed once.
 
-    `get(a, b)` returns an int for reachable pairs and UNREACHABLE otherwise.
-    `raw` exposes the underlying int32 matrix (0-based, -1 for unreachable)
-    for vectorized consumers.
+    A read-only int32 matrix indexed 0-based, with -1 for an unreachable
+    pair.  The matrix is kept on the graph, so every later call returns it
+    without running the kernel again.
     """
-
-    __slots__ = ("order", "_dist")
-
-    def __init__(self, order: int, dist: np.ndarray):
-        self.order = order
-        dist.setflags(write=False)
-        self._dist = dist
-
-    @property
-    def raw(self) -> np.ndarray:
-        return self._dist
-
-    def get(self, a: int, b: int) -> int | _Unreachable:
-        if not (1 <= a <= self.order and 1 <= b <= self.order):
-            raise ValueError(f"vertex pair ({a}, {b}) out of range 1..{self.order}")
-        value = int(self._dist[a - 1, b - 1])
-        return UNREACHABLE if value < 0 else value
-
-    def all_reachable(self) -> bool:
-        return bool((self._dist >= 0).all())
-
-    def to_lists(self) -> list[list[int | _Unreachable]]:
-        return [
-            [UNREACHABLE if v < 0 else int(v) for v in row]
-            for row in self._dist.tolist()
-        ]
-
-
-def _distances(g: SimpleGraph) -> np.ndarray:
-    """All-pairs distances of `g` as a read-only int32 matrix, computed once."""
     if g._dist is None:
         dist = layered_distance_matrix(dense_adjacency(g))
         dist.setflags(write=False)
@@ -331,16 +283,11 @@ def _distances(g: SimpleGraph) -> np.ndarray:
     return g._dist
 
 
-def all_pairs_distances(g: SimpleGraph) -> DistanceMatrix:
-    """Exact shortest-path distances between every vertex pair."""
-    return DistanceMatrix(g.order, _distances(g))
-
-
 def is_connected(g: SimpleGraph) -> bool:
-    """True iff a BFS from vertex 1 reaches every vertex."""
+    """True iff vertex 1 reaches every vertex."""
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    return bool((layered_distance_matrix(dense_adjacency(g), sources=[0]) >= 0).all())
+    return bool((all_pairs_distances(g)[0] >= 0).all())
 
 
 def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
@@ -382,12 +329,12 @@ def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
 
 def gutman_index(g: SimpleGraph) -> int:
     """Sum of deg(u) * deg(v) * dist(u, v) over unordered vertex pairs."""
-    return _pair_sum(g.degree_array(), _require_connected(_distances(g), "the Gutman index"))
+    return _pair_sum(g.degree_array(), _require_connected(all_pairs_distances(g), "the Gutman index"))
 
 
 def wiener_index(g: SimpleGraph) -> int:
     """Sum of dist(u, v) over unordered vertex pairs."""
-    return _pair_sum(np.ones(g.order, np.int64), _require_connected(_distances(g), "the Wiener index"))
+    return _pair_sum(np.ones(g.order, np.int64), _require_connected(all_pairs_distances(g), "the Wiener index"))
 
 
 def induced_subgraph(

@@ -20,7 +20,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import SimpleGraph, _canonical_edge_array, _is_int, _require_vertex, induced_subgraph
+from .graph_core import (
+    SimpleGraph,
+    _canonical_edge_array,
+    _is_int,
+    _require_at_least,
+    _require_vertex,
+    induced_subgraph,
+)
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,7 @@ def build_jaco(f: LinearFunction, n: int) -> JacoGraph:
     below i + 1 simply contributes no arcs.  In-degree updates are tracked
     with a difference array so the scan itself is O(n).
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"order n must be an integer, at least 1, got {n!r}")
+    _require_at_least(n, 1, "order n")
     delta = [0] * (n + 2)
     running = 0
     hi_per_tail = np.zeros(n, dtype=np.int64)
@@ -362,8 +368,7 @@ def prefix_scan(f: LinearFunction, n_max: int) -> list[PrefixFacts]:
     i only ever consults in-degree contributed by heads <= i), and
     in-neighborhoods are contiguous intervals (re-verified here before use).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _require_at_least(n_max, 1, "n_max")
     full = build_jaco(f, n_max + 1)
     report = verify_fundamental_properties(full)
     if not report.in_neighbors_contiguous.ok:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .graph_core import (
     _pair_sum,
+    _require_at_least,
     _require_connected,
     dense_adjacency,
     layered_distance_matrix,
@@ -210,8 +211,7 @@ def recursion_delta_report(n_max: int) -> list[RecursionDelta]:
     order-(n+1) index from its own distance matrix.  Consecutive orders share
     graph and distance work, so the sweep costs one all-pairs BFS per order.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    _require_at_least(n_max, 2, "n_max")
     rows = []
     jn = build_jaco(IDENTITY, 2)
     dist = _require_connected(layered_distance_matrix(dense_adjacency(jn.underlying)), _WHAT)

@@ -8,21 +8,22 @@ Four sequences are supported, each tabulated for every order 1..n_max:
   v1_vn_distance        distance between the first and last vertex
 
 The order-n graph is the order-n_max graph with the tail vertices deleted, so
-one build serves all orders; distance work runs on prefix views of a single
-dense adjacency matrix.  Memory for that matrix puts the practical ceiling at
-a few thousand vertices.
+one build serves all orders, and one all-pairs distance matrix of the
+order-n_max graph serves every distance sequence: order n reads its leading
+n x n block.  That block is exact because every closed neighbourhood of the
+graph is an index interval.  A walk between a <= b clamped into [a, b] is then
+still a walk, and no longer, so a shortest path between two of the first n
+vertices never needs a later one: deleting the vertices above n changes no
+distance among the rest, and disconnects no pair.  Out-sets are intervals by
+construction; in-sets are audited before the matrix is used.  Memory for the
+matrix puts the practical ceiling at a few thousand vertices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import (
-    _pair_sum,
-    _require_connected,
-    dense_adjacency,
-    layered_distance_matrix,
-)
-from .jaco import LinearFunction, build_jaco, prefix_scan
+from .graph_core import _pair_sum, _require_at_least, _require_connected, all_pairs_distances
+from .jaco import LinearFunction, build_jaco, prefix_scan, verify_fundamental_properties
 
 SEQUENCE_NAMES = ("edges", "gutman", "jaconian_cardinality", "v1_vn_distance")
 
@@ -40,8 +41,7 @@ def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
     """Tabulate one named sequence for orders 1..n_max."""
     if name not in SEQUENCE_NAMES:
         raise ValueError(f"unknown sequence {name!r}; choose from {SEQUENCE_NAMES}")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _require_at_least(n_max, 1, "n_max")
 
     if name in ("edges", "jaconian_cardinality"):
         facts = prefix_scan(f, n_max)
@@ -51,16 +51,20 @@ def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
             rows = tuple((fact.n, fact.jaconian_count) for fact in facts)
         return SequenceTable(name, f, rows)
 
-    adj = dense_adjacency(build_jaco(f, n_max).underlying)
+    j = build_jaco(f, n_max)
+    contiguity = verify_fundamental_properties(j).in_neighbors_contiguous
+    if not contiguity.ok:
+        raise ValueError(
+            f"arc table failed the contiguity audit ({contiguity.counterexample}); "
+            "prefix distances unsupported"
+        )
+    dist = all_pairs_distances(j.underlying)
     values = []
     for n in range(1, n_max + 1):
-        view = adj[:n, :n]
         if name == "v1_vn_distance":
-            dist = layered_distance_matrix(view, sources=[0])
-            dist = _require_connected(dist, f"the distance sequence at order {n}")
-            values.append(int(dist[0, -1]))
+            _require_connected(dist[0, :n], f"the distance sequence at order {n}")
+            values.append(int(dist[0, n - 1]))
         else:
-            dist = layered_distance_matrix(view)
-            dist = _require_connected(dist, f"the Gutman index sequence at order {n}")
-            values.append(_pair_sum(view.sum(axis=1), dist))
+            block = _require_connected(dist[:n, :n], f"the Gutman index sequence at order {n}")
+            values.append(_pair_sum((block == 1).sum(axis=1), block))
     return SequenceTable(name, f, tuple(zip(range(1, n_max + 1), values)))

@@ -48,8 +48,7 @@ class TestComposition:
         composed = edge_joint_graph(spec)
         assert composed.order == 4
         assert composed.edge_list() == [(1, 2), (1, 3), (3, 4)]
-        d = all_pairs_distances(composed)
-        assert d.get(2, 4) == 3
+        assert all_pairs_distances(composed)[1, 3] == 3
 
     def test_identity_three_two_is_p5(self):
         g = build_jaco(IDENTITY, 3).underlying
@@ -66,6 +65,24 @@ class TestComposition:
         assert composed.order == 5
         assert composed.edge_list() == [(1, 2), (2, 3), (2, 4), (4, 5)]
 
+    def test_merged_table_matches_from_edges(self):
+        # every anchor pair, so v = 1 and v = |G| occur, on order-1 sides too
+        sides = [
+            from_edges(1, []),
+            k2(),
+            path(4),
+            from_edges(5, [(1, 5), (2, 3), (2, 4)]),
+            build_jaco(IDENTITY, 6).underlying,
+        ]
+        for g in sides:
+            for h in sides:
+                shift = g.order
+                for v in range(1, g.order + 1):
+                    for u in range(1, h.order + 1):
+                        edges = g.edge_list() + [(a + shift, b + shift) for a, b in h.edge_list()]
+                        expected = from_edges(shift + h.order, edges + [(v, u + shift)])
+                        assert edge_joint_graph(JointSpec(g, h, v, u)) == expected
+
     def test_anchor_validation(self):
         with pytest.raises(ValueError):
             JointSpec(k2(), k2(), 3, 1)
@@ -80,9 +97,9 @@ class TestComposition:
         dc = all_pairs_distances(composed)
         dg = all_pairs_distances(g)
         dh = all_pairs_distances(h)
-        for x in range(1, 7):
-            for y in range(1, 5):
-                assert dc.get(x, y + 6) == dg.get(x, 4) + 1 + dh.get(2, y)
+        for x in range(6):
+            for y in range(4):
+                assert dc[x, y + 6] == dg[x, 3] + 1 + dh[1, y]
 
     def test_intra_distance_stability(self):
         # the bridge never shortens a path inside either side
@@ -91,12 +108,8 @@ class TestComposition:
         dc = all_pairs_distances(edge_joint_graph(JointSpec(g, h, 3, 2)))
         dg = all_pairs_distances(g)
         dh = all_pairs_distances(h)
-        for a in range(1, 8):
-            for b in range(1, 8):
-                assert dc.get(a, b) == dg.get(a, b)
-        for a in range(1, 6):
-            for b in range(1, 6):
-                assert dc.get(a + 7, b + 7) == dh.get(a, b)
+        assert (dc[:7, :7] == dg).all()
+        assert (dc[7:, 7:] == dh).all()
 
 
 class TestClosedForm:
@@ -227,9 +240,9 @@ class TestJointCheck:
         calls = []
         real = graph_core.layered_distance_matrix
 
-        def counting(adj, sources=None):
+        def counting(adj):
             calls.append(adj.shape[0])
-            return real(adj, sources)
+            return real(adj)
 
         monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
         rows = joint_delta_report(7, 4)

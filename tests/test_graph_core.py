@@ -1,5 +1,6 @@
 """Graph primitives: construction, distances, and the two indices."""
 import random
+import re
 import subprocess
 import sys
 
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 
 from jaco_gutman import (
     IDENTITY,
-    UNREACHABLE,
     DisconnectedGraphError,
     JacoGraph,
     JointSpec,
     LinearFunction,
     SimpleGraph,
     all_pairs_distances,
+    anchor_audit,
     build_jaco,
     degree,
     from_edges,
@@ -24,10 +25,14 @@ from jaco_gutman import (
     induced_subgraph,
     is_connected,
     jaco_from_arcs,
+    joint_delta_report,
+    prefix_scan,
+    recursion_delta_report,
+    sequence_table,
     wiener_index,
 )
 from jaco_gutman import graph_core
-from jaco_gutman.graph_core import _pair_sum, dense_adjacency, layered_distance_matrix
+from jaco_gutman.graph_core import _pair_sum
 
 from bruteforce import (
     adjacency_from_edges,
@@ -184,6 +189,28 @@ def test_non_integer_argument_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, passed",
+    [
+        pytest.param(lambda: recursion_delta_report(3.5), 3.5, id="recursion_delta_report float"),
+        pytest.param(lambda: recursion_delta_report(1), 1, id="recursion_delta_report 1"),
+        pytest.param(lambda: joint_delta_report(3.5, 3), 3.5, id="joint_delta_report n_max float"),
+        pytest.param(lambda: joint_delta_report(3, True), True, id="joint_delta_report m_max bool"),
+        pytest.param(lambda: anchor_audit(4, 3.5), 3.5, id="anchor_audit m_max float"),
+        pytest.param(lambda: anchor_audit(1, 3), 1, id="anchor_audit n_max 1"),
+        pytest.param(lambda: anchor_audit(4, 3, per_pair=2.0), 2.0, id="anchor_audit per_pair float"),
+        pytest.param(lambda: anchor_audit(4, 3, per_pair=-1), -1, id="anchor_audit per_pair negative"),
+        pytest.param(lambda: prefix_scan(IDENTITY, True), True, id="prefix_scan bool"),
+        pytest.param(lambda: prefix_scan(IDENTITY, 2.5), 2.5, id="prefix_scan float"),
+        pytest.param(lambda: sequence_table("edges", IDENTITY, True), True, id="sequence_table bool"),
+        pytest.param(lambda: sequence_table("gutman", IDENTITY, 0), 0, id="sequence_table 0"),
+    ],
+)
+def test_order_bound_rejected_naming_the_value(call, passed):
+    with pytest.raises(ValueError, match=f"must be an integer, at least [0-2], got {re.escape(repr(passed))}$"):
+        call()
+
+
 def test_numpy_integer_arguments_accepted():
     g = from_edges(3, [(1, 2), (2, 3)])
     assert degree(g, np.int64(2)) == 2
@@ -197,37 +224,20 @@ def test_numpy_integer_arguments_accepted():
 class TestDistances:
     def test_path_distances(self):
         d = all_pairs_distances(path(4))
-        assert d.get(1, 4) == 3
-        assert d.get(2, 3) == 1
-        assert d.get(3, 3) == 0
-        assert d.all_reachable()
+        assert d[0, 3] == 3
+        assert d[1, 2] == 1
+        assert d[2, 2] == 0
+        assert d.dtype == np.int32 and (d >= 0).all()
 
     def test_symmetry_raw(self):
-        d = all_pairs_distances(cycle(7)).raw
+        d = all_pairs_distances(cycle(7))
         assert (d == d.T).all()
         assert (np.diag(d) == 0).all()
 
     def test_unreachable_sentinel(self):
-        g = from_edges(4, [(1, 2), (3, 4)])
-        d = all_pairs_distances(g)
-        assert d.get(1, 3) is UNREACHABLE
-        assert not d.all_reachable()
-        # the sentinel is falsy, prints by name, and refuses arithmetic
-        assert not UNREACHABLE
-        assert repr(UNREACHABLE) == "UNREACHABLE"
-        with pytest.raises(TypeError):
-            UNREACHABLE + 1  # noqa: B018
-
-    def test_to_lists_mixes_ints_and_sentinel(self):
-        g = from_edges(3, [(1, 2)])
-        rows = all_pairs_distances(g).to_lists()
-        assert rows[0][1] == 1
-        assert rows[0][2] is UNREACHABLE
-
-    def test_get_out_of_range(self):
-        d = all_pairs_distances(path(3))
-        with pytest.raises(ValueError):
-            d.get(0, 1)
+        # an unreachable pair reads -1, which no distance can be
+        d = all_pairs_distances(from_edges(4, [(1, 2), (3, 4)]))
+        assert d.tolist() == [[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]]
 
     def test_is_connected(self):
         assert is_connected(path(6))
@@ -308,7 +318,7 @@ class TestIndices:
     @staticmethod
     def _degrees_and_distances(order, edges):
         g = from_edges(order, edges)
-        return g.degree_array(), all_pairs_distances(g).raw
+        return g.degree_array(), all_pairs_distances(g)
 
     def test_pair_sum_parity_check_survives_optimize(self):
         # an asymmetric matrix makes the ordered-pair total odd; under -O an
@@ -328,20 +338,21 @@ class TestDistanceMemo:
         calls = []
         real = graph_core.layered_distance_matrix
 
-        def counting(adj, sources=None):
+        def counting(adj):
             calls.append(adj.shape[0])
-            return real(adj, sources)
+            return real(adj)
 
         monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
         g = cycle(9)
         assert gutman_index(g) == gutman_index(g) == 4 * wiener_index(g)
-        assert all_pairs_distances(g).get(1, 5) == 4
+        assert all_pairs_distances(g)[0, 4] == 4
+        assert is_connected(g)
         assert calls == [9]
 
     def test_memoized_matrix_is_read_only(self):
         g = path(5)
         assert gutman_index(g) == brute_gutman(5, g.edge_list())
-        raw = graph_core._distances(g)
+        raw = all_pairs_distances(g)
         assert not raw.flags.writeable
         with pytest.raises(ValueError):
             raw[0, 4] = 1
@@ -354,9 +365,9 @@ class TestDistanceMemo:
             g = from_edges(order, edges)
             if first == "gutman":
                 gut = gutman_index(g)
-                raw = all_pairs_distances(g).raw
+                raw = all_pairs_distances(g)
             else:
-                raw = all_pairs_distances(g).raw
+                raw = all_pairs_distances(g)
                 gut = gutman_index(g)
             oracle = adjacency_from_edges(order, edges)
             for a in range(order):
@@ -425,7 +436,7 @@ def test_gutman_matches_bruteforce(ge):
 @settings(max_examples=80, deadline=None)
 def test_distance_matrix_properties(ge):
     order, edges = ge
-    raw = all_pairs_distances(from_edges(order, edges)).raw
+    raw = all_pairs_distances(from_edges(order, edges))
     assert (raw == raw.T).all()
     assert (np.diag(raw) == 0).all()
     assert (raw >= 0).all()
@@ -441,17 +452,13 @@ def any_graphs(draw, max_order=9):
     return order, sorted(edges)
 
 
-@given(any_graphs(), st.data())
+@given(any_graphs())
 @settings(max_examples=120, deadline=None)
-def test_source_rows_and_connectivity_match_oracle(ge, data):
+def test_source_rows_and_connectivity_match_oracle(ge):
     order, edges = ge
     g = from_edges(order, edges)
-    sources = data.draw(st.lists(st.integers(0, order - 1), max_size=order))
-    adj = dense_adjacency(g)
-    assert (layered_distance_matrix(adj, sources=sources) == layered_distance_matrix(adj)[sources]).all()
     oracle = adjacency_from_edges(order, edges)
-    for s in sources:
+    for s, row in enumerate(all_pairs_distances(g).tolist()):
         reach = bfs_distances(oracle, s + 1)
-        expected = [reach.get(v, -1) for v in range(1, order + 1)]
-        assert layered_distance_matrix(adj, sources=[s])[0].tolist() == expected
+        assert row == [reach.get(v, -1) for v in range(1, order + 1)]
     assert is_connected(g) == (len(bfs_distances(oracle, 1)) == order)

@@ -71,7 +71,7 @@ class TestBuilder:
 
     def test_order_seven_distance(self):
         j = build_jaco(IDENTITY, 7)
-        assert all_pairs_distances(j.underlying).get(1, 7) == 4
+        assert all_pairs_distances(j.underlying)[0, 6] == 4
 
     def test_zero_function_is_null(self):
         j = build_jaco(LinearFunction(0, 0), 4)

@@ -1,5 +1,7 @@
 """Per-order sequence tables."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jaco_gutman import (
     DisconnectedGraphError,
@@ -9,11 +11,13 @@ from jaco_gutman import (
     all_pairs_distances,
     build_jaco,
     gutman_index,
+    jaco_from_arcs,
     jaconian_info,
     sequence_table,
 )
+from jaco_gutman import graph_core, sequences
 
-from bruteforce import adjacency_from_edges, bfs_distances, slow_jaco_arcs
+from bruteforce import adjacency_from_edges, bfs_distances, brute_gutman, slow_jaco_arcs
 
 IDENTITY_FIRST_SEVEN = {
     "edges": (0, 1, 2, 3, 5, 7, 10),
@@ -56,7 +60,7 @@ class TestCrossChecks:
         table = sequence_table("v1_vn_distance", IDENTITY, 60)
         for n, value in table.rows:
             d = all_pairs_distances(build_jaco(IDENTITY, n).underlying)
-            assert value == d.get(1, n)
+            assert value == d[0, n - 1]
 
     @pytest.mark.parametrize("m, c", [(2, 1), (1, 3)])
     def test_distance_matches_oracle(self, m, c):
@@ -88,3 +92,52 @@ class TestErrors:
         # edge and cardinality tables have no connectivity requirement
         table = sequence_table("edges", LinearFunction(0, 2), 7)
         assert table.rows[-1] == (7, 6)
+
+    def test_failed_contiguity_audit_raises(self, monkeypatch):
+        # v_5's only in-neighbour is v_1, so its in-set is not [4, 4]
+        monkeypatch.setattr(sequences, "build_jaco", lambda f, n: jaco_from_arcs(f, n, [(1, n)]))
+        for name in ("gutman", "v1_vn_distance"):
+            with pytest.raises(ValueError, match="contiguity audit .*in-neighbors of v_5"):
+                sequence_table(name, IDENTITY, 5)
+
+
+DISTANCE_TABLES = {"gutman": "the Gutman index sequence", "v1_vn_distance": "the distance sequence"}
+
+
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 40))
+@example(0, 2, 12)  # m = 0: cliques on c + 1 vertices, apart from order 4
+@example(0, 0, 5)  # m = 0 = c: no arcs, apart from order 2
+@settings(max_examples=100, deadline=None)
+def test_distance_tables_match_oracle(m, c, n_max):
+    arcs = slow_jaco_arcs(m, c, n_max)
+    expected = {name: [] for name in DISTANCE_TABLES}
+    apart_at = None
+    for n in range(1, n_max + 1):
+        prefix = [(a, b) for a, b in arcs if b <= n]
+        reach = bfs_distances(adjacency_from_edges(n, prefix), 1)
+        if len(reach) < n:
+            apart_at = n
+            break
+        expected["gutman"].append((n, brute_gutman(n, prefix)))
+        expected["v1_vn_distance"].append((n, reach[n]))
+    for name, what in DISTANCE_TABLES.items():
+        if apart_at is None:
+            assert sequence_table(name, LinearFunction(m, c), n_max).rows == tuple(expected[name])
+        else:
+            message = f"^{what} at order {apart_at} is defined for connected graphs only and this graph is disconnected$"
+            with pytest.raises(DisconnectedGraphError, match=message):
+                sequence_table(name, LinearFunction(m, c), n_max)
+
+
+@pytest.mark.parametrize("name", DISTANCE_TABLES)
+def test_one_kernel_call_per_table(name, monkeypatch):
+    calls = []
+    real = graph_core.layered_distance_matrix
+
+    def counting(adj):
+        calls.append(adj.shape[0])
+        return real(adj)
+
+    monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
+    assert len(sequence_table(name, LinearFunction(2, 1), 30).rows) == 30
+    assert calls == [30]
