@@ -101,7 +101,8 @@ class JacoGraph:
         return int(self.out_degree_array[v - 1])
 
     def degree(self, v: int) -> int:
-        return self.in_degree(v) + self.out_degree(v)
+        _require_vertex(v, self.n)
+        return int(self._underlying.degree_array()[v - 1])
 
     def _counts(self, column: int) -> np.ndarray:
         counts = np.bincount(self.arc_array[:, column], minlength=self.n + 1)[1:]
@@ -191,9 +192,21 @@ def verify_definition_fixed_point(j: JacoGraph) -> bool:
     admits j exactly when j <= f(i) + i - d-(v_i), equality of these interval
     out-sets is equivalent to the pairwise biconditional over all i < j.
     """
-    i_vec = np.arange(1, j.n + 1, dtype=np.int64)
-    reach = j.f.m * i_vec + j.f.c + i_vec - j.in_degree_array
+    _, reach = _f_and_reach(j)
     return bool(np.array_equal(j.arc_array, _arc_table(np.minimum(reach, j.n))))
+
+
+def _f_and_reach(j: JacoGraph) -> tuple[np.ndarray, np.ndarray]:
+    """f(i) and the reach f(i) + i - d-(v_i) of every vertex, in int64.
+
+    m and c are capped at n + 1 first.  A capped coefficient still puts f(i)
+    above n and the reach above n + 1, so no reach at or below n changes and
+    every f(i) that fits the order is exact, while nothing overflows.
+    """
+    n = j.n
+    i_vec = np.arange(1, n + 1, dtype=np.int64)
+    f_values = min(j.f.m, n + 1) * i_vec + min(j.f.c, n + 1)
+    return f_values, f_values + i_vec - j.in_degree_array
 
 
 @dataclass(frozen=True)
@@ -255,11 +268,9 @@ def verify_fundamental_properties(j: JacoGraph) -> PropertyReport:
     else:
         contiguous = PropertyCheck("in_neighbors_contiguous", True)
 
-    i_vec = np.arange(1, n + 1, dtype=np.int64)
-    reach = j.f.m * i_vec + j.f.c + i_vec - indeg
+    f_values, reach = _f_and_reach(j)
     realized = reach <= n
-    total_deg = indeg + j.out_degree_array
-    f_values = j.f.m * i_vec + j.f.c
+    total_deg = j.underlying.degree_array()
     bad_mask = realized & (total_deg != f_values)
     if bad_mask.any():
         k = int(np.argmax(bad_mask)) + 1
@@ -290,7 +301,7 @@ class JaconianInfo:
 
 
 def jaconian_info(j: JacoGraph) -> JaconianInfo:
-    deg = j.in_degree_array + j.out_degree_array
+    deg = j.underlying.degree_array()
     max_degree = int(deg.max())
     members = tuple(int(v) for v in np.flatnonzero(deg == max_degree) + 1)
     prime = members[0]
@@ -342,6 +353,26 @@ def component_structure(j: JacoGraph) -> list[int]:
     return sizes
 
 
+def _audited_jaco(f: LinearFunction, n: int) -> JacoGraph:
+    """The order-n Jaco graph, audited so that every lower order is a prefix.
+
+    The order-k graph is the order-n graph with v_{k+1}..v_n deleted, and
+    with contiguous in-neighbourhoods every closed neighbourhood is an index
+    interval, so deleting the later vertices changes no distance among the
+    earlier ones.  Out-sets are intervals by construction; in-sets are
+    checked here, and a failed check raises ValueError naming the first bad
+    head.  Every order sweep gets its graph from this one place.
+    """
+    j = build_jaco(f, n)
+    contiguity = verify_fundamental_properties(j).in_neighbors_contiguous
+    if not contiguity.ok:
+        raise ValueError(
+            f"arc table failed the contiguity audit ({contiguity.counterexample}); "
+            "lower orders cannot be read as its prefixes"
+        )
+    return j
+
+
 @dataclass(frozen=True)
 class PrefixFacts:
     """Per-order facts collected by `prefix_scan`.
@@ -366,13 +397,10 @@ def prefix_scan(f: LinearFunction, n_max: int) -> list[PrefixFacts]:
     Relies on two facts about the construction: the order-n graph is the
     order-(n+1) graph with v_{n+1} and its arcs deleted (the rule for vertex
     i only ever consults in-degree contributed by heads <= i), and
-    in-neighborhoods are contiguous intervals (re-verified here before use).
+    in-neighborhoods are contiguous intervals (audited by `_audited_jaco`).
     """
     _require_at_least(n_max, 1, "n_max")
-    full = build_jaco(f, n_max + 1)
-    report = verify_fundamental_properties(full)
-    if not report.in_neighbors_contiguous.ok:
-        raise ValueError("arc table failed the contiguity audit; prefix scan unsupported")
+    full = _audited_jaco(f, n_max + 1)
     indeg = full.in_degree_array
     # lowest in-neighbor of each head q, with s_q = q when q has no in-arcs
     s = np.arange(1, n_max + 2, dtype=np.int64) - indeg

@@ -20,6 +20,10 @@ low vertices through v_n alone, and its standalone constants are (n-i-1) and
 i*(n-i).  The exact one carries the corrected terms.  With the shared
 grouping, per-term deltas between the two always sum to the total difference,
 and the exact total is checked against a direct recomputation.
+
+Every order comes from one audited build (`jaco._audited_jaco`): order k is
+the leading k x k block of J_{N+1}, and each block still gets its own run of
+the distance kernel, so the direct value is recomputed independently.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from .graph_core import (
     dense_adjacency,
     layered_distance_matrix,
 )
-from .jaco import IDENTITY, JacoGraph, build_jaco, jaconian_info
+from .jaco import IDENTITY, JacoGraph, _audited_jaco
 
 
 class StructureAssumptionViolated(RuntimeError):
@@ -122,24 +126,20 @@ def _require_identity(jn: JacoGraph) -> None:
         raise ValueError("recursion formulas require order n >= 2")
 
 
-def _extension_prime_index(jn: JacoGraph, jnext: JacoGraph) -> int:
-    # Characterization via the next vertex's attachment count.
-    return jn.n - jnext.in_degree(jn.n + 1)
+def _order_facts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Degrees, distances and Gutman index of the graph with adjacency `adj`."""
+    deg = np.count_nonzero(adj, axis=1)
+    dist = _require_connected(layered_distance_matrix(adj), _WHAT)
+    return deg, dist, _pair_sum(deg, dist)
 
 
-def _check_structure(jn: JacoGraph, jnext: JacoGraph, dist: np.ndarray, i: int) -> None:
-    n = jn.n
-    info = jaconian_info(jn)
-    if info.prime_index != i:
+def _check_structure(deg: np.ndarray, dist: np.ndarray, i: int) -> None:
+    n = len(deg)
+    prime = int(deg.argmax()) + 1
+    if prime != i:
         raise StructureAssumptionViolated(
-            f"prime index disagreement at n={n}: degree-based {info.prime_index}, "
+            f"prime index disagreement at n={n}: degree-based {prime}, "
             f"extension-based {i}"
-        )
-    heads = jnext.arc_array[:, 1]
-    attach = np.sort(jnext.arc_array[heads == n + 1, 0])
-    if not np.array_equal(attach, np.arange(i + 1, n + 1)):
-        raise StructureAssumptionViolated(
-            f"v_{n + 1} does not attach to exactly the Hope range [{i + 1}, {n}]"
         )
     hope = dist[i:, i:]
     if hope.shape[0] > 1:
@@ -150,38 +150,35 @@ def _check_structure(jn: JacoGraph, jnext: JacoGraph, dist: np.ndarray, i: int) 
             )
 
 
-def _evaluate(jn: JacoGraph, dist: np.ndarray, i: int, *, verbatim: bool) -> RecursionTerms:
-    n = jn.n
-    deg = (jn.in_degree_array + jn.out_degree_array).astype(np.int64)
+def _evaluate(deg: np.ndarray, dist: np.ndarray, base: int, i: int, *, verbatim: bool) -> RecursionTerms:
+    n = len(deg)
     h = n - i
     low = deg[:i]
     hope = deg[i:]
-    base = _pair_sum(deg, dist)
     cross = int((low[:, None] * dist[:i, i:].astype(np.int64)).sum())
-    hope_pairs = (h - 1) * int(hope.sum()) if h >= 2 else 0
     hope_deg_sum = int(hope.sum())
+    hope_pairs = (h - 1) * hope_deg_sum
+    new_hope = h * hope_deg_sum
     low_deg_sum = int(low.sum())
     if verbatim:
         # Distance to the new vertex measured through v_n, as printed.
         new_low = h * int((low * dist[:i, n - 1].astype(np.int64)).sum())
-        new_hope = h * hope_deg_sum
         constants = (n - i - 1) + i * h
     else:
         nearest_hope = dist[:i, i:].min(axis=1).astype(np.int64) if i else np.zeros(0, np.int64)
         new_low = h * int((low * nearest_hope).sum())
-        new_hope = h * hope_deg_sum
         constants = h * (h - 1) // 2 + h * low_deg_sum + h * h
     return RecursionTerms(n, i, base, cross, hope_pairs, new_low, new_hope, constants)
 
 
 def _terms(jn: JacoGraph, *, verbatim: bool) -> RecursionTerms:
     _require_identity(jn)
-    jnext = build_jaco(IDENTITY, jn.n + 1)
-    dist = _require_connected(layered_distance_matrix(dense_adjacency(jn.underlying)), _WHAT)
-    i = _extension_prime_index(jn, jnext)
+    n = jn.n
+    i = n - int(_audited_jaco(IDENTITY, n + 1).in_degree_array[n])
+    deg, dist, base = _order_facts(dense_adjacency(jn.underlying))
     if not verbatim:
-        _check_structure(jn, jnext, dist, i)
-    return _evaluate(jn, dist, i, verbatim=verbatim)
+        _check_structure(deg, dist, i)
+    return _evaluate(deg, dist, base, i, verbatim=verbatim)
 
 
 def recursion_paper_terms(jn: JacoGraph) -> RecursionTerms:
@@ -208,22 +205,23 @@ def recursion_delta_report(n_max: int) -> list[RecursionDelta]:
     """Audit rows for every order 2..n_max.
 
     Each row carries both term breakdowns plus a direct recomputation of the
-    order-(n+1) index from its own distance matrix.  Consecutive orders share
-    graph and distance work, so the sweep costs one all-pairs BFS per order.
+    order-(n+1) index from its own distance matrix.  One audited build of
+    order n_max + 1 serves every order: order k is its leading k x k
+    adjacency block, and the prime index i of order n is read from the
+    in-degree of v_{n+1}.  Each order runs the distance kernel once, on its
+    own block, and its direct index is the next row's base.
     """
     _require_at_least(n_max, 2, "n_max")
+    full = _audited_jaco(IDENTITY, n_max + 1)
+    adj = dense_adjacency(full.underlying)
+    indeg = full.in_degree_array
     rows = []
-    jn = build_jaco(IDENTITY, 2)
-    dist = _require_connected(layered_distance_matrix(dense_adjacency(jn.underlying)), _WHAT)
+    deg, dist, gut = _order_facts(adj[:2, :2])
     for n in range(2, n_max + 1):
-        jnext = build_jaco(IDENTITY, n + 1)
-        dist_next = _require_connected(layered_distance_matrix(dense_adjacency(jnext.underlying)), _WHAT)
-        i = _extension_prime_index(jn, jnext)
-        _check_structure(jn, jnext, dist, i)
-        paper = _evaluate(jn, dist, i, verbatim=True)
-        exact = _evaluate(jn, dist, i, verbatim=False)
-        deg_next = jnext.in_degree_array + jnext.out_degree_array
-        direct = _pair_sum(deg_next, dist_next)
-        rows.append(RecursionDelta(paper=paper, exact=exact, direct=direct))
-        jn, dist = jnext, dist_next
+        i = n - int(indeg[n])
+        _check_structure(deg, dist, i)
+        paper = _evaluate(deg, dist, gut, i, verbatim=True)
+        exact = _evaluate(deg, dist, gut, i, verbatim=False)
+        deg, dist, gut = _order_facts(adj[: n + 1, : n + 1])
+        rows.append(RecursionDelta(paper=paper, exact=exact, direct=gut))
     return rows

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import _pair_sum, _require_at_least, _require_connected, all_pairs_distances
-from .jaco import LinearFunction, build_jaco, prefix_scan, verify_fundamental_properties
+from .jaco import LinearFunction, _audited_jaco, prefix_scan
 
 SEQUENCE_NAMES = ("edges", "gutman", "jaconian_cardinality", "v1_vn_distance")
 
@@ -51,14 +51,7 @@ def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
             rows = tuple((fact.n, fact.jaconian_count) for fact in facts)
         return SequenceTable(name, f, rows)
 
-    j = build_jaco(f, n_max)
-    contiguity = verify_fundamental_properties(j).in_neighbors_contiguous
-    if not contiguity.ok:
-        raise ValueError(
-            f"arc table failed the contiguity audit ({contiguity.counterexample}); "
-            "prefix distances unsupported"
-        )
-    dist = all_pairs_distances(j.underlying)
+    dist = all_pairs_distances(_audited_jaco(f, n_max).underlying)
     values = []
     for n in range(1, n_max + 1):
         if name == "v1_vn_distance":

@@ -13,9 +13,14 @@ from jaco_gutman import (
     jaco_from_arcs,
     jaconian_info,
     prefix_scan,
+    recursion_delta_report,
+    recursion_exact_terms,
+    sequence_table,
     verify_definition_fixed_point,
     verify_fundamental_properties,
 )
+from jaco_gutman import jaco
+from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
 from bruteforce import slow_jaco_arcs
 
@@ -164,6 +169,16 @@ class TestFixedPoint:
         assert not verify_definition_fixed_point(j)
 
 
+@pytest.mark.parametrize("m, c", [(2**61, 0), (2**62, 0), (1, 2**63 - 2), (2**70, 5), (10**400, 10**400)])
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_validators_take_huge_coefficients(m, c, n):
+    # f(i) and the reach overflow int64 unless the validators cap m and c
+    j = build_jaco(LinearFunction(m, c), n)
+    assert verify_definition_fixed_point(j)
+    assert verify_fundamental_properties(j).all_ok
+    assert jaco_from_json(jaco_to_json(j)) == j
+
+
 class TestFundamentalProperties:
     def test_identity_order_seven(self):
         report = verify_fundamental_properties(build_jaco(IDENTITY, 7))
@@ -289,6 +304,25 @@ class TestPrefixes:
     def test_prefix_scan_rejects_low_bound(self):
         with pytest.raises(ValueError):
             prefix_scan(IDENTITY, 0)
+
+
+# Each order sweep builds the graph of order 5 and reads lower orders as its
+# prefixes; recursion_exact_terms of J_4 audits J_5 for the prime index.
+SWEEPS = {
+    "prefix_scan": lambda: prefix_scan(IDENTITY, 4),
+    "gutman table": lambda: sequence_table("gutman", IDENTITY, 5),
+    "v1_vn_distance table": lambda: sequence_table("v1_vn_distance", IDENTITY, 5),
+    "recursion_delta_report": lambda: recursion_delta_report(4),
+    "recursion_exact_terms": lambda j4=build_jaco(IDENTITY, 4): recursion_exact_terms(j4),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_failed_contiguity_audit_stops_every_sweep(sweep, monkeypatch):
+    # v_5's only in-neighbour is v_1, so its in-set is not [4, 4]
+    monkeypatch.setattr(jaco, "build_jaco", lambda f, n: jaco_from_arcs(f, n, [(1, n)]))
+    with pytest.raises(ValueError, match="contiguity audit .*in-neighbors of v_5"):
+        SWEEPS[sweep]()
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 40))

@@ -14,8 +14,11 @@ from jaco_gutman import (
     recursion_paper_rhs,
     recursion_paper_terms,
 )
+from jaco_gutman import jaco, recursion
 from jaco_gutman.graph_core import dense_adjacency, layered_distance_matrix
 from jaco_gutman.recursion import TERM_NAMES
+
+from bruteforce import brute_gutman, slow_jaco_arcs
 
 # (n, i, paper_rhs, exact_rhs, direct)
 FROZEN_ROWS = (
@@ -98,6 +101,31 @@ class TestExactness:
     def test_exact_matches_direct_flag(self):
         assert all(r.exact_matches_direct for r in recursion_delta_report(60))
 
+    def test_report_rows_match_per_order_terms_and_oracle(self):
+        for row in recursion_delta_report(40):
+            jn = build_jaco(IDENTITY, row.n)
+            assert row.paper == recursion_paper_terms(jn)
+            assert row.exact == recursion_exact_terms(jn)
+            assert row.direct == brute_gutman(row.n + 1, slow_jaco_arcs(1, 0, row.n + 1))
+
+    def test_report_builds_once_and_runs_the_kernel_once_per_order(self, monkeypatch):
+        builds, kernel_orders = [], []
+        real_build, real_kernel = jaco.build_jaco, recursion.layered_distance_matrix
+
+        def counting_build(f, n):
+            builds.append(n)
+            return real_build(f, n)
+
+        def counting_kernel(adj):
+            kernel_orders.append(adj.shape[0])
+            return real_kernel(adj)
+
+        monkeypatch.setattr(jaco, "build_jaco", counting_build)
+        monkeypatch.setattr(recursion, "layered_distance_matrix", counting_kernel)
+        recursion_delta_report(12)
+        assert builds == [13]
+        assert kernel_orders == list(range(2, 14))
+
     def test_distance_stability_under_extension(self):
         # distances among v_1..v_n are unchanged by adding v_{n+1}; this is
         # what lets the decomposition reuse the order-n distance matrix
@@ -130,6 +158,14 @@ class TestPreconditions:
         doctored = jaco_from_arcs(IDENTITY, 3, [(1, 2), (1, 3), (2, 3)])
         with pytest.raises(StructureAssumptionViolated):
             recursion_exact_terms(doctored)
+
+    def test_report_structure_guard_fires_on_doctored_build(self, monkeypatch):
+        # K3 passes the contiguity audit, but order 2 has two max-degree
+        # vertices while v_3 attaches to both, so i = 0 disagrees with 1
+        doctored = jaco_from_arcs(IDENTITY, 3, [(1, 2), (1, 3), (2, 3)])
+        monkeypatch.setattr(jaco, "build_jaco", lambda f, n: doctored)
+        with pytest.raises(StructureAssumptionViolated, match="prime index disagreement at n=2"):
+            recursion_delta_report(2)
 
     def test_paper_evaluator_skips_structure_guard(self):
         # the verbatim evaluator reproduces the printed value regardless

@@ -15,7 +15,7 @@ from jaco_gutman import (
     jaconian_info,
     sequence_table,
 )
-from jaco_gutman import graph_core, sequences
+from jaco_gutman import graph_core, jaco
 
 from bruteforce import adjacency_from_edges, bfs_distances, brute_gutman, slow_jaco_arcs
 
@@ -95,7 +95,7 @@ class TestErrors:
 
     def test_failed_contiguity_audit_raises(self, monkeypatch):
         # v_5's only in-neighbour is v_1, so its in-set is not [4, 4]
-        monkeypatch.setattr(sequences, "build_jaco", lambda f, n: jaco_from_arcs(f, n, [(1, n)]))
+        monkeypatch.setattr(jaco, "build_jaco", lambda f, n: jaco_from_arcs(f, n, [(1, n)]))
         for name in ("gutman", "v1_vn_distance"):
             with pytest.raises(ValueError, match="contiguity audit .*in-neighbors of v_5"):
                 sequence_table(name, IDENTITY, 5)
