@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .edge_joint import anchor_audit, joint_check, joint_delta_report
+from .edge_joint import AnchorCheck, JointDelta, anchor_audit, joint_check, joint_delta_report
 from .graph_core import DisconnectedGraphError, gutman_index, wiener_index
 from .jaco import LinearFunction, build_jaco
-from .recursion import StructureAssumptionViolated, recursion_delta_report
-from .sequences import SEQUENCE_NAMES, sequence_table
+from .recursion import RecursionDelta, StructureAssumptionViolated, recursion_delta_report
+from .sequences import SEQUENCE_NAMES, sequence_tables
 
 
 class UsageError(Exception):
@@ -182,7 +182,7 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     if unknown:
         raise UsageError(f"unknown sequence name {unknown[0]!r}")
     f = LinearFunction(args.m, args.c)
-    tables = [sequence_table(name, f, args.n_max) for name in names]
+    tables = sequence_tables(names, f, args.n_max)
     render = serialize.sequence_to_csv if args.format == "csv" else serialize.sequence_to_json
     suffix = ".csv" if args.format == "csv" else ".json"
     if args.out is not None and len(tables) > 1:
@@ -217,15 +217,30 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
         f"passed (seed={args.seed})\n"
     )
     _emit(text, args.out)
-    all_ok = (
-        all(row.exact_matches_direct for row in recursion_rows)
-        and all(row.closed_matches_direct for row in joint_rows)
-        and anchors_ok == len(anchors)
-    )
-    if not all_ok:
-        print("error: an audited value mismatched the direct oracle", file=sys.stderr)
+    failure = _first_audit_failure(recursion_rows, joint_rows, anchors)
+    if failure is not None:
+        print(f"error: an audited value mismatched the direct oracle at {failure}", file=sys.stderr)
         return 2
     return 0
+
+
+def _first_audit_failure(
+    recursion_rows: list[RecursionDelta], joint_rows: list[JointDelta], anchors: list[AnchorCheck]
+) -> str | None:
+    """The first audited value that differs from its direct oracle, named, or None."""
+    for row in recursion_rows:
+        if not row.exact_matches_direct:
+            return f"recursion row n={row.n}: exact {row.exact_rhs}, direct {row.direct}"
+    for row in joint_rows:
+        if not row.closed_matches_direct:
+            return f"edge-joint point (n, m) = ({row.n}, {row.m}): closed form {row.closed_form}, direct {row.direct}"
+    for check in anchors:
+        if not check.ok:
+            return (
+                f"anchor check (n, m, vi, uj) = ({check.n}, {check.m}, {check.vi}, {check.uj}): "
+                f"closed form {check.closed_form}, direct {check.direct}"
+            )
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:

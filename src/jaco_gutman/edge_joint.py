@@ -32,7 +32,6 @@ import numpy as np
 
 from .graph_core import (
     SimpleGraph,
-    _pair_sum,
     _require_at_least,
     _require_connected,
     _require_vertex,
@@ -75,10 +74,13 @@ def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
 
 
 def _index_parts(g: SimpleGraph, what: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Degrees, distance matrix, and Gutman index of a connected graph."""
+    """Degrees, distance matrix, and Gutman index of a connected graph.
+
+    All three are kept on `g`, so a graph that many grid points share is
+    summed once.
+    """
     dist = _require_connected(all_pairs_distances(g), what)
-    deg = g.degree_array()
-    return deg, dist, _pair_sum(deg, dist)
+    return g.degree_array(), dist, gutman_index(g)
 
 
 def closed_form_joint_gutman(spec: JointSpec) -> int:

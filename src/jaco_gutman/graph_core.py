@@ -3,20 +3,24 @@ the distance-based Gutman and Wiener indices.
 
 Vertices are the integers 1..order.  Edges are unordered pairs stored in a
 canonical form: each pair as (low, high), the whole list sorted
-lexicographically.  All distances and index values are exact integers.
+lexicographically.  A proper interval graph in index order can instead be
+held as its reach array hi, the top of each closed neighbourhood
+(`SimpleGraph.from_reach`): its size, degrees and bool adjacency come from hi
+and its edge table is built only when read.  All distances and index values
+are exact integers.
 
 Distances come from one kernel with two paths, chosen from the input.  A
 proper interval graph in index order (every closed neighbourhood an index
 interval whose ends never decrease, as in the underlying graph of a linear
 Jaco graph) gets its distances by counting greedy farthest-reach jumps, in
 O(n^2 + n * diameter).  Every other graph takes layered breadth-first search
-driven by dense matrix products, O(n^3 * diameter).  The products only feed
-a positivity test and path counts never exceed the vertex count, far below
-float32's exact-integer ceiling of 2**24, so both paths are exact.  A
-graph's all-pairs matrix (-1 for an unreachable pair) is computed once, kept
-on the graph and read through `all_pairs_distances`.  Index sums run in int64
-when an a-priori bound shows that is safe and otherwise fall back to
-arbitrary-precision Python integers.
+driven by dense float32 matrix products, O(n^3 * diameter).  The products
+only feed a positivity test and path counts never exceed the vertex count,
+far below float32's exact-integer ceiling of 2**24, so both paths are exact.  A
+graph's all-pairs matrix (-1 for an unreachable pair) and its Gutman index
+are computed once and kept on the graph; the matrix is read through
+`all_pairs_distances`.  Index sums run in int64 when an a-priori bound shows
+that is safe and otherwise fall back to arbitrary-precision Python integers.
 """
 from __future__ import annotations
 
@@ -82,58 +86,148 @@ def _canonical_edge_array(edges: Iterable[Sequence[int]], *, oriented: bool = Fa
     return rows
 
 
+def _check_table(order: int, edge_array: np.ndarray) -> np.ndarray:
+    """Check the edge-table invariant of `SimpleGraph`, then freeze the table in place.
+
+    Raises ValueError on another dtype or shape, on rows that do not strictly
+    increase, and on a row outside 1 <= a < b <= order.
+    """
+    if not isinstance(edge_array, np.ndarray) or edge_array.dtype != np.int64 or edge_array.shape[1:] != (2,):
+        got = getattr(edge_array, "dtype", type(edge_array).__name__), getattr(edge_array, "shape", "")
+        raise ValueError(f"edge table must be an int64 array of shape (k, 2), got {got[0]} {got[1]}")
+    a, b = edge_array[:, 0], edge_array[:, 1]
+    rising = (a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))
+    if not rising.all():
+        k = int(rising.argmin())
+        first, second = edge_array[k : k + 2].tolist()
+        raise ValueError(f"edge {tuple(second)} follows {tuple(first)}; rows must strictly increase")
+    # Rising rows have nondecreasing first endpoints, so a[0] is their minimum.
+    if len(a) and (a[0] < 1 or b.max() > order or (a >= b).any()):
+        row = edge_array[((a < 1) | (a >= b) | (b > order)).argmax()].tolist()
+        raise ValueError(f"edge {tuple(row)} breaks 1 <= a < b <= {order}")
+    edge_array.setflags(write=False)
+    return edge_array
+
+
+def _arc_table(reach: np.ndarray) -> np.ndarray:
+    """The table in which vertex i is joined to i + 1..reach[i - 1].
+
+    A reach at or below its vertex contributes no rows.  Rows come out in
+    lexicographic order, each as (low, high).
+    """
+    tails_base = np.arange(1, len(reach) + 1, dtype=np.int64)
+    counts = np.maximum(reach - tails_base, 0)
+    tails = np.repeat(tails_base, counts)
+    starts = np.cumsum(counts) - counts
+    heads = np.arange(len(tails), dtype=np.int64) - np.repeat(starts, counts) + tails + 1
+    return np.column_stack((tails, heads))
+
+
+def _check_reach(hi: np.ndarray) -> np.ndarray:
+    """Check a reach array (see `SimpleGraph.from_reach`) in O(n), then freeze it.
+
+    Raises ValueError on another dtype or shape, and otherwise names the
+    first vertex whose hi breaks v <= hi(v) <= n or falls below its
+    predecessor's.
+    """
+    if not isinstance(hi, np.ndarray) or hi.dtype != np.int64 or hi.ndim != 1:
+        got = getattr(hi, "dtype", type(hi).__name__), getattr(hi, "shape", "")
+        raise ValueError(f"reach must be a one-dimensional int64 array, got {got[0]} {got[1]}")
+    order = len(hi)
+    v = np.arange(1, order + 1)
+    bad = (hi < v) | (hi > order)
+    bad[1:] |= hi[1:] < hi[:-1]
+    if bad.any():
+        k = int(bad.argmax())
+        value = int(hi[k])
+        if k + 1 <= value <= order:
+            raise ValueError(f"reach of vertex {k + 1} is {value}, below {int(hi[k - 1])}, the reach of vertex {k}")
+        raise ValueError(f"reach of vertex {k + 1} is {value}, outside {k + 1}..{order}")
+    hi.setflags(write=False)
+    return hi
+
+
 class SimpleGraph:
     """Immutable undirected graph on vertices 1..order.
 
-    The edge table is an int64 array of shape (size, 2) whose rows (a, b)
-    satisfy 1 <= a < b <= order and strictly increase in lexicographic order,
-    so no edge repeats.  The constructor checks this invariant and raises
-    ValueError on a breach, on another dtype or shape, and on an order that
-    is not a nonnegative integer (a bool is not one).  The passed table is
-    frozen in place (made read-only) and owned by the graph from then on.
+    A graph is backed by one of two descriptions.
+
+    * An edge table: an int64 array of shape (size, 2) whose rows (a, b)
+      satisfy 1 <= a < b <= order and strictly increase in lexicographic
+      order, so no edge repeats.  The constructor checks this invariant and
+      raises ValueError on a breach, on another dtype or shape, and on an
+      order that is not a nonnegative integer (a bool is not one).  The
+      passed table is frozen in place (made read-only) and owned by the
+      graph from then on.
+    * A reach array (`from_reach`), for a proper interval graph in index
+      order such as the underlying graph of a linear Jaco graph: the closed
+      neighbourhood of v is [lo(v), hi(v)], with lo(v) the first u whose
+      hi(u) >= v.  Size and degrees come from hi in O(n), and the edge table
+      is built from it on first access, through the same check.
+
     `edge_list` materializes plain tuples for small-scale inspection.
-    Degrees and the distance matrix are computed once, on first use, and kept
-    read-only.
+    Degrees, the distance matrix and the Gutman index are computed once, on
+    first use, and kept read-only.
     """
 
-    __slots__ = ("order", "_edges", "_degrees", "_dist")
+    __slots__ = ("order", "_edges", "_hi", "_degrees", "_dist", "_gutman")
 
     def __init__(self, order: int, edge_array: np.ndarray):
         if not _is_int(order) or order < 0:
             raise ValueError(f"order must be a nonnegative integer, got {order!r}")
-        if not isinstance(edge_array, np.ndarray) or edge_array.dtype != np.int64 or edge_array.shape[1:] != (2,):
-            got = getattr(edge_array, "dtype", type(edge_array).__name__), getattr(edge_array, "shape", "")
-            raise ValueError(f"edge table must be an int64 array of shape (k, 2), got {got[0]} {got[1]}")
-        a, b = edge_array[:, 0], edge_array[:, 1]
-        rising = (a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))
-        if not rising.all():
-            k = int(rising.argmin())
-            first, second = edge_array[k : k + 2].tolist()
-            raise ValueError(f"edge {tuple(second)} follows {tuple(first)}; rows must strictly increase")
-        # Rising rows have nondecreasing first endpoints, so a[0] is their minimum.
-        if len(a) and (a[0] < 1 or b.max() > order or (a >= b).any()):
-            row = edge_array[((a < 1) | (a >= b) | (b > order)).argmax()].tolist()
-            raise ValueError(f"edge {tuple(row)} breaks 1 <= a < b <= {order}")
-        edge_array.setflags(write=False)
+        self._edges: np.ndarray | None = _check_table(order, edge_array)
+        self._hi: np.ndarray | None = None
         self.order = int(order)
-        self._edges = edge_array
         self._degrees: np.ndarray | None = None
         self._dist: np.ndarray | None = None
+        self._gutman: int | None = None
+
+    @classmethod
+    def from_reach(cls, hi: np.ndarray) -> SimpleGraph:
+        """The graph on 1..n whose vertex v is joined to v + 1..hi[v - 1].
+
+        `hi` is a one-dimensional int64 array of length n with
+        v <= hi(v) <= n, nondecreasing; it is checked in O(n), frozen in
+        place and owned by the graph.  A nondecreasing hi makes every closed
+        neighbourhood an index interval.
+        """
+        g = cls.__new__(cls)
+        g._hi = _check_reach(hi)
+        g._edges = None
+        g.order = len(hi)
+        g._degrees = g._dist = g._gutman = None
+        return g
+
+    @property
+    def reach(self) -> np.ndarray | None:
+        """hi(v) for v = 1..order when the graph is reach-backed, else None."""
+        return self._hi
+
+    def _lo(self) -> np.ndarray:
+        """lo(v) for v = 1..order of a reach-backed graph: the first u with hi(u) >= v."""
+        return np.searchsorted(self._hi, np.arange(1, self.order + 1)) + 1
 
     @property
     def size(self) -> int:
+        if self._hi is not None:
+            return int(self._hi.sum()) - self.order * (self.order + 1) // 2
         return int(self._edges.shape[0])
 
     @property
     def edge_array(self) -> np.ndarray:
+        if self._edges is None:
+            self._edges = _check_table(self.order, _arc_table(self._hi))
         return self._edges
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return list(zip(*self._edges.T.tolist()))
+        return list(zip(*self.edge_array.T.tolist()))
 
     def degree_array(self) -> np.ndarray:
         if self._degrees is None:
-            deg = np.bincount(self._edges.ravel(), minlength=self.order + 1)[1:]
+            if self._hi is not None:
+                deg = self._hi - self._lo()
+            else:
+                deg = np.bincount(self._edges.ravel(), minlength=self.order + 1)[1:]
             deg.setflags(write=False)
             self._degrees = deg
         return self._degrees
@@ -141,10 +235,10 @@ class SimpleGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.order == other.order and np.array_equal(self._edges, other._edges)
+        return self.order == other.order and np.array_equal(self.edge_array, other.edge_array)
 
     def __hash__(self) -> int:
-        return hash((self.order, self._edges.tobytes()))
+        return hash((self.order, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(order={self.order}, size={self.size})"
@@ -166,12 +260,23 @@ def degree(g: SimpleGraph, v: int) -> int:
 
 
 def dense_adjacency(g: SimpleGraph) -> np.ndarray:
-    """0/1 adjacency matrix as float32, indexed 0-based."""
-    a = np.zeros((g.order, g.order), dtype=np.float32)
+    """Adjacency matrix as bool, indexed 0-based.
+
+    A reach-backed graph fills it from its intervals, lo(v) <= u <= hi(v)
+    with the diagonal cleared, and never builds its edge table; any other
+    graph scatters its table.
+    """
+    if g.reach is not None:
+        cols = np.arange(1, g.order + 1)
+        a = g._lo()[:, None] <= cols
+        a &= cols <= g.reach[:, None]
+        a[np.diag_indices(g.order)] = False
+        return a
+    a = np.zeros((g.order, g.order), dtype=bool)
     if g.size:
         e = g.edge_array - 1
-        a[e[:, 0], e[:, 1]] = 1.0
-        a[e[:, 1], e[:, 0]] = 1.0
+        a[e[:, 0], e[:, 1]] = True
+        a[e[:, 1], e[:, 0]] = True
     return a
 
 
@@ -184,7 +289,7 @@ def _interval_reach(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     symmetric `adj`, at O(n log n) instead of an n^2 transpose compare.
     """
     order = adj.shape[0]
-    closed = adj > 0
+    closed = adj.astype(bool)
     closed[np.diag_indices(order)] = True
     lo = closed.argmax(axis=1)
     hi = order - 1 - closed[:, ::-1].argmax(axis=1)
@@ -224,17 +329,22 @@ def _jump_counts(hi: np.ndarray) -> np.ndarray:
     return counts
 
 
+# Rows per block when the jump fill mirrors its upper triangle.
+_MIRROR_ROWS = 256
+
+
 def layered_distance_matrix(adj: np.ndarray) -> np.ndarray:
     """Exact all-pairs distances of the graph with dense adjacency `adj`.
 
     Returns an int32 matrix with -1 encoding an unreachable pair.  Any
-    positive entry of `adj` is an edge.
+    nonzero entry of `adj` is an edge; a bool matrix is the usual input.
 
     The kernel is chosen from the input.  When the graph is a proper
     interval graph in index order (`_interval_reach`), as the underlying
     graph of every linear Jaco graph is, dist(a, b) for b > a is the number
     of greedy farthest-reach jumps from a that stay below b (Looges and
-    Olariu 1993), filled in O(n^2 + n * diameter).  Every other graph takes
+    Olariu 1993), filled in O(n^2 + n * diameter), and dist(b, a) is its
+    mirror image.  Every other graph takes
     layered breadth-first search: level k+1 is everything adjacent to the
     "reached within k" set, one float32 matrix product per level and
     eccentricity-many levels, O(n^3 * diameter).
@@ -245,15 +355,19 @@ def layered_distance_matrix(adj: np.ndarray) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int32)
     reach = _interval_reach(adj)
     if reach is not None:
-        lo, hi = reach
-        dist = _jump_counts(hi)
-        # Distances to earlier vertices are the later-vertex distances of
-        # the index-reversed graph, whose reach is the mirrored lo.  Filled
-        # row by row like the first, this beats adding the transpose.
-        dist += _jump_counts(order - 1 - lo[::-1])[::-1, ::-1]
+        dist = _jump_counts(reach[1])
+        # Only the upper triangle is filled.  Mirror it into the lower one
+        # block by block: adding the whole transpose would take a second
+        # n x n matrix, the largest allocation of the call.
+        for start in range(0, order, _MIRROR_ROWS):
+            stop = min(start + _MIRROR_ROWS, order)
+            dist[start:stop, :start] = dist[:start, start:stop].T
+            square = dist[start:stop, start:stop]
+            square += np.tril(square.T, -1)
         return dist
     dist = np.full((order, order), -1, dtype=np.int32)
-    reached = adj > 0
+    reached = adj.astype(bool)
+    adj = np.asarray(adj, dtype=np.float32)
     dist[reached] = 1
     diagonal = np.diag_indices(order)
     dist[diagonal] = 0
@@ -314,11 +428,12 @@ def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
     `dist` is a symmetric nonnegative matrix with a zero diagonal, so the
     ordered-pair total w . (dist w) is twice the answer.  That total runs in
     int64 when (sum |w|)^2 * max(dist) bounds it below _INT64_SAFE, and in
-    Python integers otherwise.
+    Python integers otherwise.  The int64 product accumulates in int64
+    without an int64 copy of `dist`.
     """
     w = np.asarray(weights, dtype=np.int64)
     if int(np.abs(w).sum()) ** 2 * int(dist.max()) < _INT64_SAFE:
-        total = int(w @ (dist @ w))
+        total = int(w @ np.einsum("ij,j->i", dist, w, dtype=np.int64))
     else:
         w = w.astype(object)
         total = int(w @ (dist.astype(object) @ w))
@@ -328,8 +443,13 @@ def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
 
 
 def gutman_index(g: SimpleGraph) -> int:
-    """Sum of deg(u) * deg(v) * dist(u, v) over unordered vertex pairs."""
-    return _pair_sum(g.degree_array(), _require_connected(all_pairs_distances(g), "the Gutman index"))
+    """Sum of deg(u) * deg(v) * dist(u, v) over unordered vertex pairs.
+
+    Computed once and kept on the graph, like its distances.
+    """
+    if g._gutman is None:
+        g._gutman = _pair_sum(g.degree_array(), _require_connected(all_pairs_distances(g), "the Gutman index"))
+    return g._gutman
 
 
 def wiener_index(g: SimpleGraph) -> int:

@@ -7,11 +7,16 @@ vertices), it sends arcs to every j in [i + 1, f(i) + i - d-(v_i)].  The
 finite graph of order n keeps vertices v_1..v_n and the arcs between them.
 This module implements the linear case f(x) = mx + c with integer m, c >= 0.
 
-Construction runs in O(n) time for the degree bookkeeping (a difference array
-carries the in-degree increments) plus O(arc count) to materialize the arc
-table.  Out-neighborhoods are contiguous index intervals by construction, and
-for these f the in-neighborhoods are contiguous as well; `prefix_scan`
-exploits both to analyze every prefix order in one pass.
+Construction runs in O(n) time (a difference array carries the in-degree
+increments) and yields hi(v), the top of v's closed neighbourhood, for every
+vertex.  Out-neighborhoods are contiguous index intervals by construction, and
+for these f the in-neighborhoods are contiguous as well, which is the same as
+a nondecreasing hi.  So a built graph holds only hi: its underlying graph is
+reach-backed (`SimpleGraph.from_reach`), sizes and degrees come from hi in
+O(n), and the arc table, O(arc count), is materialized only when something
+reads it (the exporters, the validators, `component_structure`).
+`prefix_scan` relies on the same structure to analyze every prefix order in
+one pass.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import numpy as np
 
 from .graph_core import (
     SimpleGraph,
+    _arc_table,
     _canonical_edge_array,
     _is_int,
     _require_at_least,
@@ -56,24 +62,39 @@ IDENTITY = LinearFunction(1, 0)
 class JacoGraph:
     """Finite directed Jaco graph of order n >= 1 for a linear function.
 
-    Arcs are stored as an int64 array of shape (count, 2) whose (tail, head)
-    rows satisfy 1 <= tail < head <= n and strictly increase in lexicographic
-    order.  That is the edge-table invariant of `SimpleGraph`: the
-    constructor builds the undirected shadow `underlying` on the same table,
-    which checks it, so a JacoGraph cannot hold a backward, repeated or
-    out-of-range arc.  The passed table is frozen in place and owned by the
-    graph.  In- and out-degree arrays are computed on first use.
+    Arcs are an int64 array of shape (count, 2) whose (tail, head) rows
+    satisfy 1 <= tail < head <= n and strictly increase in lexicographic
+    order.  That is the edge-table invariant of `SimpleGraph`: the undirected
+    shadow `underlying` holds the same table, which it checks, so a
+    JacoGraph cannot hold a backward, repeated or out-of-range arc.
+
+    `JacoGraph(f, n, arc_array)` takes a table, which is frozen in place and
+    owned by the graph.  `build_jaco` instead gives the graph a reach-backed
+    underlying graph, whose table is built from hi on first access to
+    `arc_array`; every arc of a Jaco graph runs from the lower index, so each
+    tail v sends arcs to v + 1..hi(v).  In- and out-degree arrays are
+    computed on first use, from hi when the graph has it.
     """
 
     __slots__ = ("f", "n", "_underlying", "_in_deg", "_out_deg", "_tuples")
 
     def __init__(self, f: LinearFunction, n: int, arc_array: np.ndarray):
         # SimpleGraph first: it rejects an n that is not an integer.
-        self._underlying = SimpleGraph(n, arc_array)
-        if n < 1:
+        self._attach(f, SimpleGraph(n, arc_array))
+
+    @classmethod
+    def _from_reach(cls, f: LinearFunction, hi: np.ndarray) -> JacoGraph:
+        """The graph in which each tail v sends arcs to v + 1..hi[v - 1]."""
+        j = cls.__new__(cls)
+        j._attach(f, SimpleGraph.from_reach(hi))
+        return j
+
+    def _attach(self, f: LinearFunction, underlying: SimpleGraph) -> None:
+        if underlying.order < 1:
             raise ValueError("order n must be at least 1")
+        self._underlying = underlying
         self.f = f
-        self.n = self._underlying.order
+        self.n = underlying.order
         self._in_deg: np.ndarray | None = None
         self._out_deg: np.ndarray | None = None
         self._tuples: tuple[tuple[int, int], ...] | None = None
@@ -105,7 +126,13 @@ class JacoGraph:
         return int(self._underlying.degree_array()[v - 1])
 
     def _counts(self, column: int) -> np.ndarray:
-        counts = np.bincount(self.arc_array[:, column], minlength=self.n + 1)[1:]
+        g = self._underlying
+        if g.reach is None:
+            counts = np.bincount(self.arc_array[:, column], minlength=self.n + 1)[1:]
+        else:
+            # v's in-arcs come from lo(v)..v - 1 and its out-arcs go to v + 1..hi(v).
+            v = np.arange(1, self.n + 1)
+            counts = v - g._lo() if column else g.reach - v
         counts.setflags(write=False)
         return counts
 
@@ -128,10 +155,10 @@ class JacoGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JacoGraph):
             return NotImplemented
-        return self.f == other.f and self.n == other.n and np.array_equal(self.arc_array, other.arc_array)
+        return self.f == other.f and self._underlying == other._underlying
 
     def __hash__(self) -> int:
-        return hash((self.f, self.n, self.arc_array.tobytes()))
+        return hash((self.f, self._underlying))
 
     def __repr__(self) -> str:
         return f"JacoGraph({self.f}, n={self.n}, arcs={self.arc_count})"
@@ -142,7 +169,9 @@ def build_jaco(f: LinearFunction, n: int) -> JacoGraph:
 
     Vertex i reaches up to index f(i) + i - d-(v_i), truncated at n; a reach
     below i + 1 simply contributes no arcs.  In-degree updates are tracked
-    with a difference array so the scan itself is O(n).
+    with a difference array so the scan itself is O(n).  The graph holds
+    hi(i), that reach raised to at least i, and builds its arc table only
+    when it is read.
     """
     _require_at_least(n, 1, "order n")
     delta = [0] * (n + 2)
@@ -153,25 +182,11 @@ def build_jaco(f: LinearFunction, n: int) -> JacoGraph:
         hi = f.m * i + f.c + i - running
         if hi > n:
             hi = n
-        hi_per_tail[i - 1] = hi
+        hi_per_tail[i - 1] = hi if hi > i else i
         if hi >= i + 1:
             delta[i + 1] += 1
             delta[hi + 1] -= 1
-    return JacoGraph(f, n, _arc_table(hi_per_tail))
-
-
-def _arc_table(reach: np.ndarray) -> np.ndarray:
-    """The arc table in which tail i sends arcs to i + 1..reach[i - 1].
-
-    A reach at or below its tail contributes no arcs.  Rows come out in
-    lexicographic order, as `JacoGraph` requires.
-    """
-    tails_base = np.arange(1, len(reach) + 1, dtype=np.int64)
-    counts = np.maximum(reach - tails_base, 0)
-    tails = np.repeat(tails_base, counts)
-    starts = np.cumsum(counts) - counts
-    heads = np.arange(len(tails), dtype=np.int64) - np.repeat(starts, counts) + tails + 1
-    return np.column_stack((tails, heads))
+    return JacoGraph._from_reach(f, hi_per_tail)
 
 
 def jaco_from_arcs(f: LinearFunction, n: int, arcs: Iterable[Sequence[int]]) -> JacoGraph:
@@ -249,25 +264,8 @@ def verify_fundamental_properties(j: JacoGraph) -> PropertyReport:
        exempt.
     """
     n = j.n
-    tails = j.arc_array[:, 0]
-    heads = j.arc_array[:, 1]
-    indeg = j.in_degree_array
     ordered = PropertyCheck("tails_precede_heads", True)
-
-    # The d-(q) distinct tails below head q fill [q - d-(q), q - 1] exactly
-    # when none of them lies below that interval.
-    below = tails < heads - indeg[heads - 1]
-    if below.any():
-        q = int(heads[below].min())
-        contiguous = PropertyCheck(
-            "in_neighbors_contiguous",
-            False,
-            f"in-neighbors of v_{q} do not form the interval "
-            f"[{q - int(indeg[q - 1])}, {q - 1}]",
-        )
-    else:
-        contiguous = PropertyCheck("in_neighbors_contiguous", True)
-
+    contiguous = _in_neighbors_contiguous(j)
     f_values, reach = _f_and_reach(j)
     realized = reach <= n
     total_deg = j.underlying.degree_array()
@@ -283,6 +281,31 @@ def verify_fundamental_properties(j: JacoGraph) -> PropertyReport:
         realized_check = PropertyCheck("realized_degrees_match_f", True)
 
     return PropertyReport(ordered, contiguous, realized_check)
+
+
+def _in_neighbors_contiguous(j: JacoGraph) -> PropertyCheck:
+    """Whether N-(v_q) = [q - d-(v_q), q - 1] for every head q.
+
+    Out-sets are intervals, so this holds exactly when hi is nondecreasing:
+    the tails reaching q are then the u < q with hi(u) >= q, an interval
+    ending at q - 1.  A reach-backed graph checked that on construction.
+    """
+    if j.underlying.reach is not None:
+        return PropertyCheck("in_neighbors_contiguous", True)
+    tails = j.arc_array[:, 0]
+    heads = j.arc_array[:, 1]
+    indeg = j.in_degree_array
+    # The d-(q) distinct tails below head q fill [q - d-(q), q - 1] exactly
+    # when none of them lies below that interval.
+    below = tails < heads - indeg[heads - 1]
+    if not below.any():
+        return PropertyCheck("in_neighbors_contiguous", True)
+    q = int(heads[below].min())
+    return PropertyCheck(
+        "in_neighbors_contiguous",
+        False,
+        f"in-neighbors of v_{q} do not form the interval [{q - int(indeg[q - 1])}, {q - 1}]",
+    )
 
 
 @dataclass(frozen=True)
@@ -360,11 +383,12 @@ def _audited_jaco(f: LinearFunction, n: int) -> JacoGraph:
     with contiguous in-neighbourhoods every closed neighbourhood is an index
     interval, so deleting the later vertices changes no distance among the
     earlier ones.  Out-sets are intervals by construction; in-sets are
-    checked here, and a failed check raises ValueError naming the first bad
-    head.  Every order sweep gets its graph from this one place.
+    checked here (for a built graph, by the nondecreasing hi its
+    construction checked), and a failed check raises ValueError naming the
+    first bad head.  Every order sweep gets its graph from this one place.
     """
     j = build_jaco(f, n)
-    contiguity = verify_fundamental_properties(j).in_neighbors_contiguous
+    contiguity = _in_neighbors_contiguous(j)
     if not contiguity.ok:
         raise ValueError(
             f"arc table failed the contiguity audit ({contiguity.counterexample}); "
@@ -400,7 +424,12 @@ def prefix_scan(f: LinearFunction, n_max: int) -> list[PrefixFacts]:
     in-neighborhoods are contiguous intervals (audited by `_audited_jaco`).
     """
     _require_at_least(n_max, 1, "n_max")
-    full = _audited_jaco(f, n_max + 1)
+    return _prefix_facts(_audited_jaco(f, n_max + 1))
+
+
+def _prefix_facts(full: JacoGraph) -> list[PrefixFacts]:
+    """`prefix_scan`'s facts for orders 1..full.n - 1 of an audited graph."""
+    n_max = full.n - 1
     indeg = full.in_degree_array
     # lowest in-neighbor of each head q, with s_q = q when q has no in-arcs
     s = np.arange(1, n_max + 2, dtype=np.int64) - indeg

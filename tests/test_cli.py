@@ -1,4 +1,5 @@
 """Command-line contract: formats, exit codes, file output."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from jaco_gutman import IDENTITY, build_jaco
+from jaco_gutman import cli
 from jaco_gutman.cli import entrypoint, main
 from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
@@ -240,6 +242,65 @@ class TestErratum:
         assert code == 0
         assert out.count("# recursion audit") == 1
         assert out.count("# edge-joint audit") == 1
+
+
+def _corrupt(rows, picks, change):
+    """`rows` with the rows at the indices in `picks` replaced by change(row)."""
+    return [change(row) if k in picks else row for k, row in enumerate(rows)]
+
+
+def _off_by_one_recursion(row):
+    return dataclasses.replace(row, direct=row.direct + 1)
+
+
+def _off_by_one_joint(row):
+    return dataclasses.replace(row, closed_form=row.closed_form + 1)
+
+
+class TestErratumNamesTheFirstFailure:
+    ARGV = ("erratum", "--n-max", "6", "--m-max", "4")
+
+    def _patch(self, monkeypatch, name, picks, change):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **k: _corrupt(real(*a, **k), picks, change))
+
+    def test_recursion_row(self, capsys, monkeypatch):
+        self._patch(monkeypatch, "recursion_delta_report", {1, 3}, _off_by_one_recursion)
+        self._patch(monkeypatch, "joint_delta_report", {0}, _off_by_one_joint)
+        code, _, err = run(capsys, *self.ARGV)
+        assert code == 2
+        assert err == (
+            "error: an audited value mismatched the direct oracle at recursion row n=3: "
+            "exact 19, direct 20\n"
+        )
+
+    def test_joint_point(self, capsys, monkeypatch):
+        code, clean, _ = run(capsys, *self.ARGV)
+        self._patch(monkeypatch, "joint_delta_report", {2, 4}, _off_by_one_joint)
+        self._patch(monkeypatch, "anchor_audit", {0}, _off_by_one_joint)
+        code, out, err = run(capsys, *self.ARGV)
+        assert code == 2
+        assert err == (
+            "error: an audited value mismatched the direct oracle at edge-joint point (n, m) = (3, 3): "
+            "closed form 86, direct 85\n"
+        )
+        # The report itself still prints, and shows the corrupted value.
+        assert out.splitlines()[:8] == clean.splitlines()[:8] and out != clean
+
+    def test_anchor_check(self, capsys, monkeypatch):
+        code, clean, _ = run(capsys, *self.ARGV)
+        checks = cli.anchor_audit(6, 4, per_pair=5, seed=0)
+        bad = checks[7]
+        self._patch(monkeypatch, "anchor_audit", {7}, _off_by_one_joint)
+        code, out, err = run(capsys, *self.ARGV)
+        assert code == 2
+        assert err == (
+            f"error: an audited value mismatched the direct oracle at anchor check "
+            f"(n, m, vi, uj) = ({bad.n}, {bad.m}, {bad.vi}, {bad.uj}): "
+            f"closed form {bad.closed_form + 1}, direct {bad.direct}\n"
+        )
+        total = len(checks)
+        assert out == clean.replace(f"{total}/{total} non-trivial", f"{total - 1}/{total} non-trivial")
 
 
 class TestExitCodes:

@@ -79,6 +79,22 @@ def test_random_interval_graphs(ohe):
     check_graph(adj, order, edges)
 
 
+# The jump fill mirrors its upper triangle in blocks of rows; small blocks put
+# block edges inside these orders, and order 300 crosses the default block.
+@pytest.mark.parametrize("rows", [1, 3, 7, None])
+@pytest.mark.parametrize("m, c, n", [(1, 0, 40), (2, 1, 33), (0, 3, 29), (0, 0, 9), (1, 0, 300), (0, 2, 300)])
+def test_mirror_blocks(rows, m, c, n, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(graph_core, "_MIRROR_ROWS", rows)
+    arcs = slow_jaco_arcs(m, c, n)
+    adj = dense_adjacency(from_edges(n, arcs))
+    assert _interval_reach(adj) is not None
+    dist = layered_distance_matrix(adj)
+    assert (dist == dense_bfs(adj)).all()
+    if n <= 40:
+        assert (dist == oracle_matrix(n, arcs)).all()
+
+
 @given(any_graphs())
 @settings(max_examples=150, deadline=None)
 def test_random_graphs(ge):

@@ -1,0 +1,140 @@
+"""Reach-backed graphs: `build_jaco` holds hi and builds its arc table on demand."""
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from jaco_gutman import (
+    IDENTITY,
+    DisconnectedGraphError,
+    JacoGraph,
+    LinearFunction,
+    SimpleGraph,
+    all_pairs_distances,
+    build_jaco,
+    gutman_index,
+    jaco_from_arcs,
+    wiener_index,
+)
+from jaco_gutman import graph_core
+from jaco_gutman.graph_core import dense_adjacency
+
+from bruteforce import slow_jaco_arcs
+
+
+def _index_or_disconnected(index, g):
+    try:
+        return index(g)
+    except DisconnectedGraphError:
+        return "disconnected"
+
+
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 60))
+@example(0, 0, 7)  # no arcs at all
+@example(0, 3, 60)  # cliques on c + 1 vertices
+@example(1, 0, 1)
+@settings(max_examples=150, deadline=None)
+def test_reach_backed_graph_matches_its_table(m, c, n):
+    f = LinearFunction(m, c)
+    built = build_jaco(f, n)
+    table = jaco_from_arcs(f, n, slow_jaco_arcs(m, c, n))
+    g, h = built.underlying, table.underlying
+    assert g.reach is not None and h.reach is None
+    assert g.order == h.order and g.size == h.size == built.arc_count == table.arc_count
+    assert np.array_equal(g.degree_array(), h.degree_array())
+    assert np.array_equal(built.in_degree_array, table.in_degree_array)
+    assert np.array_equal(built.out_degree_array, table.out_degree_array)
+    adj = dense_adjacency(g)
+    assert adj.dtype == bool and np.array_equal(adj, dense_adjacency(h))
+    assert np.array_equal(all_pairs_distances(g), all_pairs_distances(h))
+    for index in (gutman_index, wiener_index):
+        assert _index_or_disconnected(index, g) == _index_or_disconnected(index, h)
+    assert g._edges is None  # nothing above read the table
+    assert np.array_equal(built.arc_array, table.arc_array)
+    assert built.arc_array.dtype == np.int64 and not built.arc_array.flags.writeable
+    assert built.arc_array is g.edge_array
+    assert built == table and hash(built) == hash(table) and g == h
+
+
+def test_table_semantics_kept_for_explicit_arcs():
+    arcs = np.array([(1, 2), (2, 3)], dtype=np.int64)
+    j = jaco_from_arcs(IDENTITY, 3, arcs)
+    assert j.underlying.reach is None
+    assert jaco_from_arcs(IDENTITY, 3, [(1, 2), (2, 3)]) == build_jaco(IDENTITY, 3)
+    assert JacoGraph(IDENTITY, 3, arcs).arc_array is arcs
+
+
+@pytest.mark.parametrize(
+    "hi, message",
+    [
+        ([2, 3, 3], "one-dimensional int64 array"),
+        (np.array([2, 3, 3], dtype=np.int32), "one-dimensional int64 array"),
+        (np.array([2.0, 3.0, 3.0]), "one-dimensional int64 array"),
+        (np.array([[2, 3, 3]], dtype=np.int64), "one-dimensional int64 array"),
+        (np.array([2, 1, 3], dtype=np.int64), r"^reach of vertex 2 is 1, outside 2\.\.3$"),
+        (np.array([0, 2, 3], dtype=np.int64), r"^reach of vertex 1 is 0, outside 1\.\.3$"),
+        (np.array([2, 4, 3], dtype=np.int64), r"^reach of vertex 2 is 4, outside 2\.\.3$"),
+        (np.array([3, 2, 3], dtype=np.int64), r"^reach of vertex 2 is 2, below 3, the reach of vertex 1$"),
+        (np.array([2, 4, 3, 4], dtype=np.int64), r"^reach of vertex 3 is 3, below 4, the reach of vertex 2$"),
+    ],
+    ids=["list", "int32", "float", "2-D", "below its vertex", "zero", "past the order", "drops", "drops later"],
+)
+def test_reach_check_rejects_each_bad_array(hi, message):
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph.from_reach(hi)
+
+
+def test_reach_is_frozen_and_owned():
+    hi = np.array([2, 3, 3], dtype=np.int64)
+    g = SimpleGraph.from_reach(hi)
+    assert g.reach is hi and not hi.flags.writeable
+    assert SimpleGraph.from_reach(np.zeros(0, dtype=np.int64)).order == 0
+
+
+def test_lazy_table_passes_the_table_check(monkeypatch):
+    # A table builder that broke the invariant would be caught on first access.
+    monkeypatch.setattr(graph_core, "_arc_table", lambda hi: np.array([[2, 1]], dtype=np.int64))
+    g = build_jaco(IDENTITY, 3).underlying
+    with pytest.raises(ValueError, match=r"\(2, 1\) breaks 1 <= a < b <= 3"):
+        g.edge_array
+
+
+def _no_table(hi):
+    raise AssertionError("arc table materialized")
+
+
+def test_indices_leave_the_arc_table_unbuilt(monkeypatch):
+    monkeypatch.setattr(graph_core, "_arc_table", _no_table)
+    j = build_jaco(IDENTITY, 3000)
+    assert gutman_index(j.underlying) == 9890470052328
+    for m, c in ((1, 0), (2, 1), (3, 4), (0, 0)):
+        j = build_jaco(LinearFunction(m, c), 200)
+        _index_or_disconnected(gutman_index, j.underlying)
+        _index_or_disconnected(wiener_index, j.underlying)
+        j.arc_count, j.in_degree_array, j.out_degree_array, j.underlying.degree_array()
+        assert j.underlying._edges is None
+
+
+_RSS_PROBE = """
+import os, subprocess, sys
+for n in sys.argv[1:]:
+    child = subprocess.Popen([sys.executable, "-m", "jaco_gutman", "gutman", "--n", n], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def test_gutman_3000_peak_memory():
+    # A child's max RSS includes the peak of the process that spawned it, so
+    # both children come from a small probe process rather than from pytest.
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, "2", "3000"], capture_output=True, text=True, check=True
+    )
+    (code_small, rss_small), (code_large, rss_large) = (map(int, line.split()) for line in proc.stdout.splitlines())
+    assert code_small == code_large == 0
+    grown_mb = (rss_large - rss_small) / 1024  # ru_maxrss is in KiB on Linux
+    assert grown_mb < 100, f"gutman --n 3000 peaked {grown_mb:.0f} MB above gutman --n 2"

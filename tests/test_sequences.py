@@ -14,8 +14,11 @@ from jaco_gutman import (
     jaco_from_arcs,
     jaconian_info,
     sequence_table,
+    sequence_tables,
 )
 from jaco_gutman import graph_core, jaco
+from jaco_gutman.cli import main
+from jaco_gutman.serialize import sequence_to_csv
 
 from bruteforce import adjacency_from_edges, bfs_distances, brute_gutman, slow_jaco_arcs
 
@@ -141,3 +144,36 @@ def test_one_kernel_call_per_table(name, monkeypatch):
     monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
     assert len(sequence_table(name, LinearFunction(2, 1), 30).rows) == 30
     assert calls == [30]
+
+
+def test_every_table_from_one_build_and_one_kernel_call(monkeypatch, capsys):
+    builds, kernel_orders = [], []
+    real_build, real_kernel = jaco.build_jaco, graph_core.layered_distance_matrix
+
+    def counting_build(f, n):
+        builds.append(n)
+        return real_build(f, n)
+
+    def counting_kernel(adj):
+        kernel_orders.append(adj.shape[0])
+        return real_kernel(adj)
+
+    monkeypatch.setattr(jaco, "build_jaco", counting_build)
+    monkeypatch.setattr(graph_core, "layered_distance_matrix", counting_kernel)
+    assert main(["sequences", "--n-max", "50"]) == 0
+    out = capsys.readouterr().out
+    # J_51 serves the counts of orders 1..50 and, as leading blocks, their distances.
+    assert builds == [51] and kernel_orders == [51]
+    expected = "\n".join(f"# {name}\n{sequence_to_csv(sequence_table(name, IDENTITY, 50))}" for name in SEQUENCE_NAMES)
+    assert out == expected
+
+
+def test_tables_come_in_the_order_named_and_the_first_failure_raises():
+    f = LinearFunction(2, 1)
+    tables = sequence_tables(["v1_vn_distance", "edges", "gutman", "edges"], f, 20)
+    assert [t.name for t in tables] == ["v1_vn_distance", "edges", "gutman", "edges"]
+    assert tables[0] == sequence_table("v1_vn_distance", f, 20) and tables[1] == tables[3]
+    with pytest.raises(DisconnectedGraphError, match="^the distance sequence at order 4 "):
+        sequence_tables(["edges", "v1_vn_distance", "gutman"], LinearFunction(0, 2), 7)
+    with pytest.raises(ValueError, match="unknown sequence 'girth'"):
+        sequence_tables(["edges", "girth"], f, 5)
