@@ -148,14 +148,7 @@ def _cmd_recursion_check(args: argparse.Namespace) -> int:
     else:
         text = serialize.recursion_report_json(rows)
     _emit(text, args.out)
-    bad = [row.n for row in rows if not row.exact_matches_direct]
-    if bad:
-        print(
-            f"error: exact decomposition mismatched the direct value at n={bad[0]}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _audit_exit(_first_audit_failure(rows, [], []))
 
 
 def _cmd_joint(args: argparse.Namespace) -> int:
@@ -217,11 +210,7 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
         f"passed (seed={args.seed})\n"
     )
     _emit(text, args.out)
-    failure = _first_audit_failure(recursion_rows, joint_rows, anchors)
-    if failure is not None:
-        print(f"error: an audited value mismatched the direct oracle at {failure}", file=sys.stderr)
-        return 2
-    return 0
+    return _audit_exit(_first_audit_failure(recursion_rows, joint_rows, anchors))
 
 
 def _first_audit_failure(
@@ -241,6 +230,14 @@ def _first_audit_failure(
                 f"closed form {check.closed_form}, direct {check.direct}"
             )
     return None
+
+
+def _audit_exit(failure: str | None) -> int:
+    """Exit code of an audit: 0, or 2 after naming its first failure on stderr."""
+    if failure is None:
+        return 0
+    print(f"error: an audited value mismatched the direct oracle at {failure}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:

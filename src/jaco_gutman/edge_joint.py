@@ -109,23 +109,21 @@ def _require_jaco_pair(jn: JacoGraph, jm: JacoGraph) -> None:
 
 
 def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
-    """Published right-hand side for the trivial joint, exactly as printed."""
+    """Published right-hand side for the trivial joint: the printed sums, grouped by factor.
+
+    With S = sum over k >= 2 of d(v_k) and T = sum over k >= 2 of
+    d(v_k) * d(v_1, v_k), for G = J_n and H = J_m, the printed value is
+
+        Gut(G) + Gut(H) + T_G + T_H + (d_G(v_1) + 1) * (T_H + S_H)
+        + T_G * S_H + S_G * T_H + S_G * S_H + 4.
+    """
     _require_jaco_pair(jn, jm)
     what = "the published joint formula"
     dg, DG, gut_g = _index_parts(jn.underlying, what)
     dh, DH, gut_h = _index_parts(jm.underlying, what)
-    dg, dh, DG, DH = dg.tolist(), dh.tolist(), DG.tolist(), DH.tolist()
-    n, m = jn.n, jm.n
-    total = gut_g + gut_h
-    total += sum(dg[k] * DG[0][k] for k in range(1, n))
-    total += sum(dh[s] * DH[0][s] for s in range(1, m))
-    total += sum((dg[0] + 1) * dh[t] * (DH[0][t] + 1) for t in range(1, m))
-    total += sum(
-        dg[k] * dh[t] * (DG[0][k] + DH[0][t] + 1)
-        for k in range(1, n)
-        for t in range(1, m)
-    )
-    return total + 4
+    s_g, t_g = int(dg[1:].sum()), int(dg[1:] @ DG[0, 1:])
+    s_h, t_h = int(dh[1:].sum()), int(dh[1:] @ DH[0, 1:])
+    return gut_g + gut_h + t_g + t_h + (int(dg[0]) + 1) * (t_h + s_h) + t_g * s_h + s_g * t_h + s_g * s_h + 4
 
 
 def missing_anchor_block(jn: JacoGraph, jm: JacoGraph) -> int:

@@ -222,15 +222,30 @@ class SimpleGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         return list(zip(*self.edge_array.T.tolist()))
 
-    def degree_array(self) -> np.ndarray:
+    def _degree_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(below, above, degree) per vertex, computed once and kept read-only.
+
+        below(v) counts the neighbours u < v and above(v) those u > v:
+        v - lo(v) and hi(v) - v from reach, else a bincount of each table
+        column.
+        """
         if self._degrees is None:
             if self._hi is not None:
-                deg = self._hi - self._lo()
+                v = np.arange(1, self.order + 1)
+                below, above = v - self._lo(), self._hi - v
             else:
-                deg = np.bincount(self._edges.ravel(), minlength=self.order + 1)[1:]
-            deg.setflags(write=False)
-            self._degrees = deg
+                below, above = (np.bincount(self._edges[:, k], minlength=self.order + 1)[1:] for k in (1, 0))
+            self._degrees = (below, above, below + above)
+            for counts in self._degrees:
+                counts.setflags(write=False)
         return self._degrees
+
+    def degree_array(self) -> np.ndarray:
+        return self._degree_parts()[2]
+
+    def split_degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex counts of the neighbours below and above each vertex."""
+        return self._degree_parts()[:2]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
@@ -397,11 +412,25 @@ def all_pairs_distances(g: SimpleGraph) -> np.ndarray:
     return g._dist
 
 
+def _component_sizes(g: SimpleGraph) -> np.ndarray:
+    """Orders of the connected components of `g` (order at least 1), by lowest vertex.
+
+    A reach-backed graph reads them in O(n) from the fixed points
+    hi(v) = v: hi never decreases, so each component is an index interval
+    ending at one.  Any other graph labels each vertex by the lowest vertex
+    it reaches, from its memoized distance matrix.
+    """
+    if g.reach is not None:
+        ends = np.flatnonzero(g.reach == np.arange(1, g.order + 1)) + 1
+        return np.diff(ends, prepend=0)
+    return np.unique((all_pairs_distances(g) >= 0).argmax(axis=1), return_counts=True)[1]
+
+
 def is_connected(g: SimpleGraph) -> bool:
     """True iff vertex 1 reaches every vertex."""
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    return bool((all_pairs_distances(g)[0] >= 0).all())
+    return len(_component_sizes(g)) == 1
 
 
 def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:

@@ -12,9 +12,9 @@ increments) and yields hi(v), the top of v's closed neighbourhood, for every
 vertex.  Out-neighborhoods are contiguous index intervals by construction, and
 for these f the in-neighborhoods are contiguous as well, which is the same as
 a nondecreasing hi.  So a built graph holds only hi: its underlying graph is
-reach-backed (`SimpleGraph.from_reach`), sizes and degrees come from hi in
-O(n), and the arc table, O(arc count), is materialized only when something
-reads it (the exporters, the validators, `component_structure`).
+reach-backed (`SimpleGraph.from_reach`), sizes, degrees and components come
+from hi in O(n), and the arc table, O(arc count), is materialized only when
+something reads it (the exporters, the validators, `hope_graph`).
 `prefix_scan` relies on the same structure to analyze every prefix order in
 one pass.
 """
@@ -29,6 +29,7 @@ from .graph_core import (
     SimpleGraph,
     _arc_table,
     _canonical_edge_array,
+    _component_sizes,
     _is_int,
     _require_at_least,
     _require_vertex,
@@ -72,11 +73,12 @@ class JacoGraph:
     owned by the graph.  `build_jaco` instead gives the graph a reach-backed
     underlying graph, whose table is built from hi on first access to
     `arc_array`; every arc of a Jaco graph runs from the lower index, so each
-    tail v sends arcs to v + 1..hi(v).  In- and out-degree arrays are
-    computed on first use, from hi when the graph has it.
+    tail v sends arcs to v + 1..hi(v).  For the same reason the in- and
+    out-degrees of v are the underlying graph's counts of neighbours below
+    and above v (`SimpleGraph.split_degree_arrays`).
     """
 
-    __slots__ = ("f", "n", "_underlying", "_in_deg", "_out_deg", "_tuples")
+    __slots__ = ("f", "n", "_underlying", "_tuples")
 
     def __init__(self, f: LinearFunction, n: int, arc_array: np.ndarray):
         # SimpleGraph first: it rejects an n that is not an integer.
@@ -95,8 +97,6 @@ class JacoGraph:
         self._underlying = underlying
         self.f = f
         self.n = underlying.order
-        self._in_deg: np.ndarray | None = None
-        self._out_deg: np.ndarray | None = None
         self._tuples: tuple[tuple[int, int], ...] | None = None
 
     @property
@@ -125,28 +125,13 @@ class JacoGraph:
         _require_vertex(v, self.n)
         return int(self._underlying.degree_array()[v - 1])
 
-    def _counts(self, column: int) -> np.ndarray:
-        g = self._underlying
-        if g.reach is None:
-            counts = np.bincount(self.arc_array[:, column], minlength=self.n + 1)[1:]
-        else:
-            # v's in-arcs come from lo(v)..v - 1 and its out-arcs go to v + 1..hi(v).
-            v = np.arange(1, self.n + 1)
-            counts = v - g._lo() if column else g.reach - v
-        counts.setflags(write=False)
-        return counts
-
     @property
     def in_degree_array(self) -> np.ndarray:
-        if self._in_deg is None:
-            self._in_deg = self._counts(1)
-        return self._in_deg
+        return self._underlying.split_degree_arrays()[0]
 
     @property
     def out_degree_array(self) -> np.ndarray:
-        if self._out_deg is None:
-            self._out_deg = self._counts(0)
-        return self._out_deg
+        return self._underlying.split_degree_arrays()[1]
 
     @property
     def underlying(self) -> SimpleGraph:
@@ -349,31 +334,10 @@ def component_structure(j: JacoGraph) -> list[int]:
 
     For m = 0 and c > 0 the construction splits into floor(n / (c+1)) copies
     of the complete graph on c + 1 vertices plus one smaller remainder clique;
-    for m = 0 = c there are no arcs at all.
+    for m = 0 = c there are no arcs at all.  A built graph reads them from
+    hi in O(n), without its arc table.
     """
-    n = j.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for a, b in j.arc_array.tolist():
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * (n + 1)
-    sizes = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        size = 0
-        while stack:
-            v = stack.pop()
-            size += 1
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        sizes.append(size)
-    sizes.sort(reverse=True)
-    return sizes
+    return sorted(_component_sizes(j.underlying).tolist(), reverse=True)
 
 
 def _audited_jaco(f: LinearFunction, n: int) -> JacoGraph:

@@ -30,6 +30,28 @@ def bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
     return dist
 
 
+def component_orders(order: int, edges) -> list[int]:
+    """Orders of the connected components, descending."""
+    adj = adjacency_from_edges(order, edges)
+    seen: set[int] = set()
+    orders = []
+    for v in range(1, order + 1):
+        if v not in seen:
+            reached = bfs_distances(adj, v)
+            seen.update(reached)
+            orders.append(len(reached))
+    return sorted(orders, reverse=True)
+
+
+def split_degree_counts(order: int, edges) -> tuple[list[int], list[int]]:
+    """Per-vertex counts of the neighbours below and above, edge by edge."""
+    below, above = [0] * order, [0] * order
+    for a, b in edges:
+        above[min(a, b) - 1] += 1
+        below[max(a, b) - 1] += 1
+    return below, above
+
+
 def brute_gutman(order: int, edges) -> int:
     adj = adjacency_from_edges(order, edges)
     deg = {v: len(adj[v]) for v in adj}

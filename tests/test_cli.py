@@ -131,6 +131,25 @@ class TestRecursionCheck:
         assert rows[0]["term_deltas"]["constants"] == -1
         assert rows[1]["direct"] == 19
 
+    def test_names_the_first_mismatch(self, capsys, monkeypatch):
+        real = cli.recursion_delta_report
+        monkeypatch.setattr(
+            cli, "recursion_delta_report", lambda *a, **k: _corrupt(real(*a, **k), {1, 2}, _off_by_one_recursion)
+        )
+        code, out, err = run(capsys, "recursion-check", "--n-max", "4")
+        assert code == 2
+        assert err == (
+            "error: an audited value mismatched the direct oracle at recursion row n=3: "
+            "exact 19, direct 20\n"
+        )
+        # The report itself still prints, and shows the corrupted values.
+        assert out == (
+            "n,i,paper_rhs,exact_rhs,direct,delta_paper\n"
+            "2,1,5,6,6,-1\n"
+            "3,2,17,19,20,-3\n"
+            "4,2,58,58,59,-1\n"
+        )
+
     def test_low_bound_is_usage_error(self, capsys):
         code, _, err = run(capsys, "recursion-check", "--n-max", "1")
         assert code == 1 and "usage error" in err

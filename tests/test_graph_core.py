@@ -32,14 +32,16 @@ from jaco_gutman import (
     wiener_index,
 )
 from jaco_gutman import graph_core
-from jaco_gutman.graph_core import _pair_sum
+from jaco_gutman.graph_core import _component_sizes, _pair_sum
 
 from bruteforce import (
     adjacency_from_edges,
     bfs_distances,
     brute_gutman,
     brute_wiener,
+    component_orders,
     random_connected_graph,
+    split_degree_counts,
 )
 
 
@@ -462,3 +464,5 @@ def test_source_rows_and_connectivity_match_oracle(ge):
         reach = bfs_distances(oracle, s + 1)
         assert row == [reach.get(v, -1) for v in range(1, order + 1)]
     assert is_connected(g) == (len(bfs_distances(oracle, 1)) == order)
+    assert sorted(_component_sizes(g).tolist(), reverse=True) == component_orders(order, edges)
+    assert tuple(a.tolist() for a in g.split_degree_arrays()) == split_degree_counts(order, edges)

@@ -1,6 +1,8 @@
 """Reach-backed graphs: `build_jaco` holds hi and builds its arc table on demand."""
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +17,17 @@ from jaco_gutman import (
     SimpleGraph,
     all_pairs_distances,
     build_jaco,
+    component_structure,
     gutman_index,
+    is_connected,
     jaco_from_arcs,
     wiener_index,
 )
+import jaco_gutman
 from jaco_gutman import graph_core
 from jaco_gutman.graph_core import dense_adjacency
 
-from bruteforce import slow_jaco_arcs
+from bruteforce import component_orders, slow_jaco_arcs, split_degree_counts
 
 
 def _index_or_disconnected(index, g):
@@ -35,18 +40,24 @@ def _index_or_disconnected(index, g):
 @given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 60))
 @example(0, 0, 7)  # no arcs at all
 @example(0, 3, 60)  # cliques on c + 1 vertices
+@example(0, 4, 60)  # ... and a smaller remainder clique
 @example(1, 0, 1)
 @settings(max_examples=150, deadline=None)
 def test_reach_backed_graph_matches_its_table(m, c, n):
     f = LinearFunction(m, c)
+    arcs = slow_jaco_arcs(m, c, n)
     built = build_jaco(f, n)
-    table = jaco_from_arcs(f, n, slow_jaco_arcs(m, c, n))
+    table = jaco_from_arcs(f, n, arcs)
     g, h = built.underlying, table.underlying
+    components, counts = component_orders(n, arcs), split_degree_counts(n, arcs)
+    for j in (built, table):
+        assert component_structure(j) == components
+        assert is_connected(j.underlying) == (components == [n])
+        assert tuple(a.tolist() for a in j.underlying.split_degree_arrays()) == counts
+        assert (j.in_degree_array.tolist(), j.out_degree_array.tolist()) == counts
     assert g.reach is not None and h.reach is None
     assert g.order == h.order and g.size == h.size == built.arc_count == table.arc_count
     assert np.array_equal(g.degree_array(), h.degree_array())
-    assert np.array_equal(built.in_degree_array, table.in_degree_array)
-    assert np.array_equal(built.out_degree_array, table.out_degree_array)
     adj = dense_adjacency(g)
     assert adj.dtype == bool and np.array_equal(adj, dense_adjacency(h))
     assert np.array_equal(all_pairs_distances(g), all_pairs_distances(h))
@@ -116,6 +127,35 @@ def test_indices_leave_the_arc_table_unbuilt(monkeypatch):
         _index_or_disconnected(wiener_index, j.underlying)
         j.arc_count, j.in_degree_array, j.out_degree_array, j.underlying.degree_array()
         assert j.underlying._edges is None
+
+
+def _no_kernel(adj):
+    raise AssertionError("distance kernel called")
+
+
+def test_connectivity_leaves_the_arc_table_and_the_kernel_alone(monkeypatch):
+    monkeypatch.setattr(graph_core, "_arc_table", _no_table)
+    monkeypatch.setattr(graph_core, "layered_distance_matrix", _no_kernel)
+    assert component_structure(build_jaco(IDENTITY, 3000)) == [3000]
+    cliques = build_jaco(LinearFunction(0, 2), 20000)
+    assert not is_connected(cliques.underlying)
+    assert component_structure(cliques) == [3] * 6666 + [2]
+
+
+def test_no_module_reads_a_private_simple_graph_member():
+    # Only graph_core may look inside a SimpleGraph, so the choice between a
+    # reach-backed and a table-backed graph stays there.
+    private = {name for name in vars(SimpleGraph) if name.startswith("_") and not name.endswith("__")}
+    assert {"_edges", "_hi", "_lo"} <= private
+    package = Path(jaco_gutman.__file__).parent
+    leaks = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "graph_core.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert not leaks, leaks
 
 
 _RSS_PROBE = """
