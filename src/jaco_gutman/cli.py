@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from . import serialize
 from .edge_joint import AnchorCheck, JointDelta, anchor_audit, joint_check, joint_delta_report
@@ -108,11 +109,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Characters per write.  A text stream encodes what it is given in one go, so
+# writing a large export whole would hold a second, encoded copy of it.
+_WRITE_CHARS = 1 << 18
+
+
+def _write_slices(stream: TextIO, text: str) -> None:
+    for start in range(0, len(text), _WRITE_CHARS):
+        stream.write(text[start : start + _WRITE_CHARS])
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
-        out.write_text(text)
+        with out.open("w") as handle:
+            _write_slices(handle, text)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

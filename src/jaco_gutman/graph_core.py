@@ -417,13 +417,31 @@ def _component_sizes(g: SimpleGraph) -> np.ndarray:
 
     A reach-backed graph reads them in O(n) from the fixed points
     hi(v) = v: hi never decreases, so each component is an index interval
-    ending at one.  Any other graph labels each vertex by the lowest vertex
-    it reaches, from its memoized distance matrix.
+    ending at one.  Any other graph labels each vertex with the lowest vertex
+    of its component, from its edge table and without any distance.  The
+    labels are parent pointers that only ever decrease.  In each round every
+    edge whose endpoints carry two labels hooks the larger label under the
+    smaller one, and pointer jumping then points every vertex at its root
+    again.  A round is O(n + m) plus the jumps, and rounds repeat until no
+    edge joins two labels.
     """
     if g.reach is not None:
         ends = np.flatnonzero(g.reach == np.arange(1, g.order + 1)) + 1
         return np.diff(ends, prepend=0)
-    return np.unique((all_pairs_distances(g) >= 0).argmax(axis=1), return_counts=True)[1]
+    labels = np.arange(g.order)
+    a, b = g.edge_array.T - 1
+    while True:
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
+            counts = np.bincount(labels, minlength=g.order)
+            return counts[counts > 0]
+        np.minimum.at(labels, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -492,12 +510,17 @@ def induced_subgraph(
     """Subgraph induced on `vertices`, relabeled 1..k preserving index order.
 
     Returns (subgraph, mapping) where mapping[new - 1] is the original index
-    of new vertex `new`.
+    of new vertex `new`.  A contiguous range [s, e] of a reach-backed graph
+    gives a reach-backed subgraph, without reading the edge table: each
+    vertex keeps its neighbours up to min(hi(v), e).
     """
     vertices = list(vertices)
     for v in vertices:
         _require_vertex(v, g.order)
     mapping = tuple(sorted(set(int(v) for v in vertices)))
+    if g.reach is not None and (not mapping or mapping[-1] - mapping[0] + 1 == len(mapping)):
+        s, e = (mapping[0], mapping[-1]) if mapping else (1, 0)
+        return SimpleGraph.from_reach(np.minimum(g.reach[s - 1 : e], e) - (s - 1)), mapping
     lookup = np.zeros(g.order + 1, dtype=np.int64)
     lookup[list(mapping)] = np.arange(1, len(mapping) + 1)
     e = g.edge_array

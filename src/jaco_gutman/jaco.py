@@ -13,8 +13,9 @@ vertex.  Out-neighborhoods are contiguous index intervals by construction, and
 for these f the in-neighborhoods are contiguous as well, which is the same as
 a nondecreasing hi.  So a built graph holds only hi: its underlying graph is
 reach-backed (`SimpleGraph.from_reach`), sizes, degrees and components come
-from hi in O(n), and the arc table, O(arc count), is materialized only when
-something reads it (the exporters, the validators, `hope_graph`).
+from hi in O(n), and so do its exports and its Hope graph.  The arc table,
+O(arc count), is materialized only when something reads it (the validators,
+`arc_array`, `arcs`).
 `prefix_scan` relies on the same structure to analyze every prefix order in
 one pass.
 """

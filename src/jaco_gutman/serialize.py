@@ -7,11 +7,17 @@ rendering (no floats anywhere).  The JSON graph schema is
 
 with 1-based indices and the arc list sorted lexicographically, and it
 round-trips: parsing a serialized graph reproduces the identical arc set.
+
+The graph exporters return one string each, assembled by a single
+`str.join` over per-run pieces (`_arc_runs`).  A built graph's arcs come
+from its reach, so exporting it never builds its arc table.
 """
 from __future__ import annotations
 
 import json
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .edge_joint import JointDelta
 from .graph_core import _is_int
@@ -24,31 +30,43 @@ JOINT_HEADER = "n,m,paper_rhs,closed_form,direct,delta_paper,missing_block,resid
 
 
 def _arc_runs(j: JacoGraph, pre: str, mid: str, post: str, sep: str) -> list[str]:
-    """The arc table as text, one string per run of consecutive arcs sharing a tail.
+    """The arcs as text pieces whose concatenation renders them all in stored order.
 
-    Arc (a, b) renders as pre + a + mid + b + post and arcs are separated by
-    sep, so `sep.join` of the result renders the whole table in stored order.
-    Each run is one `str.join` over its heads' names: the arcs are never
-    visited one numpy row at a time.
+    Arc (a, b) renders as pre + a + mid + b + post, and consecutive arcs are
+    separated by sep.  Each run of arcs sharing a tail is one `str.join` over
+    its heads' names, between its lead (pre + tail + mid) and the link to the
+    next run.  A reach-backed graph (every built graph) takes each tail's
+    heads as the slice v + 1..hi(v) of the names and never builds its arc
+    table; any other graph reads each run's heads from its table with one
+    `tolist()`, so no arc is visited one numpy row at a time.
     """
-    tails = j.arc_array[:, 0]
-    heads = j.arc_array[:, 1]
-    if not len(tails):
-        return []
     names = [str(v) for v in range(j.n + 1)]
-    bounds = ((tails[1:] != tails[:-1]).nonzero()[0] + 1).tolist()
-    starts = [0, *bounds]
-    ends = [*bounds, len(tails)]
-    texts = []
-    for start, end, tail in zip(starts, ends, tails[starts].tolist()):
+    hi = j.underlying.reach
+    if hi is not None:
+        runs = ((v, names[v + 1 : h + 1]) for v, h in enumerate(hi.tolist(), 1) if h > v)
+    else:
+        tails = j.arc_array[:, 0]
+        heads = j.arc_array[:, 1]
+        # Every tail is at least 1, so the first row starts a run too.
+        starts = np.flatnonzero(np.diff(tails, prepend=0)).tolist()
+        ends = [*starts[1:], len(tails)]
+        runs = (
+            (tail, [names[h] for h in heads[start:end].tolist()])
+            for start, end, tail in zip(starts, ends, tails[starts].tolist())
+        )
+    link = post + sep
+    pieces = []
+    for tail, head_names in runs:
         lead = pre + names[tail] + mid
-        texts.append(lead + (post + sep + lead).join([names[h] for h in heads[start:end].tolist()]) + post)
-    return texts
+        pieces += (lead, (link + lead).join(head_names), link)
+    if pieces:
+        pieces[-1] = post
+    return pieces
 
 
 def jaco_to_json(j: JacoGraph) -> str:
-    arcs = ",".join(_arc_runs(j, "[", ",", "]", ","))
-    return f'{{"m":{j.f.m},"c":{j.f.c},"n":{j.n},"arcs":[{arcs}]}}\n'
+    head = f'{{"m":{j.f.m},"c":{j.f.c},"n":{j.n},"arcs":['
+    return "".join([head, *_arc_runs(j, "[", ",", "]", ","), "]}\n"])
 
 
 def jaco_from_json(text: str) -> JacoGraph:
@@ -73,17 +91,13 @@ def jaco_from_json(text: str) -> JacoGraph:
 
 
 def jaco_to_csv(j: JacoGraph) -> str:
-    lines = ["tail,head", *_arc_runs(j, "", ",", "", "\n")]
-    return "\n".join(lines) + "\n"
+    return "".join(["tail,head\n", *_arc_runs(j, "", ",", "\n", "")])
 
 
 def jaco_to_dot(j: JacoGraph, directed: bool = False) -> str:
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
-    lines = [f"{kind} J{j.n} {{"]
-    lines.extend(f"  v{v};" for v in range(1, j.n + 1))
-    lines.extend(_arc_runs(j, "  v", f" {joiner} v", ";", "\n"))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    vertices = [f"  v{v};\n" for v in range(1, j.n + 1)]
+    return "".join([f"{kind} J{j.n} {{\n", *vertices, *_arc_runs(j, "  v", f" {joiner} v", ";\n", ""), "}\n"])
 
 
 def sequence_to_csv(table: SequenceTable) -> str:

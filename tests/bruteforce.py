@@ -30,8 +30,8 @@ def bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
     return dist
 
 
-def component_orders(order: int, edges) -> list[int]:
-    """Orders of the connected components, descending."""
+def component_orders_by_lowest_vertex(order: int, edges) -> list[int]:
+    """Orders of the connected components, in the order of their lowest vertices."""
     adj = adjacency_from_edges(order, edges)
     seen: set[int] = set()
     orders = []
@@ -40,7 +40,12 @@ def component_orders(order: int, edges) -> list[int]:
             reached = bfs_distances(adj, v)
             seen.update(reached)
             orders.append(len(reached))
-    return sorted(orders, reverse=True)
+    return orders
+
+
+def component_orders(order: int, edges) -> list[int]:
+    """Orders of the connected components, descending."""
+    return sorted(component_orders_by_lowest_vertex(order, edges), reverse=True)
 
 
 def split_degree_counts(order: int, edges) -> tuple[list[int], list[int]]:

@@ -52,6 +52,25 @@ class TestBuild:
         assert code == 0 and out == ""
         assert target.read_text() == J5_JSON
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+    def test_out_file_matches_stdout_across_write_slices(self, capsys, monkeypatch, tmp_path, fmt):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        argv = ["build", "--m", "2", "--c", "1", "--n", "600", "--format", fmt]
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == 0
+        monkeypatch.undo()
+        printed = "".join(writes)
+        assert len(writes) > 3 and max(map(len, writes)) == cli._WRITE_CHARS
+        target = tmp_path / f"graph.{fmt}"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == printed.encode()
+
     def test_round_trip(self):
         j = build_jaco(IDENTITY, 9)
         assert jaco_from_json(jaco_to_json(j)) == j
@@ -340,6 +359,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "build", "--n", "3", "--out", str(target))
         assert code == 1 and out == ""
         assert err.startswith("usage error: ") and str(target) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+    def test_out_that_is_a_directory_is_usage_error(self, capsys, tmp_path, fmt):
+        code, out, err = run(capsys, "build", "--n", "3", "--format", fmt, "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and str(tmp_path) in err and err.count("\n") == 1
 
     def test_out_directory_that_is_a_file_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "README.md"

@@ -40,6 +40,7 @@ from bruteforce import (
     brute_gutman,
     brute_wiener,
     component_orders,
+    component_orders_by_lowest_vertex,
     random_connected_graph,
     split_degree_counts,
 )
@@ -466,3 +467,31 @@ def test_source_rows_and_connectivity_match_oracle(ge):
     assert is_connected(g) == (len(bfs_distances(oracle, 1)) == order)
     assert sorted(_component_sizes(g).tolist(), reverse=True) == component_orders(order, edges)
     assert tuple(a.tolist() for a in g.split_degree_arrays()) == split_degree_counts(order, edges)
+
+
+def _no_kernel(adj):
+    raise AssertionError("distance kernel called")
+
+
+def test_table_components_come_from_the_edges_alone(monkeypatch):
+    monkeypatch.setattr(graph_core, "layered_distance_matrix", _no_kernel)
+    rng = random.Random(4096)
+    for _ in range(300):
+        order = rng.randint(1, 60)
+        pairs = [(rng.randint(1, order), rng.randint(1, order)) for _ in range(rng.randint(0, 2 * order))]
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+        g = from_edges(order, edges)
+        sizes = _component_sizes(g).tolist()
+        assert sizes == component_orders_by_lowest_vertex(order, edges)
+        assert is_connected(g) == (sizes == [order])
+    # long paths and trees under shuffled labels, whole and with one edge cut
+    for order in (1500, 4000):
+        label = list(range(1, order + 1))
+        rng.shuffle(label)
+        for parent in (lambda v: v - 1, lambda v: rng.randint(1, v - 1)):
+            edges = [(label[parent(v) - 1], label[v - 1]) for v in range(2, order + 1)]
+            assert is_connected(from_edges(order, edges))
+            cut = rng.randrange(len(edges))
+            kept = edges[:cut] + edges[cut + 1 :]
+            assert not is_connected(from_edges(order, kept))
+            assert _component_sizes(from_edges(order, kept)).tolist() == component_orders_by_lowest_vertex(order, kept)

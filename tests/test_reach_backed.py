@@ -19,8 +19,11 @@ from jaco_gutman import (
     build_jaco,
     component_structure,
     gutman_index,
+    hope_graph,
+    induced_subgraph,
     is_connected,
     jaco_from_arcs,
+    jaconian_info,
     wiener_index,
 )
 import jaco_gutman
@@ -129,6 +132,36 @@ def test_indices_leave_the_arc_table_unbuilt(monkeypatch):
         assert j.underlying._edges is None
 
 
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 60), st.integers(1, 60), st.integers(0, 60))
+@example(0, 0, 7, 1, 7)
+@example(1, 0, 1, 1, 0)  # the empty range
+@example(2, 1, 60, 5, 60)
+@settings(max_examples=150, deadline=None)
+def test_induced_subgraph_of_a_reach_backed_graph_matches_its_table(m, c, n, s, e):
+    f = LinearFunction(m, c)
+    built, table = build_jaco(f, n), jaco_from_arcs(f, n, slow_jaco_arcs(m, c, n))
+    contiguous = [range(min(s, n), min(e, n) + 1)]  # empty when e < s
+    if n >= 2:
+        contiguous.append(jaconian_info(built).hope_range)
+    for vertices in contiguous:
+        sub, mapping = induced_subgraph(built.underlying, vertices)
+        expected, expected_mapping = induced_subgraph(table.underlying, vertices)
+        assert sub.reach is not None and mapping == expected_mapping == tuple(vertices)
+        assert sub.order == expected.order and sub.edge_list() == expected.edge_list()
+    if n >= 3:
+        # a gap leaves the reach path: the table answers, the same way for both
+        gapped = [1, n]
+        assert induced_subgraph(built.underlying, gapped) == induced_subgraph(table.underlying, gapped)
+    if n >= 2:
+        assert hope_graph(built) == hope_graph(table)
+
+
+def test_hope_graph_leaves_the_arc_table_unbuilt(monkeypatch):
+    monkeypatch.setattr(graph_core, "_arc_table", _no_table)
+    hope = hope_graph(build_jaco(IDENTITY, 3000))
+    assert (hope.order, hope.size) == (1146, 656085) and hope.reach is not None
+
+
 def _no_kernel(adj):
     raise AssertionError("distance kernel called")
 
@@ -160,21 +193,33 @@ def test_no_module_reads_a_private_simple_graph_member():
 
 _RSS_PROBE = """
 import os, subprocess, sys
-for n in sys.argv[1:]:
-    child = subprocess.Popen([sys.executable, "-m", "jaco_gutman", "gutman", "--n", n], stdout=subprocess.DEVNULL)
+for command in sys.argv[1:]:
+    child = subprocess.Popen([sys.executable, "-m", "jaco_gutman", *command.split()], stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
     print(child.returncode, usage.ru_maxrss)
 """
 
 
-def test_gutman_3000_peak_memory():
+def _peak_growth_mb(command):
+    """How far the peak RSS of `jaco <command>` exceeds that of `jaco gutman --n 2`, in MB."""
     # A child's max RSS includes the peak of the process that spawned it, so
     # both children come from a small probe process rather than from pytest.
     proc = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, "2", "3000"], capture_output=True, text=True, check=True
+        [sys.executable, "-c", _RSS_PROBE, "gutman --n 2", command], capture_output=True, text=True, check=True
     )
     (code_small, rss_small), (code_large, rss_large) = (map(int, line.split()) for line in proc.stdout.splitlines())
     assert code_small == code_large == 0
-    grown_mb = (rss_large - rss_small) / 1024  # ru_maxrss is in KiB on Linux
+    return (rss_large - rss_small) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_gutman_3000_peak_memory():
+    grown_mb = _peak_growth_mb("gutman --n 3000")
     assert grown_mb < 100, f"gutman --n 3000 peaked {grown_mb:.0f} MB above gutman --n 2"
+
+
+def test_export_2000_peak_memory():
+    # 13 MB of JSON: the text and the pieces it is joined from, but no arc
+    # table and no encoded copy of the whole text.
+    grown_mb = _peak_growth_mb("build --m 2 --c 1 --n 2000 --format json")
+    assert grown_mb < 40, f"build --m 2 --c 1 --n 2000 peaked {grown_mb:.0f} MB above gutman --n 2"

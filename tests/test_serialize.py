@@ -1,7 +1,8 @@
 """Graph exports against naive per-arc renderings of the defining rule.
 
-`jaco_to_json`, `jaco_to_csv` and `jaco_to_dot` render the arc table one run
-of equal tails at a time.  Here each output is compared with text built arc by
+`jaco_to_json`, `jaco_to_csv` and `jaco_to_dot` render the arcs one run of
+equal tails at a time: a built graph from its reach, any other graph from its
+arc table.  Here each output is compared with text built arc by
 arc from `bruteforce.slow_jaco_arcs`, with the standard library's JSON
 encoder for the JSON format.
 """
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, build_jaco
+from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, build_jaco, graph_core
 from jaco_gutman.serialize import jaco_from_json, jaco_to_csv, jaco_to_dot, jaco_to_json
 
 from bruteforce import slow_jaco_arcs
@@ -52,6 +53,25 @@ def test_exports_match_naive_renderings(m, c, n):
     j = build_jaco(LinearFunction(m, c), n)
     check_renderings(j, m, c, arcs)
     assert jaco_from_json(jaco_to_json(j)) == j
+
+
+def _no_table(hi):
+    raise AssertionError("arc table materialized")
+
+
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 60))
+@example(0, 0, 9)
+@example(0, 3, 17)
+@example(2, 1, 1)
+@settings(max_examples=60, deadline=None)
+def test_built_graphs_export_without_their_arc_table(m, c, n):
+    arcs = slow_jaco_arcs(m, c, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_core, "_arc_table", _no_table)
+        j = build_jaco(LinearFunction(m, c), n)
+        texts = [jaco_to_json(j), jaco_to_csv(j), jaco_to_dot(j), jaco_to_dot(j, directed=True)]
+        check_renderings(j, m, c, arcs)
+    assert all(type(text) is str for text in texts)
 
 
 def test_unsorted_ungrouped_tails_never_reach_the_renderers():
