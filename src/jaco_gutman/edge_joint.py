@@ -130,6 +130,7 @@ def missing_anchor_block(jn: JacoGraph, jm: JacoGraph) -> int:
     """Predicted value of the pair class absent from the published formula."""
     _require_jaco_pair(jn, jm)
     dg, DG, _ = _index_parts(jn.underlying, "the missing-block prediction")
+    # The matrix type holds the largest distance + 1, so DG + 1 cannot wrap.
     return (int(jm.underlying.degree_array()[0]) + 1) * int(dg[1:] @ (DG[0, 1:] + 1))
 
 

@@ -15,16 +15,21 @@ interval whose ends never decrease, as in the underlying graph of a linear
 Jaco graph) gets its distances by counting greedy farthest-reach jumps, in
 O(n^2 + n * diameter).  Every other graph takes layered breadth-first search
 driven by dense float32 matrix products, O(n^3 * diameter).  The products
-only feed a positivity test and path counts never exceed the vertex count,
-far below float32's exact-integer ceiling of 2**24, so both paths are exact.  A
-graph's all-pairs matrix (-1 for an unreachable pair) and its Gutman index
-are computed once and kept on the graph; the matrix is read through
+and level counts never exceed the vertex count, far below float32's
+exact-integer ceiling of 2**24, so both paths are exact.  Either path stores
+its matrix (-1 for an unreachable pair) in the smallest signed integer type
+that holds the largest distance + 1.  A linear Jaco graph's diameter grows
+logarithmically (17 for J_4000(x)), so its matrix is int8, and the jump path
+builds no other n x n array: its distances cost the bool adjacency and the
+matrix, about 2 bytes a vertex pair.  The BFS holds four float32 n x n
+buffers, about 17 bytes a pair.  A graph's all-pairs matrix and its Gutman
+index are computed once and kept on the graph; the matrix is read through
 `all_pairs_distances`.  Index sums run in int64 when an a-priori bound shows
 that is safe and otherwise fall back to arbitrary-precision Python integers.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -274,21 +279,34 @@ def degree(g: SimpleGraph, v: int) -> int:
     return int(g.degree_array()[v - 1])
 
 
+# Rows per block for the row-wise passes over an n x n matrix, so that no
+# full-size temporary is ever built next to it.
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(order: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of at most _BLOCK_ROWS consecutive rows."""
+    for start in range(0, order, _BLOCK_ROWS):
+        yield start, min(start + _BLOCK_ROWS, order)
+
+
 def dense_adjacency(g: SimpleGraph) -> np.ndarray:
     """Adjacency matrix as bool, indexed 0-based.
 
     A reach-backed graph fills it from its intervals, lo(v) <= u <= hi(v)
-    with the diagonal cleared, and never builds its edge table; any other
-    graph scatters its table.
+    with the diagonal cleared, block by block of rows, and never builds its
+    edge table; any other graph scatters its table.
     """
+    a = np.zeros((g.order, g.order), dtype=bool)
     if g.reach is not None:
         cols = np.arange(1, g.order + 1)
-        a = g._lo()[:, None] <= cols
-        a &= cols <= g.reach[:, None]
-        a[np.diag_indices(g.order)] = False
-        return a
-    a = np.zeros((g.order, g.order), dtype=bool)
-    if g.size:
+        lo = g._lo()
+        for start, stop in _row_blocks(g.order):
+            block = a[start:stop]
+            np.less_equal(lo[start:stop, None], cols, out=block)
+            block &= cols <= g.reach[start:stop, None]
+            np.fill_diagonal(block[:, start:stop], False)
+    elif g.size:
         e = g.edge_array - 1
         a[e[:, 0], e[:, 1]] = True
         a[e[:, 1], e[:, 0]] = True
@@ -301,15 +319,19 @@ def _interval_reach(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     That holds when every closed neighbourhood is the index interval
     [lo[v], hi[v]], hi is nondecreasing, and lo[v] is the first vertex whose
     interval reaches v.  Given the first two, the third is equivalent to a
-    symmetric `adj`, at O(n log n) instead of an n^2 transpose compare.
+    symmetric `adj`, at O(n log n) instead of an n^2 transpose compare.  The
+    rows are read block by block, so no n x n copy is made.
     """
     order = adj.shape[0]
-    closed = adj.astype(bool)
-    closed[np.diag_indices(order)] = True
-    lo = closed.argmax(axis=1)
-    hi = order - 1 - closed[:, ::-1].argmax(axis=1)
-    if not np.array_equal(np.count_nonzero(closed, axis=1), hi - lo + 1):
-        return None
+    lo = np.empty(order, dtype=np.intp)
+    hi = np.empty(order, dtype=np.intp)
+    for start, stop in _row_blocks(order):
+        closed = adj[start:stop].astype(bool)
+        np.fill_diagonal(closed[:, start:stop], True)
+        lo[start:stop] = closed.argmax(axis=1)
+        hi[start:stop] = order - 1 - closed[:, ::-1].argmax(axis=1)
+        if not np.array_equal(np.count_nonzero(closed, axis=1), hi[start:stop] - lo[start:stop] + 1):
+            return None
     if (np.diff(hi) < 0).any():
         return None
     if not np.array_equal(lo, np.searchsorted(hi, np.arange(order))):
@@ -317,93 +339,139 @@ def _interval_reach(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return lo, hi
 
 
-def _jump_counts(hi: np.ndarray) -> np.ndarray:
-    """Distances from each vertex to every later vertex, by greedy hi jumps.
+def _distance_dtype(longest: int) -> np.dtype:
+    """The smallest signed integer type that holds `longest` + 1.
 
-    Row a holds dist(a, b) for b > a, 0 at and before a, and -1 past a's
-    component.  With p_0 = a and p_{k+1} = hi[p_k], the distance is the
-    number of k with p_k < b: one mark per jump at column p_k + 1 and a
-    cumulative sum along the row.
+    `longest` is the largest finite distance of a matrix.  The headroom of
+    one lets a consumer add 1 to any distance without leaving the type, and
+    -1, the unreachable mark, fits every signed type.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if longest < np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _jump_counts(hi: np.ndarray) -> np.ndarray:
+    """All-pairs distances of a proper interval graph in index order, by greedy hi jumps.
+
+    With p_0 = a and p_{k+1} = hi[p_k], dist(a, b) for b > a is the number
+    of k with p_k < b: one mark per jump at column p_k + 1 and a cumulative
+    sum along the row.  Columns past the end of a's component read -1, and
+    the lower triangle mirrors the upper one.
+
+    hi never decreases, so within a component the walk from its first vertex
+    is the longest, and its length is the largest distance.  Those walks run
+    first, chained in O(n) steps: a walk stops at a fixed point of hi, the
+    last vertex of its component, and the next component starts one vertex
+    on.  The matrix is then allocated once in the type `_distance_dtype`
+    picks and filled in place, block by block of rows.
     """
     order = len(hi)
-    counts = np.zeros((order, order), dtype=np.int32)
-    rows = pos = np.arange(order)
-    # A walk stops at a fixed point of hi: the last vertex of its component.
-    # Columns past it are unreachable, so it needs no mark of its own.
+    longest = jumps = p = 0
+    while p < order - 1:
+        if hi[p] > p:
+            p, jumps = int(hi[p]), jumps + 1
+            longest = max(longest, jumps)
+        else:
+            p, jumps = p + 1, 0
+    dist = np.zeros((order, order), dtype=_distance_dtype(longest))
+    v = rows = pos = np.arange(order)
     ends = np.empty_like(rows)
     while len(rows):
         jumped = hi[pos]
         moving = jumped > pos
         ends[rows[~moving]] = pos[~moving]
         rows, pos, jumped = rows[moving], pos[moving], jumped[moving]
-        counts[rows, pos + 1] = 1
+        # Columns past a walk's end are unreachable, so the end needs no mark.
+        dist[rows, pos + 1] = 1
         pos = jumped
-    np.cumsum(counts, axis=1, dtype=np.int32, out=counts)
-    if (ends < order - 1).any():
-        counts[np.arange(order) > ends[:, None]] = -1
-    return counts
-
-
-# Rows per block when the jump fill mirrors its upper triangle.
-_MIRROR_ROWS = 256
+    split = (ends < order - 1).any()
+    # Rows above a block are final before the block mirrors them, so the
+    # mirror never needs a second n x n matrix.
+    for start, stop in _row_blocks(order):
+        block = dist[start:stop]
+        np.cumsum(block, axis=1, dtype=dist.dtype, out=block)
+        if split:
+            block[v > ends[start:stop, None]] = -1
+        block[:, :start] = dist[:start, start:stop].T
+        square = block[:, start:stop]
+        square += np.tril(square.T, -1)
+    return dist
 
 
 def layered_distance_matrix(adj: np.ndarray) -> np.ndarray:
-    """Exact all-pairs distances of the graph with dense adjacency `adj`.
+    """Exact all-pairs distances of the graph with square, symmetric adjacency `adj`.
 
-    Returns an int32 matrix with -1 encoding an unreachable pair.  Any
-    nonzero entry of `adj` is an edge; a bool matrix is the usual input.
+    Returns a matrix with -1 encoding an unreachable pair, in the smallest
+    signed integer type that holds the largest distance + 1
+    (`_distance_dtype`): int8 up to diameter 126, int16 up to 32766.  Any
+    nonzero entry of `adj` is an edge; a bool matrix is the usual input.  A
+    matrix that is not square, or not symmetric, raises ValueError.
 
     The kernel is chosen from the input.  When the graph is a proper
     interval graph in index order (`_interval_reach`), as the underlying
     graph of every linear Jaco graph is, dist(a, b) for b > a is the number
     of greedy farthest-reach jumps from a that stay below b (Looges and
     Olariu 1993), filled in O(n^2 + n * diameter), and dist(b, a) is its
-    mirror image.  Every other graph takes
-    layered breadth-first search: level k+1 is everything adjacent to the
-    "reached within k" set, one float32 matrix product per level and
-    eccentricity-many levels, O(n^3 * diameter).
+    mirror image.  Every other graph takes layered breadth-first search: the
+    ball of radius k + 1 is everything adjacent to or inside the ball of
+    radius k, one float32 matrix product per radius into a reused buffer,
+    clipped to 0/1, and eccentricity-many radii, O(n^3 * diameter).  A pair's
+    distance is the number of balls that miss it, counted in float32 and cast
+    once at the end.  The products and counts never exceed the vertex count,
+    far below float32's exact-integer ceiling of 2**24, so both paths are
+    exact.
     """
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
     order = adj.shape[0]
     if order == 0:
         # argmax, which the structure test uses, rejects an empty axis.
-        return np.zeros((0, 0), dtype=np.int32)
+        return np.zeros((0, 0), dtype=_distance_dtype(0))
     reach = _interval_reach(adj)
     if reach is not None:
-        dist = _jump_counts(reach[1])
-        # Only the upper triangle is filled.  Mirror it into the lower one
-        # block by block: adding the whole transpose would take a second
-        # n x n matrix, the largest allocation of the call.
-        for start in range(0, order, _MIRROR_ROWS):
-            stop = min(start + _MIRROR_ROWS, order)
-            dist[start:stop, :start] = dist[:start, start:stop].T
-            square = dist[start:stop, start:stop]
-            square += np.tril(square.T, -1)
-        return dist
-    dist = np.full((order, order), -1, dtype=np.int32)
-    reached = adj.astype(bool)
-    adj = np.asarray(adj, dtype=np.float32)
-    dist[reached] = 1
+        return _jump_counts(reach[1])
+    step = np.not_equal(adj, 0, out=np.empty((order, order), dtype=np.float32))
+    if not np.array_equal(step, step.T):
+        a, b = np.argwhere(step != step.T)[0].tolist()
+        raise ValueError(f"adjacency must be symmetric, but entries ({a}, {b}) and ({b}, {a}) differ")
+    # step is A + I, so a ball times step is the ball one radius larger.
     diagonal = np.diag_indices(order)
-    dist[diagonal] = 0
-    reached[diagonal] = True
-    level = 1
+    step[diagonal] = 1
+    ball = step.copy()
+    # hits counts how many of the balls so far, of radius 0, 1, ..., hold each pair.
+    hits = step.copy()
+    hits[diagonal] = 2
+    balls = 2
+    grown = np.empty_like(ball)
+    reached = np.count_nonzero(ball)
     while True:
-        expanded = (reached.astype(np.float32) @ adj) > 0
-        fresh = expanded & ~reached
-        if not fresh.any():
-            return dist
-        level += 1
-        dist[fresh] = level
-        reached |= fresh
+        np.matmul(ball, step, out=grown)
+        np.minimum(grown, 1, out=grown)
+        count = np.count_nonzero(grown)
+        if count == reached:
+            break
+        ball, grown, reached = grown, ball, count
+        hits += ball
+        balls += 1
+    # Free two of the four buffers before the cast allocates the result.
+    del step, grown
+    # A reached pair is missed by balls - hits of the balls; an unreached one reads -1.
+    np.subtract(balls + 1, hits, out=hits)
+    hits *= ball
+    hits -= 1
+    return hits.astype(_distance_dtype(int(hits.max())))
 
 
 def all_pairs_distances(g: SimpleGraph) -> np.ndarray:
     """Exact distances between every vertex pair of `g`, computed once.
 
-    A read-only int32 matrix indexed 0-based, with -1 for an unreachable
-    pair.  The matrix is kept on the graph, so every later call returns it
-    without running the kernel again.
+    A read-only matrix indexed 0-based, with -1 for an unreachable pair, in
+    the smallest signed integer type that holds the largest distance + 1
+    (int8 up to diameter 126), so adding 1 to any entry cannot wrap; sums
+    and products over it must widen first.  The matrix is kept on the graph,
+    so every later call returns it without running the kernel again.
     """
     if g._dist is None:
         dist = layered_distance_matrix(dense_adjacency(g))
@@ -459,7 +527,7 @@ def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
     """
     if dist.size == 0:
         raise ValueError(f"{what} is undefined for the empty graph")
-    if (dist < 0).any():
+    if dist.min() < 0:
         raise DisconnectedGraphError(
             f"{what} is defined for connected graphs only and this graph is disconnected"
         )

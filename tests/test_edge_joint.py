@@ -176,6 +176,20 @@ class TestClosedForm:
                 assert closed_form_joint_gutman(spec) == expected
         assert closed_form_joint_gutman(JointSpec(k1, k1, 1, 1)) == 1
 
+    # Paths of order 127 and 128 have diameters 126 and 127, the last int8
+    # matrix and the first int16 one.  Each anchor choice leaves the joint a
+    # non-interval graph, so its direct value comes from the BFS.
+    @pytest.mark.parametrize("order_g, order_h", [(128, 128), (127, 128), (127, 127)])
+    @pytest.mark.parametrize("anchors", [(1, 1), (64, 1), (1, 128), (127, 127)])
+    def test_closed_form_at_the_int8_edge(self, order_g, order_h, anchors):
+        g, h = path(order_g), path(order_h)
+        assert [int(all_pairs_distances(side).max()) for side in (g, h)] == [order_g - 1, order_h - 1]
+        spec = JointSpec(g, h, *(min(a, side.order) for a, side in zip(anchors, (g, h))))
+        composed = edge_joint_graph(spec)
+        assert graph_core._interval_reach(graph_core.dense_adjacency(composed)) is None
+        expected = brute_gutman(composed.order, composed.edge_list())
+        assert closed_form_joint_gutman(spec) == gutman_index(composed) == expected
+
     def test_disconnected_input_rejected(self):
         g = from_edges(3, [(1, 2)])
         with pytest.raises(DisconnectedGraphError):

@@ -230,7 +230,7 @@ class TestDistances:
         assert d[0, 3] == 3
         assert d[1, 2] == 1
         assert d[2, 2] == 0
-        assert d.dtype == np.int32 and (d >= 0).all()
+        assert d.dtype == np.int8 and (d >= 0).all()
 
     def test_symmetry_raw(self):
         d = all_pairs_distances(cycle(7))

@@ -5,6 +5,7 @@ proper interval graph in index order and runs layered BFS otherwise.  The BFS
 is forced here by making `_interval_reach` report every input as
 non-interval, and both are compared with the pure-Python BFS oracle.
 """
+import re
 import subprocess
 import sys
 
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jaco_gutman import from_edges, graph_core
+from jaco_gutman import LinearFunction, build_jaco, from_edges, graph_core
 from jaco_gutman.graph_core import _interval_reach, dense_adjacency, layered_distance_matrix
 
 from bruteforce import adjacency_from_edges, bfs_distances, slow_jaco_arcs
-from test_graph_core import any_graphs
+from test_graph_core import any_graphs, path
 
 
 def dense_bfs(adj):
@@ -36,9 +37,10 @@ def oracle_matrix(order, edges):
 
 
 def check_graph(adj, order, edges):
-    everything = layered_distance_matrix(adj)
-    assert everything.dtype == np.int32
-    assert (everything == dense_bfs(adj)).all()
+    everything, bfs = layered_distance_matrix(adj), dense_bfs(adj)
+    # every graph here has diameter below 126, so both paths store int8
+    assert everything.dtype == bfs.dtype == np.int8
+    assert (everything == bfs).all()
     assert (everything == oracle_matrix(order, edges)).all()
     return everything
 
@@ -79,15 +81,18 @@ def test_random_interval_graphs(ohe):
     check_graph(adj, order, edges)
 
 
-# The jump fill mirrors its upper triangle in blocks of rows; small blocks put
-# block edges inside these orders, and order 300 crosses the default block.
+# Every n x n pass works in blocks of rows: the reach-backed adjacency, the
+# structure test, and the jump fill's cumulative sum and mirror.  Small
+# blocks put block edges inside these orders, and order 300 crosses the
+# default block.
 @pytest.mark.parametrize("rows", [1, 3, 7, None])
 @pytest.mark.parametrize("m, c, n", [(1, 0, 40), (2, 1, 33), (0, 3, 29), (0, 0, 9), (1, 0, 300), (0, 2, 300)])
 def test_mirror_blocks(rows, m, c, n, monkeypatch):
     if rows is not None:
-        monkeypatch.setattr(graph_core, "_MIRROR_ROWS", rows)
+        monkeypatch.setattr(graph_core, "_BLOCK_ROWS", rows)
     arcs = slow_jaco_arcs(m, c, n)
     adj = dense_adjacency(from_edges(n, arcs))
+    assert np.array_equal(dense_adjacency(build_jaco(LinearFunction(m, c), n).underlying), adj)
     assert _interval_reach(adj) is not None
     dist = layered_distance_matrix(adj)
     assert (dist == dense_bfs(adj)).all()
@@ -110,17 +115,21 @@ def test_random_graphs(ge):
 
 
 def test_empty_graph_has_an_empty_matrix():
-    assert layered_distance_matrix(np.zeros((0, 0), dtype=np.float32)).shape == (0, 0)
+    dist = layered_distance_matrix(np.zeros((0, 0), dtype=np.float32))
+    assert dist.shape == (0, 0) and dist.dtype == np.int8
 
 
-# Each near miss breaks exactly one of the three structure conditions.
+# Each near miss fails a different one of the three structure conditions.
+# With symmetric rows that are intervals hi never decreases, so that near miss
+# is asymmetric too.  The BFS rejects an asymmetric matrix (None) instead of
+# returning directed distances.
 NEAR_MISSES = {
-    "asymmetric": ([[0, 1], [0, 0]], [[0, 1], [-1, 0]]),
+    "asymmetric": ([[0, 1], [0, 0]], None),
     "row with a gap": (
         [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]],
         [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]],
     ),
-    "hi decreasing": ([[0, 1, 1], [1, 0, 0], [0, 0, 0]], [[0, 1, 1], [1, 0, 2], [-1, -1, 0]]),
+    "hi decreasing": ([[0, 1, 1], [1, 0, 0], [0, 0, 0]], None),
 }
 
 
@@ -129,7 +138,17 @@ def test_near_misses_take_the_bfs(name):
     matrix, expected = NEAR_MISSES[name]
     adj = np.array(matrix, dtype=np.float32)
     assert _interval_reach(adj) is None
-    assert layered_distance_matrix(adj).tolist() == expected
+    if expected is None:
+        with pytest.raises(ValueError, match=r"must be symmetric, but entries \(0, \d\) and \(\d, 0\) differ"):
+            layered_distance_matrix(adj)
+    else:
+        assert layered_distance_matrix(adj).tolist() == expected
+
+
+def test_near_misses_are_found_in_single_row_blocks(monkeypatch):
+    monkeypatch.setattr(graph_core, "_BLOCK_ROWS", 1)
+    for matrix, _ in NEAR_MISSES.values():
+        assert _interval_reach(np.array(matrix, dtype=bool)) is None
 
 
 def test_structure_check_survives_optimize():
@@ -143,3 +162,45 @@ def test_structure_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[True, True, True]", "False"]
+
+
+# A matrix is stored in the smallest signed type that holds its largest
+# distance + 1: a path of order 127 has diameter 126 and fits int8, order 128
+# has diameter 127 and needs int16.  Both paths of the kernel follow the rule.
+@pytest.mark.parametrize("kernel", [layered_distance_matrix, dense_bfs], ids=["jump", "bfs"])
+@pytest.mark.parametrize("order, dtype", [(127, np.int8), (128, np.int16)])
+def test_distance_type_at_the_int8_edge(kernel, order, dtype):
+    adj = dense_adjacency(path(order))
+    assert _interval_reach(adj) is not None
+    dist = kernel(adj)
+    assert dist.dtype == dtype
+    v = np.arange(order)
+    assert (dist == abs(v[:, None] - v)).all()
+    # every distance + 1 still fits the type, so a consumer adding 1 cannot wrap
+    assert (dist + 1)[0, -1] == order
+
+
+@pytest.mark.parametrize("kernel", [layered_distance_matrix, dense_bfs], ids=["jump", "bfs"])
+@pytest.mark.parametrize("order, dtype", [(127, np.int8), (128, np.int16)])
+def test_unreachable_pairs_read_minus_one_in_every_type(kernel, order, dtype):
+    # a path plus one isolated vertex: the diameter of the path sets the type
+    adj = np.zeros((order + 1, order + 1), dtype=bool)
+    adj[:order, :order] = dense_adjacency(path(order))
+    dist = kernel(adj)
+    assert dist.dtype == dtype
+    assert (dist[order, :order] == -1).all() and (dist[:order, order] == -1).all()
+    assert dist[order, order] == 0 and dist[0, order - 1] == order - 1
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_non_square_adjacency_raises(shape):
+    with pytest.raises(ValueError, match=re.escape(f"adjacency must be a square matrix, got shape {shape}")):
+        layered_distance_matrix(np.zeros(shape, dtype=bool))
+
+
+def test_asymmetric_adjacency_raises_naming_an_entry():
+    adj = dense_adjacency(path(6))
+    adj[4, 1] = True
+    assert _interval_reach(adj) is None
+    with pytest.raises(ValueError, match=re.escape("entries (1, 4) and (4, 1) differ")):
+        layered_distance_matrix(adj)

@@ -2,6 +2,7 @@
 import ast
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,8 +215,27 @@ def _peak_growth_mb(command):
 
 
 def test_gutman_3000_peak_memory():
+    # 9 MB of int8 distances and 9 MB of bool adjacency; an int32 matrix
+    # alone would add 27 MB more.
     grown_mb = _peak_growth_mb("gutman --n 3000")
-    assert grown_mb < 100, f"gutman --n 3000 peaked {grown_mb:.0f} MB above gutman --n 2"
+    assert grown_mb < 30, f"gutman --n 3000 peaked {grown_mb:.0f} MB above gutman --n 2"
+
+
+@pytest.mark.parametrize("f", [IDENTITY, LinearFunction(2, 1), LinearFunction(0, 2)], ids=str)
+def test_distances_of_a_built_graph_take_two_bytes_a_pair(f):
+    # The bool adjacency and the int8 matrix are 1 B a pair each; the kernel's
+    # other buffers are O(n) or a block of rows, so any n x n temporary,
+    # even a bool one, breaks the bound.
+    n = 2000
+    g = build_jaco(f, n).underlying
+    tracemalloc.start()
+    try:
+        dist = all_pairs_distances(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.dtype == np.int8
+    assert peak <= 2.2 * n * n, f"all_pairs_distances of {f} at n = {n} peaked {peak / n / n:.2f} B a pair"
 
 
 def test_export_2000_peak_memory():
