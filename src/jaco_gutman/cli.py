@@ -34,15 +34,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """The value of `text` if it is ASCII decimal digits after an optional '-'.
+
+    int() alone would also accept '1_0', ' 10', '+10' and non-ASCII digits.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII decimal digits")
+    return int(text)
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _nonneg(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a nonnegative integer")
     return value
@@ -102,7 +113,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("erratum", help="run both formula audits with per-term deltas")
     p.add_argument("--n-max", type=_positive, default=20)
     p.add_argument("--m-max", type=_positive, default=10)
-    p.add_argument("--seed", type=int, default=0, help="seed for the anchor audit (default 0)")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for the anchor audit (default 0)")
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_erratum)
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import _pair_sum, _require_at_least, _require_connected, all_pairs_distances
+from .graph_core import SimpleGraph, _pair_sum, _require_at_least, _require_connected, all_pairs_distances
 from .jaco import LinearFunction, _audited_jaco, _prefix_facts
 
 SEQUENCE_NAMES = ("edges", "gutman", "jaconian_cardinality", "v1_vn_distance")
@@ -61,7 +61,6 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
     scanned = any(name in ("edges", "jaconian_cardinality") for name in names)
     j = _audited_jaco(f, n_max + 1 if scanned else n_max)
     facts = _prefix_facts(j) if scanned else []
-    dist = None
     tables = []
     for name in names:
         if name == "edges":
@@ -69,17 +68,22 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
         elif name == "jaconian_cardinality":
             values = [fact.jaconian_count for fact in facts]
         else:
-            if dist is None:
-                dist = all_pairs_distances(j.underlying)
-            values = [_distance_value(name, dist, n) for n in range(1, n_max + 1)]
+            values = [_distance_value(name, j.underlying, n) for n in range(1, n_max + 1)]
         tables.append(SequenceTable(name, f, tuple(zip(range(1, n_max + 1), values))))
     return tables
 
 
-def _distance_value(name: str, dist: np.ndarray, n: int) -> int:
-    """Order n's value of a distance sequence, read from the leading block of `dist`."""
+def _distance_value(name: str, g: SimpleGraph, n: int) -> int:
+    """Order n's value of a distance sequence, read from the leading block of g's distances.
+
+    Vertex v's neighbours above it are v + 1..hi(v), so order n keeps
+    min(above(v), n - v) of them and all of those below: its degrees take
+    O(n), not a pass over the block.
+    """
+    dist = all_pairs_distances(g)
     if name == "v1_vn_distance":
         _require_connected(dist[0, :n], f"the distance sequence at order {n}")
         return int(dist[0, n - 1])
     block = _require_connected(dist[:n, :n], f"the Gutman index sequence at order {n}")
-    return _pair_sum((block == 1).sum(axis=1), block)
+    below, above = g.split_degree_arrays()
+    return _pair_sum(below[:n] + np.minimum(above[:n], np.arange(n - 1, -1, -1)), block)

@@ -374,6 +374,33 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and str(target) in err and err.count("\n") == 1
         assert target.read_text() == "kept\n"
 
+    # Integer flags take ASCII decimal digits only, so nothing that int()
+    # would coerce (underscores, spaces, a sign, other scripts' digits) passes.
+    @pytest.mark.parametrize("text", ["1_0", " 10", "10 ", "+10", "\u0661\u0660", "\uff11\uff10", "1e1", "0x10", "10.0", "", "-"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["gutman", "--n"], ["sequences", "--n-max", "3", "--m"], ["erratum", "--n-max", "3", "--seed"]],
+        ids=["positive", "nonnegative", "seed"],
+    )
+    def test_integer_flags_take_ascii_decimal_digits_only(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv, text)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["gutman", "--n"], ["sequences", "--n-max", "3", "--m"]])
+    def test_counts_reject_a_minus_sign(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "-1")
+        assert code == 1 and out == "" and "must be a " in err
+
+    @pytest.mark.parametrize("text", ["010", "0010"])
+    def test_leading_zeros_are_decimal(self, capsys, text):
+        assert run(capsys, "gutman", "--n", text) == run(capsys, "gutman", "--n", "10") == (0, "1137\n", "")
+
+    @pytest.mark.parametrize("seed", ["-7", "0", "-0", "007"])
+    def test_seed_takes_a_leading_minus(self, capsys, seed):
+        code, out, _ = run(capsys, "erratum", "--n-max", "4", "--m-max", "3", "--seed", seed)
+        assert code == 0 and out.endswith(f"passed (seed={int(seed)})\n")
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

@@ -20,7 +20,7 @@ from jaco_gutman import (
     joint_paper_rhs,
     missing_anchor_block,
 )
-from jaco_gutman import graph_core
+from jaco_gutman import edge_joint, graph_core
 
 from bruteforce import brute_gutman, random_connected_graph
 
@@ -249,19 +249,38 @@ class TestJointCheck:
         assert a == b
 
     def test_audits_compute_each_graph_distances_once(self, monkeypatch):
-        # one call per composed graph (the independent direct value) and one
-        # per identity graph J_2..J_n_max, however many grid points share it
-        calls = []
+        # one kernel slice per composed graph (the independent direct value)
+        # and one per identity graph J_2..J_n_max, however many grid points
+        # share it: a stack of b graphs counts b, a single matrix counts 1
+        slices = []
         real = graph_core.layered_distance_matrix
 
         def counting(adj):
-            calls.append(adj.shape[0])
+            slices.append(adj.shape[0] if adj.ndim == 3 else 1)
             return real(adj)
 
-        monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
+        for module in (graph_core, edge_joint):
+            monkeypatch.setattr(module, "layered_distance_matrix", counting)
         rows = joint_delta_report(7, 4)
-        assert len(calls) == len(rows) + 6
-        calls.clear()
+        assert sum(slices) == len(rows) + 6
+        slices.clear()
         checks = anchor_audit(7, 4, per_pair=3, seed=2)
-        assert len(calls) == len(checks) + 6
+        assert sum(slices) == len(checks) + 6
         assert all(c.ok for c in checks)
+
+    # One pair per call puts every composed graph in a stack of its own; the
+    # default packs several graphs of one order per call, and a huge bound
+    # packs each order in one call.
+    @pytest.mark.parametrize("pairs", [1, None, 10**9])
+    def test_stack_size_leaves_the_audits_unchanged(self, pairs, monkeypatch):
+        rows, checks = joint_delta_report(11, 7), anchor_audit(11, 7, per_pair=3, seed=9)
+        if pairs is not None:
+            monkeypatch.setattr(edge_joint, "_STACK_PAIRS", pairs)
+        assert joint_delta_report(11, 7) == rows
+        assert anchor_audit(11, 7, per_pair=3, seed=9) == checks
+        jacos = {k: build_jaco(IDENTITY, k).underlying for k in range(2, 12)}
+        for row in rows:
+            assert row.direct == gutman_index(edge_joint_graph(JointSpec(jacos[row.n], jacos[row.m], 1, 1)))
+        for check in checks:
+            spec = JointSpec(jacos[check.n], jacos[check.m], check.vi, check.uj)
+            assert check.direct == gutman_index(edge_joint_graph(spec))

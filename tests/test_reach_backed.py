@@ -243,3 +243,11 @@ def test_export_2000_peak_memory():
     # table and no encoded copy of the whole text.
     grown_mb = _peak_growth_mb("build --m 2 --c 1 --n 2000 --format json")
     assert grown_mb < 40, f"build --m 2 --c 1 --n 2000 peaked {grown_mb:.0f} MB above gutman --n 2"
+
+
+def test_erratum_40_peak_memory():
+    # The edge-joint audits stack composed graphs of one order into kernel
+    # calls of at most edge_joint._STACK_PAIRS vertex pairs, about 2 MB above
+    # the floor in all; stacking a whole order's joints at once would not fit.
+    grown_mb = _peak_growth_mb("erratum --n-max 40 --m-max 40")
+    assert grown_mb < 5, f"erratum --n-max 40 --m-max 40 peaked {grown_mb:.1f} MB above gutman --n 2"

@@ -132,6 +132,15 @@ def test_distance_tables_match_oracle(m, c, n_max):
                 sequence_table(name, LinearFunction(m, c), n_max)
 
 
+# Order n's degrees come from J_N's split degrees, truncated at n; each row
+# must equal the index of the order-n graph built on its own.
+@pytest.mark.parametrize("m, c", [(1, 0), (2, 1), (3, 2), (1, 3)])
+def test_gutman_table_equals_each_order_built_alone(m, c):
+    f = LinearFunction(m, c)
+    rows = sequence_table("gutman", f, 150).rows
+    assert rows == tuple((n, gutman_index(build_jaco(f, n).underlying)) for n in range(1, 151))
+
+
 @pytest.mark.parametrize("name", DISTANCE_TABLES)
 def test_one_kernel_call_per_table(name, monkeypatch):
     calls = []
