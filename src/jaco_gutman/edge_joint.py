@@ -24,11 +24,11 @@ predicted value, the missing block
 restores the direct value exactly; the audit report records both.
 
 The direct value the audits check against is the Gutman index of the
-composed graph itself: `edge_joint_graph` builds its edge table, and the
-BFS kernel finds its distances with no use of the decomposition above, so
-the closed form is never checked against itself.  The audits ask for
-thousands of composed graphs of at most a few dozen vertices each, so
-graphs of one order share stacked kernel calls (`_direct_gutman`).
+composed graph itself: its adjacency is the definition above, and the BFS
+kernel finds its distances with no use of the decomposition, so the closed
+form is never checked against itself.  The audits ask for thousands of
+composed graphs of at most a few dozen vertices each, so graphs of one
+order share stacked kernel calls (`_direct_gutman`).
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
+    _INT64_SAFE,
     SimpleGraph,
     _pair_sum,
     _require_at_least,
@@ -84,42 +85,77 @@ def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
 
 
 # Vertex pairs per stacked kernel call in `_direct_gutman`.  It bounds the
-# BFS buffers of a batch, about 17 B a pair (about 140 kB), and a batch
-# always holds at least one graph.
-_STACK_PAIRS = 1 << 13
+# BFS buffers of a batch, about 17 B a pair (2^15 pairs, about 0.56 MB), and
+# a batch always holds at least one graph.
+_STACK_PAIRS = 1 << 15
+
+
+def _joint_stack(batch: list[JointSpec], sides: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(b, k, k) adjacencies and (b, k) degrees of the joints in `batch`, all of order k.
+
+    Slice s is the joint by its definition: G's adjacency on [:n, :n], H's on
+    [n:, n:] and the bridge, with G's and H's degrees plus one at each
+    anchor.  `sides` maps id(g) to `dense_adjacency(g)` for every side g.
+    """
+    order = batch[0].g.order + batch[0].h.order
+    adj = np.zeros((len(batch), order, order), dtype=bool)
+    deg = np.empty((len(batch), order), dtype=np.int64)
+    for s, spec in enumerate(batch):
+        n = spec.g.order
+        adj[s, :n, :n] = sides[id(spec.g)]
+        adj[s, n:, n:] = sides[id(spec.h)]
+        deg[s, :n] = spec.g.degree_array()
+        deg[s, n:] = spec.h.degree_array()
+    rows = np.arange(len(batch))
+    v = [spec.v - 1 for spec in batch]
+    u = [spec.g.order + spec.u - 1 for spec in batch]
+    adj[rows, v, u] = adj[rows, u, v] = True
+    deg[rows, v] += 1
+    deg[rows, u] += 1
+    return adj, deg
 
 
 def _direct_gutman(specs: list[JointSpec]) -> list[int]:
     """Gutman index of each spec's composed graph, by BFS of that graph, in spec order.
 
-    Each composed graph is built by `edge_joint_graph`, so its edge table
-    passes the table check.  Graphs of one order share stacked kernel calls
-    of at most _STACK_PAIRS vertex pairs, and each slice is summed alone.
+    Graphs of one order share stacked kernel calls of at most _STACK_PAIRS
+    vertex pairs, composed by `_joint_stack`; no side distance enters.  A
+    stack is summed at once under `_pair_sum`'s int64 bound, else slice by slice.
     """
     values = [0] * len(specs)
     by_order: dict[int, list[int]] = {}
     for i, spec in enumerate(specs):
         by_order.setdefault(spec.g.order + spec.h.order, []).append(i)
+    graphs = {id(g): g for spec in specs for g in (spec.g, spec.h)}
+    sides = {key: dense_adjacency(g) for key, g in graphs.items()}
     for order, members in by_order.items():
         per_call = max(1, _STACK_PAIRS // (order * order))
         for start in range(0, len(members), per_call):
             batch = members[start : start + per_call]
-            graphs = [edge_joint_graph(specs[i]) for i in batch]
-            # The copy np.stack makes is freed before the BFS buffers are allocated.
-            adj = np.stack([dense_adjacency(g) for g in graphs])
-            for i, g, dist in zip(batch, graphs, layered_distance_matrix(adj)):
-                values[i] = _pair_sum(g.degree_array(), _require_connected(dist, "the Gutman index"))
+            adj, deg = _joint_stack([specs[i] for i in batch], sides)
+            dist = _require_connected(layered_distance_matrix(adj), "the Gutman index")
+            if int(deg.sum(axis=1).max()) ** 2 * int(dist.max()) < _INT64_SAFE:
+                totals = (deg * np.einsum("bij,bj->bi", dist, deg, dtype=np.int64)).sum(axis=1)
+                odd = totals[totals % 2 == 1]
+                if odd.size:
+                    raise ArithmeticError(f"ordered pair total {odd[0]} is odd; the distances are not symmetric")
+                sums = (totals // 2).tolist()
+            else:
+                sums = [_pair_sum(w, d) for w, d in zip(deg, dist)]
+            for i, total in zip(batch, sums):
+                values[i] = total
     return values
 
 
-def _index_parts(g: SimpleGraph, what: str) -> tuple[np.ndarray, np.ndarray, int]:
+def _index_parts(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray, int]:
     """Degrees, distance matrix, and Gutman index of a connected graph.
 
     All three are kept on `g`, so a graph that many grid points share is
-    summed once.
+    summed once.  `gutman_index` raises on a disconnected graph and keeps
+    only a connected one's index, so each graph is checked once.
     """
-    dist = _require_connected(all_pairs_distances(g), what)
-    return g.degree_array(), dist, gutman_index(g)
+    gut = gutman_index(g)
+    return g.degree_array(), all_pairs_distances(g), gut
 
 
 def closed_form_joint_gutman(spec: JointSpec) -> int:
@@ -128,9 +164,8 @@ def closed_form_joint_gutman(spec: JointSpec) -> int:
     Works for arbitrary anchors; both inputs must be connected.  O(n + m)
     once each side's distances and index are known.
     """
-    what = "the edge-joint Gutman closed form"
-    dg, DG, gut_g = _index_parts(spec.g, what)
-    dh, DH, gut_h = _index_parts(spec.h, what)
+    dg, DG, gut_g = _index_parts(spec.g)
+    dh, DH, gut_h = _index_parts(spec.h)
     a_g, a_h = int(dg.sum()) + 1, int(dh.sum()) + 1
     t_g = int(dg @ DG[spec.v - 1])
     t_h = int(dh @ DH[spec.u - 1])
@@ -157,9 +192,8 @@ def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
         + T_G * S_H + S_G * T_H + S_G * S_H + 4.
     """
     _require_jaco_pair(jn, jm)
-    what = "the published joint formula"
-    dg, DG, gut_g = _index_parts(jn.underlying, what)
-    dh, DH, gut_h = _index_parts(jm.underlying, what)
+    dg, DG, gut_g = _index_parts(jn.underlying)
+    dh, DH, gut_h = _index_parts(jm.underlying)
     s_g, t_g = int(dg[1:].sum()), int(dg[1:] @ DG[0, 1:])
     s_h, t_h = int(dh[1:].sum()), int(dh[1:] @ DH[0, 1:])
     return gut_g + gut_h + t_g + t_h + (int(dg[0]) + 1) * (t_h + s_h) + t_g * s_h + s_g * t_h + s_g * s_h + 4
@@ -168,7 +202,7 @@ def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
 def missing_anchor_block(jn: JacoGraph, jm: JacoGraph) -> int:
     """Predicted value of the pair class absent from the published formula."""
     _require_jaco_pair(jn, jm)
-    dg, DG, _ = _index_parts(jn.underlying, "the missing-block prediction")
+    dg, DG, _ = _index_parts(jn.underlying)
     # The matrix type holds the largest distance + 1, so DG + 1 cannot wrap.
     return (int(jm.underlying.degree_array()[0]) + 1) * int(dg[1:] @ (DG[0, 1:] + 1))
 

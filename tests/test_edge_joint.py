@@ -1,7 +1,11 @@
 """Edge-joint composition and its Gutman index formulas."""
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jaco_gutman import (
     DisconnectedGraphError,
@@ -269,9 +273,9 @@ class TestJointCheck:
         assert all(c.ok for c in checks)
 
     # One pair per call puts every composed graph in a stack of its own; the
-    # default packs several graphs of one order per call, and a huge bound
-    # packs each order in one call.
-    @pytest.mark.parametrize("pairs", [1, None, 10**9])
+    # default and the bounds near it pack several graphs of one order per
+    # call, and a huge bound packs each order in one call.
+    @pytest.mark.parametrize("pairs", [1, None, 1 << 13, 1 << 15, 10**9])
     def test_stack_size_leaves_the_audits_unchanged(self, pairs, monkeypatch):
         rows, checks = joint_delta_report(11, 7), anchor_audit(11, 7, per_pair=3, seed=9)
         if pairs is not None:
@@ -284,3 +288,109 @@ class TestJointCheck:
         for check in checks:
             spec = JointSpec(jacos[check.n], jacos[check.m], check.vi, check.uj)
             assert check.direct == gutman_index(edge_joint_graph(spec))
+
+
+@st.composite
+def connected_sides(draw, order):
+    """An order-`order` connected side: a random tree (table-backed) or a Jaco graph (reach-backed)."""
+    if draw(st.booleans()):
+        f = draw(st.sampled_from([IDENTITY, LinearFunction(2, 1), LinearFunction(3, 0)]))
+        return build_jaco(f, order).underlying
+    return from_edges(order, [(draw(st.integers(1, v - 1)), v) for v in range(2, order + 1)])
+
+
+@st.composite
+def joint_specs(draw):
+    """Joints of a few total orders, so that a stack mixes sides of every kind and size."""
+    specs = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.sampled_from([2, 5, 9]))
+        n = draw(st.integers(1, order - 1))
+        g, h = draw(connected_sides(n)), draw(connected_sides(order - n))
+        # anchors at either end of a side as often as anywhere between
+        v, u = (draw(st.one_of(st.just(1), st.just(k), st.integers(1, k))) for k in (n, order - n))
+        specs.append(JointSpec(g, h, v, u))
+    return specs
+
+
+@given(joint_specs())
+@settings(max_examples=80, deadline=None)
+def test_audit_stacks_are_the_composed_graphs(specs):
+    # every slice the audit composes from the sides equals the joint built as
+    # an edge table, adjacency and degrees alike, and so does its index
+    stacks = []
+    real = edge_joint._joint_stack
+
+    def recording(batch, sides):
+        adj, deg = real(batch, sides)
+        stacks.append((batch, adj, deg))
+        return adj, deg
+
+    with mock.patch.object(edge_joint, "_joint_stack", recording):
+        values = edge_joint._direct_gutman(specs)
+    assert sorted(id(spec) for batch, _, _ in stacks for spec in batch) == sorted(map(id, specs))
+    for batch, adj, deg in stacks:
+        assert adj.dtype == bool and deg.dtype == np.int64
+        for spec, a, d in zip(batch, adj, deg):
+            composed = edge_joint_graph(spec)
+            assert np.array_equal(a, graph_core.dense_adjacency(composed))
+            assert np.array_equal(d, composed.degree_array())
+    assert values == [gutman_index(edge_joint_graph(spec)) for spec in specs]
+
+
+def test_disconnected_side_in_a_stack_raises(monkeypatch):
+    specs = [
+        JointSpec(path(3), k2(), 1, 1),
+        JointSpec(from_edges(3, [(1, 2)]), k2(), 3, 2),
+        JointSpec(k2(), path(3), 2, 3),
+    ]
+    shapes = []
+    real = graph_core.layered_distance_matrix
+
+    def recording(adj):
+        shapes.append(adj.shape)
+        return real(adj)
+
+    monkeypatch.setattr(edge_joint, "layered_distance_matrix", recording)
+    with pytest.raises(DisconnectedGraphError):
+        edge_joint._direct_gutman(specs)
+    assert shapes == [(3, 5, 5)]
+
+
+@pytest.mark.parametrize("object_sums", [False, True], ids=["int64 slices", "object slices"])
+def test_stack_past_the_int64_bound_sums_each_slice(object_sums, monkeypatch):
+    jacos = {k: build_jaco(IDENTITY, k).underlying for k in range(2, 9)}
+    specs = [JointSpec(jacos[n], jacos[m], v, 1) for n in range(2, 9) for m in range(2, n + 1) for v in (1, n)]
+    expected = []
+    for spec in specs:
+        composed = edge_joint_graph(spec)
+        expected.append(graph_core._pair_sum(composed.degree_array(), all_pairs_distances(composed)))
+    assert edge_joint._direct_gutman(specs) == expected
+    slices = []
+    real = graph_core._pair_sum
+
+    def counting(weights, dist):
+        slices.append(dist.shape)
+        return real(weights, dist)
+
+    monkeypatch.setattr(edge_joint, "_INT64_SAFE", 0)
+    monkeypatch.setattr(edge_joint, "_pair_sum", counting)
+    if object_sums:
+        monkeypatch.setattr(graph_core, "_INT64_SAFE", 0)
+    assert edge_joint._direct_gutman(specs) == expected
+    assert len(slices) == len(specs)
+
+
+def test_odd_stack_total_raises(monkeypatch):
+    # P4 as 2-1-3-4: vertices 2 and 4 both have degree 1, so one extra unit
+    # of distance between them makes the ordered total odd
+    real = graph_core.layered_distance_matrix
+
+    def doctored(adj):
+        dist = real(adj)
+        dist[0, 1, 3] += 1
+        return dist
+
+    monkeypatch.setattr(edge_joint, "layered_distance_matrix", doctored)
+    with pytest.raises(ArithmeticError, match="is odd"):
+        edge_joint._direct_gutman([JointSpec(k2(), k2(), 1, 1), JointSpec(k2(), k2(), 2, 2)])

@@ -246,8 +246,10 @@ def test_export_2000_peak_memory():
 
 
 def test_erratum_40_peak_memory():
-    # The edge-joint audits stack composed graphs of one order into kernel
-    # calls of at most edge_joint._STACK_PAIRS vertex pairs, about 2 MB above
-    # the floor in all; stacking a whole order's joints at once would not fit.
+    # The edge-joint audits compose stacks of one order from each side's
+    # adjacency, kept once per side, into kernel calls of at most
+    # edge_joint._STACK_PAIRS vertex pairs (2^15, about 0.56 MB of BFS
+    # buffers), about 2 MB above the floor in all; stacking a whole order's
+    # joints at once would not fit.
     grown_mb = _peak_growth_mb("erratum --n-max 40 --m-max 40")
     assert grown_mb < 5, f"erratum --n-max 40 --m-max 40 peaked {grown_mb:.1f} MB above gutman --n 2"
