@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
-    _INT64_SAFE,
     SimpleGraph,
     _pair_sum,
     _require_at_least,
@@ -119,8 +118,8 @@ def _direct_gutman(specs: list[JointSpec]) -> list[int]:
     """Gutman index of each spec's composed graph, by BFS of that graph, in spec order.
 
     Graphs of one order share stacked kernel calls of at most _STACK_PAIRS
-    vertex pairs, composed by `_joint_stack`; no side distance enters.  A
-    stack is summed at once under `_pair_sum`'s int64 bound, else slice by slice.
+    vertex pairs, composed by `_joint_stack`; no side distance enters.  Each
+    stack is summed in one `_pair_sum` call.
     """
     values = [0] * len(specs)
     by_order: dict[int, list[int]] = {}
@@ -134,15 +133,7 @@ def _direct_gutman(specs: list[JointSpec]) -> list[int]:
             batch = members[start : start + per_call]
             adj, deg = _joint_stack([specs[i] for i in batch], sides)
             dist = _require_connected(layered_distance_matrix(adj), "the Gutman index")
-            if int(deg.sum(axis=1).max()) ** 2 * int(dist.max()) < _INT64_SAFE:
-                totals = (deg * np.einsum("bij,bj->bi", dist, deg, dtype=np.int64)).sum(axis=1)
-                odd = totals[totals % 2 == 1]
-                if odd.size:
-                    raise ArithmeticError(f"ordered pair total {odd[0]} is odd; the distances are not symmetric")
-                sums = (totals // 2).tolist()
-            else:
-                sums = [_pair_sum(w, d) for w, d in zip(deg, dist)]
-            for i, total in zip(batch, sums):
+            for i, total in zip(batch, _pair_sum(deg, dist)):
                 values[i] = total
     return values
 

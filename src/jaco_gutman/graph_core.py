@@ -9,27 +9,27 @@ held as its reach array hi, the top of each closed neighbourhood
 and its edge table is built only when read.  All distances and index values
 are exact integers.
 
-Distances come from one kernel with two paths, chosen from the input.  A
-proper interval graph in index order (every closed neighbourhood an index
-interval whose ends never decrease, as in the underlying graph of a linear
-Jaco graph) gets its distances by counting greedy farthest-reach jumps, in
-O(n^2 + n * diameter).  Every other graph takes layered breadth-first search
-driven by dense float32 matrix products, O(n^3 * diameter).  The products
-and level counts never exceed the vertex count, far below float32's
-exact-integer ceiling of 2**24, so both paths are exact.  Either path stores
-its matrix (-1 for an unreachable pair) in the smallest signed integer type
-that holds the largest distance + 1.  A linear Jaco graph's diameter grows
-logarithmically (17 for J_4000(x)), so its matrix is int8, and the jump path
-builds no other n x n array: its distances cost the bool adjacency and the
-matrix, about 2 bytes a vertex pair.  The BFS holds four float32 n x n
-buffers, about 17 bytes a pair.  The kernel also takes a stack of
-adjacencies of one order, shape (b, k, k), for callers with many small
-graphs: every slice takes the BFS, all slices in one batched matrix product
-per radius, and the stack is stored in the one type that its largest
-distance picks.  A graph's all-pairs matrix and its Gutman index are
-computed once and kept on the graph; the matrix is read through
-`all_pairs_distances`.  Index sums run in int64 when an a-priori bound shows
-that is safe and otherwise fall back to arbitrary-precision Python integers.
+Distances come from one kernel with two paths, and the shape of its input
+picks the path; nothing tests the graph's structure.  A reach array hi
+describes a proper interval graph in index order (every closed neighbourhood
+an index interval whose ends never decrease, as in the underlying graph of a
+linear Jaco graph), whose distances are counted as greedy farthest-reach
+jumps, in O(n^2 + n * diameter).  An adjacency matrix, or a stack of them of
+one order, shape (b, k, k), takes layered breadth-first search driven by
+dense float32 matrix products, O(n^3 * diameter), all slices of a stack in
+one batched product per radius.  The products and level counts never exceed
+the vertex count, far below float32's exact-integer ceiling of 2**24, so
+both paths are exact.  Either path stores its matrix (-1 for an unreachable
+pair) in the smallest signed integer type that holds the largest distance
++ 1.  A linear Jaco graph's diameter grows logarithmically (17 for
+J_4000(x)), so its matrix is int8, and the jump path builds no other n x n
+array: its distances cost about 1 byte a vertex pair.  The BFS holds four
+float32 n x n buffers, about 17 bytes a pair.  `all_pairs_distances` is the
+one place that picks the input from the graph's backing: its reach, else its
+bool adjacency.  A graph's all-pairs matrix and its Gutman index are
+computed once and kept on the graph.  Index sums run in int64 when an
+a-priori bound shows that is safe and otherwise fall back to
+arbitrary-precision Python integers.
 """
 from __future__ import annotations
 
@@ -132,8 +132,8 @@ def _arc_table(reach: np.ndarray) -> np.ndarray:
     return np.column_stack((tails, heads))
 
 
-def _check_reach(hi: np.ndarray) -> np.ndarray:
-    """Check a reach array (see `SimpleGraph.from_reach`) in O(n), then freeze it.
+def _check_reach(hi: np.ndarray) -> None:
+    """Check a reach array (see `SimpleGraph.from_reach`) in O(n), leaving it as it is.
 
     Raises ValueError on another dtype or shape, and otherwise names the
     first vertex whose hi breaks v <= hi(v) <= n or falls below its
@@ -152,8 +152,6 @@ def _check_reach(hi: np.ndarray) -> np.ndarray:
         if k + 1 <= value <= order:
             raise ValueError(f"reach of vertex {k + 1} is {value}, below {int(hi[k - 1])}, the reach of vertex {k}")
         raise ValueError(f"reach of vertex {k + 1} is {value}, outside {k + 1}..{order}")
-    hi.setflags(write=False)
-    return hi
 
 
 class SimpleGraph:
@@ -200,8 +198,10 @@ class SimpleGraph:
         place and owned by the graph.  A nondecreasing hi makes every closed
         neighbourhood an index interval.
         """
+        _check_reach(hi)
+        hi.setflags(write=False)
         g = cls.__new__(cls)
-        g._hi = _check_reach(hi)
+        g._hi = hi
         g._edges = None
         g.order = len(hi)
         g._degrees = g._dist = g._gutman = None
@@ -299,7 +299,10 @@ def dense_adjacency(g: SimpleGraph) -> np.ndarray:
 
     A reach-backed graph fills it from its intervals, lo(v) <= u <= hi(v)
     with the diagonal cleared, block by block of rows, and never builds its
-    edge table; any other graph scatters its table.
+    edge table; any other graph scatters its table.  Distances of a
+    reach-backed graph come from its reach and never need this matrix; it
+    serves the BFS inputs of table-backed graphs and of the edge-joint
+    stacks, which copy their sides from it.
     """
     a = np.zeros((g.order, g.order), dtype=bool)
     if g.reach is not None:
@@ -315,32 +318,6 @@ def dense_adjacency(g: SimpleGraph) -> np.ndarray:
         a[e[:, 0], e[:, 1]] = True
         a[e[:, 1], e[:, 0]] = True
     return a
-
-
-def _interval_reach(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lo, hi) if `adj` is a proper interval graph in index order, else None.
-
-    That holds when every closed neighbourhood is the index interval
-    [lo[v], hi[v]], hi is nondecreasing, and lo[v] is the first vertex whose
-    interval reaches v.  Given the first two, the third is equivalent to a
-    symmetric `adj`, at O(n log n) instead of an n^2 transpose compare.  The
-    rows are read block by block, so no n x n copy is made.
-    """
-    order = adj.shape[0]
-    lo = np.empty(order, dtype=np.intp)
-    hi = np.empty(order, dtype=np.intp)
-    for start, stop in _row_blocks(order):
-        closed = adj[start:stop].astype(bool)
-        np.fill_diagonal(closed[:, start:stop], True)
-        lo[start:stop] = closed.argmax(axis=1)
-        hi[start:stop] = order - 1 - closed[:, ::-1].argmax(axis=1)
-        if not np.array_equal(np.count_nonzero(closed, axis=1), hi[start:stop] - lo[start:stop] + 1):
-            return None
-    if (np.diff(hi) < 0).any():
-        return None
-    if not np.array_equal(lo, np.searchsorted(hi, np.arange(order))):
-        return None
-    return lo, hi
 
 
 def _distance_dtype(longest: int) -> np.dtype:
@@ -359,9 +336,10 @@ def _distance_dtype(longest: int) -> np.dtype:
 def _jump_counts(hi: np.ndarray) -> np.ndarray:
     """All-pairs distances of a proper interval graph in index order, by greedy hi jumps.
 
-    With p_0 = a and p_{k+1} = hi[p_k], dist(a, b) for b > a is the number
-    of k with p_k < b: one mark per jump at column p_k + 1 and a cumulative
-    sum along the row.  Columns past the end of a's component read -1, and
+    `hi` is the reach, 0-based: vertex a is joined to a + 1..hi[a].  With
+    p_0 = a and p_{k+1} = hi[p_k], dist(a, b) for b > a is the number of k
+    with p_k < b: one mark per jump at column p_k + 1 and a cumulative sum
+    along the row.  Columns past the end of a's component read -1, and
     the lower triangle mirrors the upper one.
 
     hi never decreases, so within a component the walk from its first vertex
@@ -405,39 +383,38 @@ def _jump_counts(hi: np.ndarray) -> np.ndarray:
 
 
 def layered_distance_matrix(adj: np.ndarray) -> np.ndarray:
-    """Exact all-pairs distances of the graph with square, symmetric adjacency `adj`.
+    """Exact all-pairs distances of the graph given by a reach or by its adjacency.
 
     Returns a matrix with -1 encoding an unreachable pair, in the smallest
     signed integer type that holds the largest distance + 1
-    (`_distance_dtype`): int8 up to diameter 126, int16 up to 32766.  Any
-    nonzero entry of `adj` is an edge; a bool matrix is the usual input.  A
-    matrix that is not square, or not symmetric, raises ValueError.
+    (`_distance_dtype`): int8 up to diameter 126, int16 up to 32766.
 
-    The kernel is chosen from the input.  When the graph is a proper
-    interval graph in index order (`_interval_reach`), as the underlying
-    graph of every linear Jaco graph is, dist(a, b) for b > a is the number
-    of greedy farthest-reach jumps from a that stay below b (Looges and
-    Olariu 1993), filled in O(n^2 + n * diameter), and dist(b, a) is its
-    mirror image.  Every other graph takes layered breadth-first search
-    (`_layered_bfs`), O(n^3 * diameter).
+    The shape of `adj` picks the path, and no structure test runs.  A
+    one-dimensional input is a reach hi, 1-based as in `SimpleGraph.reach`:
+    vertex v is joined to v + 1..hi(v).  It is checked by the rules of
+    `SimpleGraph.from_reach`, which raises ValueError on a breach and leaves
+    the array as it is.  For b > a, dist(a, b) is the number of greedy
+    farthest-reach jumps from a that stay below b (Looges and Olariu 1993),
+    filled in O(n^2 + n * diameter) at about 1 byte a vertex pair, and
+    dist(b, a) is its mirror image.
 
-    `adj` may also be a stack of b adjacencies of one order k, shape
-    (b, k, k).  The stack skips the structure test and takes the BFS for
-    every slice at once, one batched matrix product per radius, so that many
-    small graphs share the per-call cost.  The result has shape (b, k, k),
-    in the one type that holds the largest distance of the whole stack, and
-    slice s holds the distances of adj[s].  An asymmetric slice raises
-    ValueError naming the slice and the pair.
+    A square (k, k) adjacency, or a stack of b of them of one order, shape
+    (b, k, k), takes layered breadth-first search (`_layered_bfs`),
+    O(k^3 * diameter), every slice of a stack at once in one batched matrix
+    product per radius, so that many small graphs share the per-call cost.
+    Any nonzero entry is an edge; a bool matrix is the usual input.  A stack
+    is stored in the one type that holds its largest distance, and slice s
+    holds the distances of adj[s].  A matrix that is not square raises
+    ValueError, and so does an asymmetric one, naming the pair and, in a
+    stack, the slice.
     """
+    if adj.ndim == 1:
+        _check_reach(adj)
+        return _jump_counts(adj - 1)
     if adj.ndim not in (2, 3) or adj.shape[-1] != adj.shape[-2]:
         raise ValueError(f"adjacency must be a square matrix or a stack of them, got shape {adj.shape}")
     if adj.size == 0:
-        # argmax, which the structure test uses, rejects an empty axis.
         return np.zeros(adj.shape, dtype=_distance_dtype(0))
-    if adj.ndim == 2:
-        reach = _interval_reach(adj)
-        if reach is not None:
-            return _jump_counts(reach[1])
     return _layered_bfs(adj)
 
 
@@ -499,11 +476,15 @@ def all_pairs_distances(g: SimpleGraph) -> np.ndarray:
     A read-only matrix indexed 0-based, with -1 for an unreachable pair, in
     the smallest signed integer type that holds the largest distance + 1
     (int8 up to diameter 126), so adding 1 to any entry cannot wrap; sums
-    and products over it must widen first.  The matrix is kept on the graph,
-    so every later call returns it without running the kernel again.
+    and products over it must widen first.  This is the one place where the
+    graph's backing picks the kernel's path: a reach-backed graph passes its
+    reach to the jump fill, at about 1 byte a vertex pair and with no
+    adjacency, and any other graph passes its bool adjacency to the BFS.
+    The matrix is kept on the graph, so every later call returns it without
+    running the kernel again.
     """
     if g._dist is None:
-        dist = layered_distance_matrix(dense_adjacency(g))
+        dist = layered_distance_matrix(g.reach if g.reach is not None else dense_adjacency(g))
         dist.setflags(write=False)
         g._dist = dist
     return g._dist
@@ -566,24 +547,28 @@ def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
 _INT64_SAFE = 2**62
 
 
-def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
-    """Exact sum of w_a * w_b * d_ab over unordered pairs a < b.
+def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int | list[int]:
+    """Exact sum of w_a * w_b * d_ab over unordered pairs a < b, of one graph or of a stack.
 
-    `dist` is a symmetric nonnegative matrix with a zero diagonal, so the
-    ordered-pair total w . (dist w) is twice the answer.  That total runs in
-    int64 when (sum |w|)^2 * max(dist) bounds it below _INT64_SAFE, and in
-    Python integers otherwise.  The int64 product accumulates in int64
-    without an int64 copy of `dist`.
+    `weights` (k,) with `dist` (k, k) gives an int.  A (b, k) weight stack
+    with a (b, k, k) distance stack gives a list of b ints, slice by slice.
+    Each distance matrix is symmetric and nonnegative with a zero diagonal,
+    so the ordered-pair total w . (dist w) is twice the answer.  The totals
+    run in int64 when (sum |w|)^2 * max(dist), over the whole stack, bounds
+    them below _INT64_SAFE, without an int64 copy of `dist`, and in Python
+    integers otherwise.  An odd total raises ArithmeticError.
     """
     w = np.asarray(weights, dtype=np.int64)
-    if int(np.abs(w).sum()) ** 2 * int(dist.max()) < _INT64_SAFE:
-        total = int(w @ np.einsum("ij,j->i", dist, w, dtype=np.int64))
+    if int(np.abs(w).sum(axis=-1).max()) ** 2 * int(dist.max()) < _INT64_SAFE:
+        totals = (w * np.einsum("...ij,...j->...i", dist, w, dtype=np.int64)).sum(axis=-1)
     else:
         w = w.astype(object)
-        total = int(w @ (dist.astype(object) @ w))
-    if total % 2:
-        raise ArithmeticError(f"ordered pair total {total} is odd; the distances are not symmetric")
-    return total // 2
+        totals = (w * (dist.astype(object) @ w[..., None])[..., 0]).sum(axis=-1)
+    totals = np.asarray(totals)
+    odd = totals[totals % 2 == 1]
+    if odd.size:
+        raise ArithmeticError(f"ordered pair total {odd[0]} is odd; the distances are not symmetric")
+    return (totals // 2).tolist()
 
 
 def gutman_index(g: SimpleGraph) -> int:

@@ -344,20 +344,26 @@ def component_structure(j: JacoGraph) -> list[int]:
 def _audited_jaco(f: LinearFunction, n: int) -> JacoGraph:
     """The order-n Jaco graph, audited so that every lower order is a prefix.
 
-    The order-k graph is the order-n graph with v_{k+1}..v_n deleted, and
-    with contiguous in-neighbourhoods every closed neighbourhood is an index
-    interval, so deleting the later vertices changes no distance among the
-    earlier ones.  Out-sets are intervals by construction; in-sets are
-    checked here (for a built graph, by the nondecreasing hi its
-    construction checked), and a failed check raises ValueError naming the
-    first bad head.  Every order sweep gets its graph from this one place.
+    The order-k graph is the order-n graph with v_{k+1}..v_n deleted.  The
+    audit checks that every in-set is the interval [q - d-(q), q - 1] (for a
+    built graph, by the nondecreasing hi its construction checked) and that
+    its lowest member q - d-(q) never decreases in q, so that every out-set
+    is the interval v + 1..v + d+(v) as well.  Every closed neighbourhood is
+    then an index interval, with v + d+(v) as the reach of v, and deleting
+    the later vertices changes no distance among the earlier ones.  A failed
+    check raises ValueError naming the first bad head.  Every order sweep
+    gets its graph from this one place.
     """
     j = build_jaco(f, n)
-    contiguity = _in_neighbors_contiguous(j)
-    if not contiguity.ok:
+    problem = _in_neighbors_contiguous(j).counterexample
+    lowest = np.arange(1, n + 1) - j.in_degree_array
+    drops = np.flatnonzero(lowest[1:] < lowest[:-1])
+    if problem is None and drops.size:
+        q = int(drops[0]) + 2
+        problem = f"out-neighbors of v_{int(lowest[q - 1])} reach v_{q} but not v_{q - 1}"
+    if problem is not None:
         raise ValueError(
-            f"arc table failed the contiguity audit ({contiguity.counterexample}); "
-            "lower orders cannot be read as its prefixes"
+            f"arc table failed the contiguity audit ({problem}); lower orders cannot be read as its prefixes"
         )
     return j
 

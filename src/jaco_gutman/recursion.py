@@ -21,9 +21,10 @@ i*(n-i).  The exact one carries the corrected terms.  With the shared
 grouping, per-term deltas between the two always sum to the total difference,
 and the exact total is checked against a direct recomputation.
 
-Every order comes from one audited build (`jaco._audited_jaco`): order k is
-the leading k x k block of J_{N+1}, and each block still gets its own run of
-the distance kernel, so the direct value is recomputed independently.
+Every order comes from one audited build (`jaco._audited_jaco`) of J_{N+1},
+whose reach is v + d+(v): order k is its prefix reach min(hi(v), k) for
+v <= k, and each prefix gets its own run of the distance kernel, so the
+direct value is recomputed independently.
 """
 from __future__ import annotations
 
@@ -32,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
+    SimpleGraph,
     _pair_sum,
     _require_at_least,
     _require_connected,
-    dense_adjacency,
+    all_pairs_distances,
     layered_distance_matrix,
 )
 from .jaco import IDENTITY, JacoGraph, _audited_jaco
@@ -126,11 +128,17 @@ def _require_identity(jn: JacoGraph) -> None:
         raise ValueError("recursion formulas require order n >= 2")
 
 
-def _order_facts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Degrees, distances and Gutman index of the graph with adjacency `adj`."""
-    deg = np.count_nonzero(adj, axis=1)
-    dist = _require_connected(layered_distance_matrix(adj), _WHAT)
+def _order_facts(g: SimpleGraph, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Degrees, distances and Gutman index of `g`, whose distances are `dist`."""
+    deg = g.degree_array()
+    dist = _require_connected(dist, _WHAT)
     return deg, dist, _pair_sum(deg, dist)
+
+
+def _prefix_order_facts(hi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_order_facts` of the order-k prefix of the graph with reach `hi`, by one kernel run."""
+    prefix = np.minimum(hi[:k], k)
+    return _order_facts(SimpleGraph.from_reach(prefix), layered_distance_matrix(prefix))
 
 
 def _check_structure(deg: np.ndarray, dist: np.ndarray, i: int) -> None:
@@ -175,7 +183,7 @@ def _terms(jn: JacoGraph, *, verbatim: bool) -> RecursionTerms:
     _require_identity(jn)
     n = jn.n
     i = n - int(_audited_jaco(IDENTITY, n + 1).in_degree_array[n])
-    deg, dist, base = _order_facts(dense_adjacency(jn.underlying))
+    deg, dist, base = _order_facts(jn.underlying, all_pairs_distances(jn.underlying))
     if not verbatim:
         _check_structure(deg, dist, i)
     return _evaluate(deg, dist, base, i, verbatim=verbatim)
@@ -206,22 +214,23 @@ def recursion_delta_report(n_max: int) -> list[RecursionDelta]:
 
     Each row carries both term breakdowns plus a direct recomputation of the
     order-(n+1) index from its own distance matrix.  One audited build of
-    order n_max + 1 serves every order: order k is its leading k x k
-    adjacency block, and the prime index i of order n is read from the
-    in-degree of v_{n+1}.  Each order runs the distance kernel once, on its
-    own block, and its direct index is the next row's base.
+    order n_max + 1 serves every order: order k is its prefix reach
+    min(hi(v), k) for v <= k, and the prime index i of order n is read from
+    the in-degree of v_{n+1}.  Each order runs the distance kernel once, on
+    its own prefix reach, with no adjacency matrix, and its direct index is
+    the next row's base.
     """
     _require_at_least(n_max, 2, "n_max")
     full = _audited_jaco(IDENTITY, n_max + 1)
-    adj = dense_adjacency(full.underlying)
     indeg = full.in_degree_array
+    hi = np.arange(1, n_max + 2) + full.out_degree_array
     rows = []
-    deg, dist, gut = _order_facts(adj[:2, :2])
+    deg, dist, gut = _prefix_order_facts(hi, 2)
     for n in range(2, n_max + 1):
         i = n - int(indeg[n])
         _check_structure(deg, dist, i)
         paper = _evaluate(deg, dist, gut, i, verbatim=True)
         exact = _evaluate(deg, dist, gut, i, verbatim=False)
-        deg, dist, gut = _order_facts(adj[: n + 1, : n + 1])
+        deg, dist, gut = _prefix_order_facts(hi, n + 1)
         rows.append(RecursionDelta(paper=paper, exact=exact, direct=gut))
     return rows

@@ -1,4 +1,6 @@
 """Construction rule, structural validators, and the degree landscape."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,6 +324,16 @@ def test_failed_contiguity_audit_stops_every_sweep(sweep, monkeypatch):
     # v_5's only in-neighbour is v_1, so its in-set is not [4, 4]
     monkeypatch.setattr(jaco, "build_jaco", lambda f, n: jaco_from_arcs(f, n, [(1, n)]))
     with pytest.raises(ValueError, match="contiguity audit .*in-neighbors of v_5"):
+        SWEEPS[sweep]()
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_out_set_gap_fails_the_contiguity_audit(sweep, monkeypatch):
+    # every in-set is an interval, but v_1 sends arcs to v_2 and v_4 and not
+    # to v_3, so v + d+(v) would not be v_1's reach
+    arcs = [(1, 2), (2, 3), (1, 4), (2, 4), (3, 4)]
+    monkeypatch.setattr(jaco, "build_jaco", lambda f, n: jaco_from_arcs(f, n, arcs + [(k, k + 1) for k in range(4, n)]))
+    with pytest.raises(ValueError, match=re.escape("contiguity audit (out-neighbors of v_1 reach v_4 but not v_3)")):
         SWEEPS[sweep]()
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from jaco_gutman import (
     IDENTITY,
+    SEQUENCE_NAMES,
     DisconnectedGraphError,
     JacoGraph,
     LinearFunction,
@@ -25,10 +26,12 @@ from jaco_gutman import (
     is_connected,
     jaco_from_arcs,
     jaconian_info,
+    recursion_delta_report,
+    sequence_tables,
     wiener_index,
 )
 import jaco_gutman
-from jaco_gutman import graph_core
+from jaco_gutman import graph_core, recursion, sequences
 from jaco_gutman.graph_core import dense_adjacency
 
 from bruteforce import component_orders, slow_jaco_arcs, split_degree_counts
@@ -167,6 +170,30 @@ def _no_kernel(adj):
     raise AssertionError("distance kernel called")
 
 
+def _no_adjacency(g):
+    raise AssertionError("dense adjacency built")
+
+
+# Each call builds its own graph, so nothing memoized carries over.
+NO_ADJACENCY_CALLS = {
+    "gutman_index": lambda: [gutman_index(build_jaco(f, 300).underlying) for f in (IDENTITY, LinearFunction(2, 1))],
+    "wiener_index": lambda: [wiener_index(build_jaco(f, 300).underlying) for f in (IDENTITY, LinearFunction(2, 1))],
+    "sequence_tables": lambda: sequence_tables(SEQUENCE_NAMES, IDENTITY, 60),
+    "recursion_delta_report": lambda: recursion_delta_report(60),
+}
+
+
+@pytest.mark.parametrize("call", NO_ADJACENCY_CALLS)
+def test_built_graphs_reach_their_distances_without_an_adjacency(call, monkeypatch):
+    # a reach-backed graph hands its reach to the kernel, and the recursion
+    # audit hands it each prefix reach, so no bool adjacency is built; the
+    # name is patched in every module that could import it
+    expected = NO_ADJACENCY_CALLS[call]()
+    for module in (graph_core, recursion, sequences):
+        monkeypatch.setattr(module, "dense_adjacency", _no_adjacency, raising=False)
+    assert NO_ADJACENCY_CALLS[call]() == expected
+
+
 def test_connectivity_leaves_the_arc_table_and_the_kernel_alone(monkeypatch):
     monkeypatch.setattr(graph_core, "_arc_table", _no_table)
     monkeypatch.setattr(graph_core, "layered_distance_matrix", _no_kernel)
@@ -215,17 +242,17 @@ def _peak_growth_mb(command):
 
 
 def test_gutman_3000_peak_memory():
-    # 9 MB of int8 distances and 9 MB of bool adjacency; an int32 matrix
-    # alone would add 27 MB more.
+    # 9 MB of int8 distances and nothing else of n x n size; a bool
+    # adjacency would add 9 MB more, and an int32 matrix 27 MB.
     grown_mb = _peak_growth_mb("gutman --n 3000")
-    assert grown_mb < 30, f"gutman --n 3000 peaked {grown_mb:.0f} MB above gutman --n 2"
+    assert grown_mb < 15, f"gutman --n 3000 peaked {grown_mb:.0f} MB above gutman --n 2"
 
 
 @pytest.mark.parametrize("f", [IDENTITY, LinearFunction(2, 1), LinearFunction(0, 2)], ids=str)
-def test_distances_of_a_built_graph_take_two_bytes_a_pair(f):
-    # The bool adjacency and the int8 matrix are 1 B a pair each; the kernel's
-    # other buffers are O(n) or a block of rows, so any n x n temporary,
-    # even a bool one, breaks the bound.
+def test_distances_of_a_built_graph_take_one_byte_a_pair(f):
+    # The int8 matrix is 1 B a pair and the jump fill reads the reach, not an
+    # adjacency; its other buffers are O(n) or a block of rows, so any n x n
+    # temporary, even a bool one, breaks the bound.
     n = 2000
     g = build_jaco(f, n).underlying
     tracemalloc.start()
@@ -235,7 +262,7 @@ def test_distances_of_a_built_graph_take_two_bytes_a_pair(f):
     finally:
         tracemalloc.stop()
     assert dist.dtype == np.int8
-    assert peak <= 2.2 * n * n, f"all_pairs_distances of {f} at n = {n} peaked {peak / n / n:.2f} B a pair"
+    assert peak <= 1.2 * n * n, f"all_pairs_distances of {f} at n = {n} peaked {peak / n / n:.2f} B a pair"
 
 
 def test_export_2000_peak_memory():

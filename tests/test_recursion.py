@@ -5,6 +5,7 @@ from jaco_gutman import (
     IDENTITY,
     LinearFunction,
     StructureAssumptionViolated,
+    all_pairs_distances,
     build_jaco,
     gutman_index,
     jaco_from_arcs,
@@ -15,7 +16,6 @@ from jaco_gutman import (
     recursion_paper_terms,
 )
 from jaco_gutman import jaco, recursion
-from jaco_gutman.graph_core import dense_adjacency, layered_distance_matrix
 from jaco_gutman.recursion import TERM_NAMES
 
 from bruteforce import brute_gutman, slow_jaco_arcs
@@ -129,9 +129,9 @@ class TestExactness:
     def test_distance_stability_under_extension(self):
         # distances among v_1..v_n are unchanged by adding v_{n+1}; this is
         # what lets the decomposition reuse the order-n distance matrix
-        prev = layered_distance_matrix(dense_adjacency(build_jaco(IDENTITY, 2).underlying))
+        prev = all_pairs_distances(build_jaco(IDENTITY, 2).underlying)
         for n in range(3, 201):
-            cur = layered_distance_matrix(dense_adjacency(build_jaco(IDENTITY, n).underlying))
+            cur = all_pairs_distances(build_jaco(IDENTITY, n).underlying)
             assert (cur[: n - 1, : n - 1] == prev).all()
             prev = cur
 
