@@ -4,7 +4,7 @@ Subcommands: build, gutman, wiener, recursion-check, joint, sequences,
 erratum.  Exit codes: 0 success, 1 usage error (bad flags, unknown names,
 out-of-range anchors, an --out path that cannot be written), 2 domain error
 (disconnected graph where an index needs connectivity, failed structural
-precondition, mismatched audit).
+precondition, mismatched audit) or a command that ran out of memory.
 
 All output is deterministic; the only randomized piece, the non-trivial
 anchor audit inside `erratum`, draws from a seeded generator (--seed,
@@ -265,6 +265,7 @@ def _audit_exit(failure: str | None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -275,6 +276,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, StructureAssumptionViolated) as exc:
         # DisconnectedGraphError subclasses ValueError and lands here too.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's error for an array too large to allocate subclasses MemoryError.
+        command = args.command if args is not None else "jaco"
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {command} ran out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -143,7 +143,9 @@ def _index_parts(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray, int]:
 
     All three are kept on `g`, so a graph that many grid points share is
     summed once.  `gutman_index` raises on a disconnected graph and keeps
-    only a connected one's index, so each graph is checked once.
+    only a connected one's index, so each graph is checked once.  It sums a
+    reach-backed side over its jump forest without the side's matrix;
+    `all_pairs_distances` fills that matrix, which the anchors' rows read.
     """
     gut = gutman_index(g)
     return g.degree_array(), all_pairs_distances(g), gut

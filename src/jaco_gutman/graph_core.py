@@ -27,7 +27,13 @@ array: its distances cost about 1 byte a vertex pair.  The BFS holds four
 float32 n x n buffers, about 17 bytes a pair.  `all_pairs_distances` is the
 one place that picks the input from the graph's backing: its reach, else its
 bool adjacency.  A graph's all-pairs matrix and its Gutman index are
-computed once and kept on the graph.  Index sums run in int64 when an
+computed once and kept on the graph.
+
+The Gutman and Wiener indices of a reach-backed graph read no matrix at all.
+The greedy jump count turns their pair sum into a sum over the forest of hi
+(`_forest_pair_sum`): O(n) numpy per pointer-doubling round, log2(diameter)
+rounds, O(n) memory: about 0.1 s for J_1000000(x) on a 2-vCPU Xeon VM.
+Any other graph sums its all-pairs matrix.  Index sums run in int64 when an
 a-priori bound shows that is safe and otherwise fall back to
 arbitrary-precision Python integers.
 """
@@ -529,18 +535,21 @@ def is_connected(g: SimpleGraph) -> bool:
     return len(_component_sizes(g)) == 1
 
 
+def _connectivity_error(what: str, order: int) -> ValueError:
+    """The error for `what` of a graph that is empty (order 0) or else disconnected."""
+    if order == 0:
+        return ValueError(f"{what} is undefined for the empty graph")
+    return DisconnectedGraphError(f"{what} is defined for connected graphs only and this graph is disconnected")
+
+
 def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
     """Return `dist` if every entry is reachable, else raise naming `what`.
 
     An empty matrix (the order-0 graph) raises ValueError; an unreachable
     entry raises DisconnectedGraphError.
     """
-    if dist.size == 0:
-        raise ValueError(f"{what} is undefined for the empty graph")
-    if dist.min() < 0:
-        raise DisconnectedGraphError(
-            f"{what} is defined for connected graphs only and this graph is disconnected"
-        )
+    if dist.size == 0 or dist.min() < 0:
+        raise _connectivity_error(what, dist.size)
     return dist
 
 
@@ -571,19 +580,98 @@ def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int | list[int]:
     return (totals // 2).tolist()
 
 
+def _exact_dot(w: np.ndarray, c: np.ndarray) -> int:
+    """Exact dot product of two nonnegative int64 vectors of one length, however large.
+
+    c is cut into limbs of b bits, the most for which len(w) * max(w) * 2^b
+    stays within _INT64_SAFE, so the dot product of w with one limb is exact
+    in int64, and the shifted limb products add up as Python integers.  A
+    product under that bound takes one limb; with no room for a single bit,
+    the product runs in Python integers.
+    """
+    bits = _INT64_SAFE.bit_length() - 1 - (len(w) * int(w.max())).bit_length()
+    if bits < 1:
+        return int(w.astype(object) @ c.astype(object))
+    total = 0
+    for shift in range(0, int(c.max()).bit_length(), bits):
+        total += int(w @ ((c >> shift) & ((1 << bits) - 1))) << shift
+    return total
+
+
+def _forest_pair_sum(hi: np.ndarray, w: np.ndarray) -> int:
+    """Exact sum of w_a * w_b * dist(a, b) over pairs a < b of a connected reach-backed graph.
+
+    `hi` is the reach, 1-based as in `SimpleGraph.reach`, and `w` holds
+    nonnegative int64 weights.  hi must have no fixed point below n, which
+    `_index` checks first: the graph is connected.  A fixed point would stop
+    the walks short of n, and the rounds below would never end.
+
+    For a < b, dist(a, b) is the number of k >= 0 with hi^k(a) < b (the
+    greedy jumps that `_jump_counts` counts), so the sum is
+    sum_a w(a) * C(a), where C(a) = sum_k S(hi^k(a)) and S(x) is the weight
+    of the vertices above x.  The walk ends at n, where S is 0.  C comes from
+    pointer doubling over the forest of hi: acc starts as S and P as hi, and
+    each round adds acc[P] to acc and replaces P by P[P], so after r rounds
+    acc(a) holds the walk's first 2^r terms.  hi and so P never decrease, so
+    P has reached n everywhere once P(1) has, after ceil(log2(diameter))
+    rounds.  Memory and time per round are O(n), and no distance, adjacency
+    or edge is formed.
+
+    acc(a) after r rounds sums at most 2^r values of S, each at most sum(w),
+    so it runs in int64 while 2^r * sum(w) is below _INT64_SAFE, and in
+    Python integers from the first round where it is not.  The dot product
+    w . C, whose value can outgrow int64 when C does not, is `_exact_dot`.
+    """
+    order = len(hi)
+    total = int(w.sum())
+    terms = 1
+    acc = total - np.cumsum(w if total < _INT64_SAFE else w.astype(object))
+    jump = hi - 1
+    while jump[0] < order - 1:
+        terms *= 2
+        if terms * total >= _INT64_SAFE:
+            acc = acc.astype(object, copy=False)
+        acc += acc[jump]
+        jump = jump[jump]
+    return int(w @ acc) if acc.dtype == object else _exact_dot(w, acc)
+
+
+def _index(g: SimpleGraph, w: np.ndarray, what: str) -> int:
+    """Exact sum of w_u * w_v * dist(u, v) over the unordered vertex pairs of a connected graph.
+
+    A reach-backed graph tests connectivity from the fixed points of its
+    reach (`_component_sizes`) and sums over its jump forest
+    (`_forest_pair_sum`) in O(n) memory, without its distance matrix.  Any
+    other graph sums its all-pairs matrix with `_pair_sum`.  The empty graph
+    raises ValueError and a disconnected one DisconnectedGraphError, each
+    naming `what`.
+    """
+    if g.reach is None:
+        return _pair_sum(w, _require_connected(all_pairs_distances(g), what))
+    if len(_component_sizes(g)) != 1:
+        raise _connectivity_error(what, g.order)
+    return _forest_pair_sum(g.reach, w)
+
+
 def gutman_index(g: SimpleGraph) -> int:
     """Sum of deg(u) * deg(v) * dist(u, v) over unordered vertex pairs.
 
-    Computed once and kept on the graph, like its distances.
+    A reach-backed graph sums over its jump forest and never fills its
+    distance matrix; any other graph sums its all-pairs distances.  Computed
+    once and kept on the graph.
     """
     if g._gutman is None:
-        g._gutman = _pair_sum(g.degree_array(), _require_connected(all_pairs_distances(g), "the Gutman index"))
+        g._gutman = _index(g, g.degree_array(), "the Gutman index")
     return g._gutman
 
 
 def wiener_index(g: SimpleGraph) -> int:
-    """Sum of dist(u, v) over unordered vertex pairs."""
-    return _pair_sum(np.ones(g.order, np.int64), _require_connected(all_pairs_distances(g), "the Wiener index"))
+    """Sum of dist(u, v) over unordered vertex pairs.
+
+    A reach-backed graph sums over its jump forest and never fills its
+    distance matrix; any other graph sums its all-pairs distances.
+    """
+    return _index(g, np.ones(g.order, np.int64), "the Wiener index")
 
 
 def induced_subgraph(

@@ -11,6 +11,13 @@ from jaco_gutman import cli
 from jaco_gutman.cli import entrypoint, main
 from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
+class _ArrayMemoryError(MemoryError):
+    """Like numpy's error for an array too large to allocate, a MemoryError with a message."""
+
+
+_TOO_LARGE = "Unable to allocate 931. GiB for an array with shape (1000000, 1000000) and data type int8"
+
+
 J5_JSON = '{"m":1,"c":0,"n":5,"arcs":[[1,2],[2,3],[3,4],[3,5],[4,5]]}\n'
 
 
@@ -415,6 +422,30 @@ class TestExitCodes:
             entrypoint()
         assert stop.value.code == expected
         assert capsys.readouterr().out == ("58\n" if expected == 0 else "")
+
+    # A failed allocation is raised, never made: each command's callee is
+    # patched to raise what numpy raises for an array too large to allocate.
+    @pytest.mark.parametrize(
+        "callee, argv",
+        [
+            ("gutman_index", ["gutman", "--n", "5"]),
+            ("wiener_index", ["wiener", "--n", "5"]),
+            ("sequence_tables", ["sequences", "--n-max", "5"]),
+            ("joint_check", ["joint", "--n", "5", "--m", "5"]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "error, detail",
+        [(MemoryError(), ""), (_ArrayMemoryError(_TOO_LARGE), f": {_TOO_LARGE}")],
+        ids=["bare", "numpy"],
+    )
+    def test_running_out_of_memory_is_a_domain_error(self, capsys, monkeypatch, callee, argv, error, detail):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, callee, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {argv[0]} ran out of memory{detail}\n")
 
     def test_subprocess_domain_error(self):
         proc = subprocess.run(

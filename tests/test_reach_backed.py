@@ -20,6 +20,7 @@ from jaco_gutman import (
     all_pairs_distances,
     build_jaco,
     component_structure,
+    from_edges,
     gutman_index,
     hope_graph,
     induced_subgraph,
@@ -34,7 +35,7 @@ import jaco_gutman
 from jaco_gutman import graph_core, recursion, sequences
 from jaco_gutman.graph_core import dense_adjacency
 
-from bruteforce import component_orders, slow_jaco_arcs, split_degree_counts
+from bruteforce import brute_gutman, brute_wiener, component_orders, slow_jaco_arcs, split_degree_counts
 
 
 def _index_or_disconnected(index, g):
@@ -194,6 +195,114 @@ def test_built_graphs_reach_their_distances_without_an_adjacency(call, monkeypat
     assert NO_ADJACENCY_CALLS[call]() == expected
 
 
+def _index_outcome(index, g):
+    """The index of g, or the type and message of the ValueError it raises."""
+    try:
+        return index(g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+INDICES = ((gutman_index, brute_gutman, "the Gutman index"), (wiener_index, brute_wiener, "the Wiener index"))
+
+
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 70))
+@example(0, 0, 1)
+@example(0, 0, 2)  # two isolated vertices
+@example(1, 0, 2)
+@example(0, 3, 70)  # cliques on c + 1 vertices
+@example(0, 4, 70)  # ... and a smaller remainder clique
+@settings(max_examples=150, deadline=None)
+def test_forest_sums_match_the_forced_bfs_and_the_oracle(m, c, n):
+    g = build_jaco(LinearFunction(m, c), n).underlying
+    table = from_edges(n, g.edge_list())
+    assert table.reach is None  # so its indices sum the BFS distances
+    arcs = slow_jaco_arcs(m, c, n)
+    connected = component_orders(n, arcs) == [n]
+    for index, brute, what in INDICES:
+        outcome = _index_outcome(index, g)
+        assert outcome == _index_outcome(index, table)
+        if connected:
+            assert outcome == brute(n, arcs)
+        else:
+            message = f"{what} is defined for connected graphs only and this graph is disconnected"
+            assert outcome == (DisconnectedGraphError, message)
+
+
+@pytest.mark.parametrize(
+    "hi, gutman, wiener",
+    [
+        ([], ValueError, ValueError),
+        ([1], 0, 0),
+        ([1, 2], DisconnectedGraphError, DisconnectedGraphError),
+        ([2, 2], 1, 1),
+    ],
+    ids=["order 0", "order 1", "order 2, no edge", "order 2, one edge"],
+)
+def test_forest_sums_of_orders_0_1_and_2(hi, gutman, wiener):
+    g = SimpleGraph.from_reach(np.array(hi, dtype=np.int64))
+    table = from_edges(len(hi), g.edge_list())
+    for (index, _, _), expected in zip(INDICES, (gutman, wiener)):
+        outcome = _index_outcome(index, g)
+        assert outcome == _index_outcome(index, table)
+        assert (outcome[0] if isinstance(outcome, tuple) else outcome) == expected
+
+
+def _path_reach(n):
+    return np.minimum(np.arange(2, n + 2), n)
+
+
+BOUND_GRAPHS = {
+    "J_300(x)": lambda: build_jaco(IDENTITY, 300).underlying,
+    "J_200(2x+1)": lambda: build_jaco(LinearFunction(2, 1), 200).underlying,
+    "J_150(3x+4)": lambda: build_jaco(LinearFunction(3, 4), 150).underlying,
+    "path P_40": lambda: SimpleGraph.from_reach(_path_reach(40)),  # one walk of 39 jumps
+    "J_1(x)": lambda: build_jaco(IDENTITY, 1).underlying,
+}
+
+
+@pytest.mark.parametrize("make", BOUND_GRAPHS.values(), ids=BOUND_GRAPHS)
+def test_forest_sums_agree_on_both_sides_of_the_int64_bound(make, monkeypatch):
+    # Round r's int64 bound is 2^r * sum(w): a limit of exactly that value
+    # sends the round to Python integers and one more keeps it in int64, for
+    # every round; the limb width of the final dot product moves with it, and
+    # a limit of 0 leaves no int64 arithmetic at all.  Each call gets a fresh
+    # graph, so no memoized index carries over.
+    expected = [index(make()) for index, _, _ in INDICES]
+    g = make()
+    weight_sums = (int(g.degree_array().sum()), g.order)
+    for safe in [0] + [total * 2**k + d for total in weight_sums for k in range(8) for d in (0, 1)]:
+        monkeypatch.setattr(graph_core, "_INT64_SAFE", safe)
+        assert [index(make()) for index, _, _ in INDICES] == expected
+    table = from_edges(g.order, g.edge_list())
+    assert expected == [brute(g.order, table.edge_list()) for _, brute, _ in INDICES]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**31), st.integers(0, 2**63 - 1)), min_size=1, max_size=40),
+    st.sampled_from([0, 1, 2**20, 2**40, 2**62]),
+)
+@example([(2**31, 2**63 - 1)] * 40, 2**62)  # the largest weights and values: 25-bit limbs
+@example([(3, 15)], 2**7)  # 1 * 3 takes 2 bits, so the limbs are 4 bits wide: c is one full limb
+@example([(3, 15)], 2**7 - 1)  # ... and the same below a power of two
+@example([(3, 15)], 2**6)  # ... and two 3-bit limbs one bit lower
+@settings(max_examples=100, deadline=None)
+def test_exact_dot_matches_python_integers(pairs, safe):
+    w, c = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_core, "_INT64_SAFE", safe)
+        assert graph_core._exact_dot(w, c) == sum(a * b for a, b in pairs)
+
+
+def test_reach_backed_indices_form_no_distances(monkeypatch):
+    graphs = [build_jaco(f, 500).underlying for f in (IDENTITY, LinearFunction(2, 1), LinearFunction(0, 2))]
+    expected = [_index_outcome(index, from_edges(g.order, g.edge_list())) for g in graphs for index, _, _ in INDICES]
+    monkeypatch.setattr(graph_core, "layered_distance_matrix", _no_kernel)
+    monkeypatch.setattr(graph_core, "dense_adjacency", _no_adjacency)
+    assert [_index_outcome(index, g) for g in graphs for index, _, _ in INDICES] == expected
+    assert expected[-1][0] is DisconnectedGraphError
+
+
 def test_connectivity_leaves_the_arc_table_and_the_kernel_alone(monkeypatch):
     monkeypatch.setattr(graph_core, "_arc_table", _no_table)
     monkeypatch.setattr(graph_core, "layered_distance_matrix", _no_kernel)
@@ -242,10 +351,17 @@ def _peak_growth_mb(command):
 
 
 def test_gutman_3000_peak_memory():
-    # 9 MB of int8 distances and nothing else of n x n size; a bool
-    # adjacency would add 9 MB more, and an int32 matrix 27 MB.
+    # The index sums over the jump forest in O(n) memory, about 0 MB above
+    # the floor; its 9 MB int8 distance matrix alone would break the bound.
     grown_mb = _peak_growth_mb("gutman --n 3000")
-    assert grown_mb < 15, f"gutman --n 3000 peaked {grown_mb:.0f} MB above gutman --n 2"
+    assert grown_mb < 5, f"gutman --n 3000 peaked {grown_mb:.1f} MB above gutman --n 2"
+
+
+def test_gutman_million_peak_memory():
+    # The build's scan and a few int64 arrays of n entries, about 55 MB above
+    # the floor; the distance matrix would need 931 GiB.
+    grown_mb = _peak_growth_mb("gutman --n 1000000")
+    assert grown_mb < 120, f"gutman --n 1000000 peaked {grown_mb:.0f} MB above gutman --n 2"
 
 
 @pytest.mark.parametrize("f", [IDENTITY, LinearFunction(2, 1), LinearFunction(0, 2)], ids=str)
