@@ -187,7 +187,13 @@ def _cmd_joint(args: argparse.Namespace) -> int:
     else:
         text = serialize.joint_single_json(row)
     _emit(text, args.out)
-    return 0
+    failure = None
+    if row["closed_form"] != row["direct"]:
+        failure = (
+            f"joint (n, m, vi, uj) = ({args.n}, {args.m}, {args.vi}, {args.uj}): "
+            f"closed form {row['closed_form']}, direct {row['direct']}"
+        )
+    return _audit_exit(failure)
 
 
 def _cmd_sequences(args: argparse.Namespace) -> int:

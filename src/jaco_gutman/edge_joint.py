@@ -14,6 +14,8 @@ aggregates only:
     Gut(G) + Gut(H) + A_G * A_H + T_G * (A_H + 1) + T_H * (A_G + 1),
 
 where A = sum of degrees + 1 and T = sum over x of deg(x) * dist(anchor, x).
+Each side's degree total, T vector and index are computed once and kept on
+the graph; a reach-backed side takes T and the index from its jump forest.
 
 The published right-hand side for the trivial joint of two identity Jaco
 graphs omits one pair class: low G-vertices paired with H's anchor.  Its
@@ -24,11 +26,16 @@ predicted value, the missing block
 restores the direct value exactly; the audit report records both.
 
 The direct value the audits check against is the Gutman index of the
-composed graph itself: its adjacency is the definition above, and the BFS
-kernel finds its distances with no use of the decomposition, so the closed
-form is never checked against itself.  The audits ask for thousands of
-composed graphs of at most a few dozen vertices each, so graphs of one
-order share stacked kernel calls (`_direct_gutman`).
+composed graph itself, found by breadth-first search of that graph.  It
+uses neither the cross-distance law nor either side's index or T, so the
+closed form is never checked against itself.  Each side of a Jaco joint is
+a proper interval graph in index order (Looges and Olariu 1993) and the
+bridge is the only edge between the sides, so every BFS ball of the composed
+graph is one index interval per side, whatever the anchors.  The search
+grows those intervals for every vertex of every joint at once, with no
+adjacency and no distance matrix (`_interval_gutman`), in O(k * diameter)
+per joint of order k.  A joint with a table-backed side takes the dense BFS
+of `edge_joint_graph`.
 """
 from __future__ import annotations
 
@@ -38,15 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
+    _INT64_SAFE,
     SimpleGraph,
-    _pair_sum,
+    _connectivity_error,
     _require_at_least,
-    _require_connected,
     _require_vertex,
-    all_pairs_distances,
-    dense_adjacency,
+    _segment_dots,
+    degree_distance_sums,
     gutman_index,
-    layered_distance_matrix,
+    is_connected,
 )
 from .jaco import IDENTITY, JacoGraph, build_jaco
 
@@ -83,86 +90,207 @@ def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
     return SimpleGraph(shift + spec.h.order, edges)
 
 
-# Vertex pairs per stacked kernel call in `_direct_gutman`.  It bounds the
-# BFS buffers of a batch, about 17 B a pair (2^15 pairs, about 0.56 MB), and
-# a batch always holds at least one graph.
-_STACK_PAIRS = 1 << 15
+# Sources per batch of the interval-ball BFS in `_interval_gutman`.  A source
+# holds about twenty int64 entries at a time, so a batch stays near 0.6 MB;
+# a joint whose sources span two batches is summed across them.
+_BATCH_SOURCES = 1 << 12
 
 
-def _joint_stack(batch: list[JointSpec], sides: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(b, k, k) adjacencies and (b, k) degrees of the joints in `batch`, all of order k.
+def _side_tables(sides: list[SimpleGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each side's offset, and the sides' lo, hi and degree prefix sums laid end to end.
 
-    Slice s is the joint by its definition: G's adjacency on [:n, :n], H's on
-    [n:, n:] and the bridge, with G's and H's degrees plus one at each
-    anchor.  `sides` maps id(g) to `dense_adjacency(g)` for every side g.
+    Side k of order n takes the n + 2 positions o_k..o_k + n + 1, vertex x at
+    o_k + x, and every lo and hi entry is itself a position:
+    lo[o + x] = o + lo(x), with lo(x) = x - below(x), and hi[o + x] = o + hi(x).
+    The two padding positions hold the empty interval [o + n + 1, o]:
+    lo[o + n + 1] = o + n + 1 and hi[o] = o, so it grows to itself.  pre[p]
+    is the degree total of the positions up to p, the padding weighing 0.
     """
-    order = batch[0].g.order + batch[0].h.order
-    adj = np.zeros((len(batch), order, order), dtype=bool)
-    deg = np.empty((len(batch), order), dtype=np.int64)
-    for s, spec in enumerate(batch):
-        n = spec.g.order
-        adj[s, :n, :n] = sides[id(spec.g)]
-        adj[s, n:, n:] = sides[id(spec.h)]
-        deg[s, :n] = spec.g.degree_array()
-        deg[s, n:] = spec.h.degree_array()
-    rows = np.arange(len(batch))
-    v = [spec.v - 1 for spec in batch]
-    u = [spec.g.order + spec.u - 1 for spec in batch]
-    adj[rows, v, u] = adj[rows, u, v] = True
-    deg[rows, v] += 1
-    deg[rows, u] += 1
-    return adj, deg
+    offsets, lo, hi, deg = [], [], [], []
+    base = 0
+    for g in sides:
+        n = g.order
+        below, _ = g.split_degree_arrays()
+        offsets.append(base)
+        lo.append(base + np.concatenate(([0], np.arange(1, n + 1) - below, [n + 1])))
+        hi.append(base + np.concatenate(([0], g.reach, [n + 1])))
+        deg.append(np.concatenate(([0], g.degree_array(), [0])))
+        base += n + 2
+    return np.array(offsets), np.concatenate(lo), np.concatenate(hi), np.cumsum(np.concatenate(deg))
+
+
+def _first_balls(
+    og: np.ndarray, oh: np.ndarray, n: np.ndarray, m: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(gl, gr, hl, hr) of each source's ball of radius 0, the source alone.
+
+    Per source: og and oh are its sides' offsets in `_side_tables`, n and m
+    their orders, and p its place in its joint, G's vertices 0..n - 1 first,
+    then H's.  The part on the other side is the empty interval.
+    """
+    in_g = p < n
+    a = np.where(in_g, og + 1 + p, oh + 1 + p - n)
+    return np.where(in_g, a, og + n + 1), np.where(in_g, a, og), np.where(in_g, oh + m + 1, a), np.where(in_g, oh, a)
+
+
+def _ball_sums(
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ball: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    v: np.ndarray,
+    u: np.ndarray,
+    total: np.ndarray,
+    longest: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight w(a) and sum of w(x) * dist(a, x) over x, for every source a, by growing its balls.
+
+    `tables` is (lo, hi, pre) from `_side_tables`.  Source a's ball of
+    radius r, B_r(a), is stored as its index interval [gl, gr] in G and
+    [hl, hr] in H, as positions of those tables, and `ball` holds
+    (gl, gr, hl, hr) at r = 0.  v, u and total give each source's anchors, as
+    positions, and the joint's degree total W, and `longest` is the largest
+    order of the batch's joints.  A vertex weighs its degree in the joint:
+    its side's degree, plus one at an anchor.  Both sides must be connected,
+    or the balls never fill.
+
+    Each part of a ball is an interval.  A side is a proper interval graph in
+    index order: the closed neighbourhood of x is [lo(x), hi(x)], and lo and
+    hi never decrease.  So the neighbourhood of an interval [l, r] is
+    [lo(l), hi(r)]: every [lo(x), hi(x)] with l <= x <= r lies in it and
+    holds x, so their union has no gap and runs from lo(l) to hi(r).  The
+    bridge vu is the only other edge, so B_{r+1} takes u into its H part
+    exactly when B_r holds v, and v into its G part when B_r holds u; min
+    and max with that anchor extend the grown interval.
+
+    That extension is exact because the anchor is already in the grown
+    interval whenever that interval is not empty.  Say B_r holds v and
+    some H vertex y.  Every path between the sides crosses the bridge, so if
+    a is in G, the shortest path from a to y runs through u before it ends
+    at y, and if a is in H, the shortest path from a to v ends with u, v.
+    Either way dist(a, u) <= r, so u is in B_r's H part and in its grown
+    interval; the same holds for v with the sides swapped.  When the part is
+    empty, [n + 1, 0] in side coordinates, min and max with the anchor make
+    it [u, u] (or [v, v]).
+
+    A vertex x is missed by the balls of radius 0..dist(a, x) - 1 and by no
+    larger one, so sum_x w(x) * dist(a, x) = sum over r >= 0 of
+    W - w(B_r(a)), and w(B_r(a)) is two prefix-sum differences plus the
+    anchors it holds.  The rounds run until every ball of the batch is the
+    whole joint.  An eccentricity is below its joint's order, so a ball that
+    has not filled after `longest` rounds raises RuntimeError.  Each term is
+    below W, which bounds the sums by longest * W: they run in int64 when
+    that is below _INT64_SAFE, else in Python integers.
+    """
+    lo, hi, pre = tables
+    gl, gr, hl, hr = ball
+    sums = np.zeros(len(gl), dtype=np.int64 if longest * int(total.max()) < _INT64_SAFE else object)
+    weight = None
+    for _ in range(longest):
+        has_v = (gl <= v) & (v <= gr)
+        has_u = (hl <= u) & (u <= hr)
+        # An empty part reads pre[o] - pre[o + n] <= 0, which the clip makes 0.
+        inside = np.maximum(pre[gr] - pre[gl - 1], 0) + np.maximum(pre[hr] - pre[hl - 1], 0)
+        inside += has_v
+        inside += has_u
+        if weight is None:
+            weight = inside
+        missed = total - inside
+        if not missed.any():
+            return weight, sums
+        sums += missed
+        gl, gr, hl, hr = lo[gl], hi[gr], lo[hl], hi[hr]
+        np.minimum(gl, v, out=gl, where=has_u)
+        np.maximum(gr, v, out=gr, where=has_u)
+        np.minimum(hl, u, out=hl, where=has_v)
+        np.maximum(hr, u, out=hr, where=has_v)
+    raise RuntimeError(f"a ball has not filled its joint after {longest} rounds, more than the joint's order allows")
+
+
+def _interval_gutman(specs: list[JointSpec]) -> list[int]:
+    """Gutman index of each joint of reach-backed sides, by BFS of the composed graph.
+
+    Every distinct side is checked for connectivity first; a disconnected
+    one raises DisconnectedGraphError, as the composed graph's own index
+    would.  The sources of all joints, G's vertices then H's for each joint
+    in turn, grow their balls together (`_ball_sums`) in batches of at most
+    _BATCH_SOURCES, and 2 * Gut is the sum of w(a) times a's distance sum
+    over a joint's sources, exact by `_segment_dots`.  An odd total raises
+    ArithmeticError.
+    """
+    sides = list({id(g): g for spec in specs for g in (spec.g, spec.h)}.values())
+    for g in sides:
+        if not is_connected(g):
+            raise _connectivity_error("the Gutman index", g.order)
+    offset, lo, hi, pre = _side_tables(sides)
+    where = {id(g): int(o) for g, o in zip(sides, offset)}
+    og, oh, n, m, v, u = (
+        np.array(column, dtype=np.int64)
+        for column in zip(*((where[id(s.g)], where[id(s.h)], s.g.order, s.h.order, s.v, s.u) for s in specs))
+    )
+    v += og
+    u += oh
+    total = pre[og + n] - pre[og] + pre[oh + m] - pre[oh] + 2
+    order = n + m
+    first = np.cumsum(order) - order
+    twice = [0] * len(specs)
+    end = int(first[-1] + order[-1])
+    for start in range(0, end, _BATCH_SOURCES):
+        source = np.arange(start, min(start + _BATCH_SOURCES, end))
+        k = np.searchsorted(first, source, side="right") - 1
+        ball = _first_balls(og[k], oh[k], n[k], m[k], source - first[k])
+        longest = int(order[k[0] : k[-1] + 1].max())
+        weight, sums = _ball_sums((lo, hi, pre), ball, v[k], u[k], total[k], longest)
+        cuts = np.flatnonzero(np.diff(k, prepend=-1))
+        for i, part in zip(k[cuts].tolist(), _segment_dots(weight, sums, cuts)):
+            twice[i] += part
+    odd = [t for t in twice if t % 2]
+    if odd:
+        raise ArithmeticError(f"ordered pair total {odd[0]} is odd; the distances are not symmetric")
+    return [t // 2 for t in twice]
 
 
 def _direct_gutman(specs: list[JointSpec]) -> list[int]:
     """Gutman index of each spec's composed graph, by BFS of that graph, in spec order.
 
-    Graphs of one order share stacked kernel calls of at most _STACK_PAIRS
-    vertex pairs, composed by `_joint_stack`; no side distance enters.  Each
-    stack is summed in one `_pair_sum` call.
+    Joints whose sides are both reach-backed, every joint the commands
+    build, share `_interval_gutman`.  Any other joint takes the dense BFS of
+    `edge_joint_graph(spec)` through `gutman_index`.
     """
     values = [0] * len(specs)
-    by_order: dict[int, list[int]] = {}
+    interval = []
     for i, spec in enumerate(specs):
-        by_order.setdefault(spec.g.order + spec.h.order, []).append(i)
-    graphs = {id(g): g for spec in specs for g in (spec.g, spec.h)}
-    sides = {key: dense_adjacency(g) for key, g in graphs.items()}
-    for order, members in by_order.items():
-        per_call = max(1, _STACK_PAIRS // (order * order))
-        for start in range(0, len(members), per_call):
-            batch = members[start : start + per_call]
-            adj, deg = _joint_stack([specs[i] for i in batch], sides)
-            dist = _require_connected(layered_distance_matrix(adj), "the Gutman index")
-            for i, total in zip(batch, _pair_sum(deg, dist)):
-                values[i] = total
+        if spec.g.reach is None or spec.h.reach is None:
+            values[i] = gutman_index(edge_joint_graph(spec))
+        else:
+            interval.append(i)
+    if interval:
+        for i, value in zip(interval, _interval_gutman([specs[i] for i in interval])):
+            values[i] = value
     return values
 
 
-def _index_parts(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray, int]:
-    """Degrees, distance matrix, and Gutman index of a connected graph.
+def _index_parts(g: SimpleGraph) -> tuple[int, np.ndarray, int]:
+    """Degree total, degree-distance sums T and Gutman index of a connected graph.
 
     All three are kept on `g`, so a graph that many grid points share is
-    summed once.  `gutman_index` raises on a disconnected graph and keeps
-    only a connected one's index, so each graph is checked once.  It sums a
-    reach-backed side over its jump forest without the side's matrix;
-    `all_pairs_distances` fills that matrix, which the anchors' rows read.
+    summed once and each point reads them in O(1).  `gutman_index` raises on
+    a disconnected graph and keeps only a connected one's index, so each
+    graph is checked once.  A reach-backed side takes both sums over its
+    jump forest and never fills its distance matrix.
     """
     gut = gutman_index(g)
-    return g.degree_array(), all_pairs_distances(g), gut
+    return 2 * g.size, degree_distance_sums(g), gut
 
 
 def closed_form_joint_gutman(spec: JointSpec) -> int:
     """Gutman index of the edge joint, by the exact pair-class decomposition.
 
-    Works for arbitrary anchors; both inputs must be connected.  O(n + m)
-    once each side's distances and index are known.
+    Works for arbitrary anchors; both inputs must be connected.  O(1) once
+    each side's degree total, T and index are known.
     """
-    dg, DG, gut_g = _index_parts(spec.g)
-    dh, DH, gut_h = _index_parts(spec.h)
-    a_g, a_h = int(dg.sum()) + 1, int(dh.sum()) + 1
-    t_g = int(dg @ DG[spec.v - 1])
-    t_h = int(dh @ DH[spec.u - 1])
-    return gut_g + gut_h + a_g * a_h + t_g * (a_h + 1) + t_h * (a_g + 1)
+    total_g, t_g, gut_g = _index_parts(spec.g)
+    total_h, t_h, gut_h = _index_parts(spec.h)
+    a_g, a_h = total_g + 1, total_h + 1
+    return gut_g + gut_h + a_g * a_h + int(t_g[spec.v - 1]) * (a_h + 1) + int(t_h[spec.u - 1]) * (a_g + 1)
 
 
 def _require_jaco_pair(jn: JacoGraph, jm: JacoGraph) -> None:
@@ -175,6 +303,13 @@ def _require_jaco_pair(jn: JacoGraph, jm: JacoGraph) -> None:
         raise ValueError(f"orders must satisfy n >= m >= 2, got n={jn.n}, m={jm.n}")
 
 
+def _first_vertex_parts(j: JacoGraph) -> tuple[int, int, int, int]:
+    """Gut, d(v_1), S = sum over k >= 2 of d(v_k), and T(1) = sum over k >= 2 of d(v_k) * d(v_1, v_k)."""
+    total, t, gut = _index_parts(j.underlying)
+    first = int(j.underlying.degree_array()[0])
+    return gut, first, total - first, int(t[0])
+
+
 def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
     """Published right-hand side for the trivial joint: the printed sums, grouped by factor.
 
@@ -185,19 +320,16 @@ def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
         + T_G * S_H + S_G * T_H + S_G * S_H + 4.
     """
     _require_jaco_pair(jn, jm)
-    dg, DG, gut_g = _index_parts(jn.underlying)
-    dh, DH, gut_h = _index_parts(jm.underlying)
-    s_g, t_g = int(dg[1:].sum()), int(dg[1:] @ DG[0, 1:])
-    s_h, t_h = int(dh[1:].sum()), int(dh[1:] @ DH[0, 1:])
-    return gut_g + gut_h + t_g + t_h + (int(dg[0]) + 1) * (t_h + s_h) + t_g * s_h + s_g * t_h + s_g * s_h + 4
+    gut_g, first_g, s_g, t_g = _first_vertex_parts(jn)
+    gut_h, _, s_h, t_h = _first_vertex_parts(jm)
+    return gut_g + gut_h + t_g + t_h + (first_g + 1) * (t_h + s_h) + t_g * s_h + s_g * t_h + s_g * s_h + 4
 
 
 def missing_anchor_block(jn: JacoGraph, jm: JacoGraph) -> int:
-    """Predicted value of the pair class absent from the published formula."""
+    """Predicted value of the pair class absent from the published formula: (d_H(u_1) + 1) * (T_G + S_G)."""
     _require_jaco_pair(jn, jm)
-    dg, DG, _ = _index_parts(jn.underlying)
-    # The matrix type holds the largest distance + 1, so DG + 1 cannot wrap.
-    return (int(jm.underlying.degree_array()[0]) + 1) * int(dg[1:] @ (DG[0, 1:] + 1))
+    _, _, s_g, t_g = _first_vertex_parts(jn)
+    return (int(jm.underlying.degree_array()[0]) + 1) * (t_g + s_g)
 
 
 @dataclass(frozen=True)

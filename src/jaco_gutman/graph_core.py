@@ -26,13 +26,15 @@ J_4000(x)), so its matrix is int8, and the jump path builds no other n x n
 array: its distances cost about 1 byte a vertex pair.  The BFS holds four
 float32 n x n buffers, about 17 bytes a pair.  `all_pairs_distances` is the
 one place that picks the input from the graph's backing: its reach, else its
-bool adjacency.  A graph's all-pairs matrix and its Gutman index are
-computed once and kept on the graph.
+bool adjacency.  A graph's all-pairs matrix, its Gutman index and its
+degree-distance sums (`degree_distance_sums`) are computed once and kept
+on the graph.
 
-The Gutman and Wiener indices of a reach-backed graph read no matrix at all.
-The greedy jump count turns their pair sum into a sum over the forest of hi
-(`_forest_pair_sum`): O(n) numpy per pointer-doubling round, log2(diameter)
-rounds, O(n) memory: about 0.1 s for J_1000000(x) on a 2-vCPU Xeon VM.
+The Gutman and Wiener indices and the degree-distance sums of a
+reach-backed graph read no matrix at all.  The greedy jump count turns
+their sums into sums over the forest of hi (`_forest_sums`): O(n) numpy per
+pointer-doubling round, log2(diameter) rounds, O(n) memory: about 0.1 s
+for the index of J_1000000(x) on a 2-vCPU Xeon VM.
 Any other graph sums its all-pairs matrix.  Index sums run in int64 when an
 a-priori bound shows that is safe and otherwise fall back to
 arbitrary-precision Python integers.
@@ -179,11 +181,11 @@ class SimpleGraph:
       is built from it on first access, through the same check.
 
     `edge_list` materializes plain tuples for small-scale inspection.
-    Degrees, the distance matrix and the Gutman index are computed once, on
-    first use, and kept read-only.
+    Degrees, the distance matrix, the Gutman index and the degree-distance
+    sums are computed once, on first use, and kept read-only.
     """
 
-    __slots__ = ("order", "_edges", "_hi", "_degrees", "_dist", "_gutman")
+    __slots__ = ("order", "_edges", "_hi", "_degrees", "_dist", "_gutman", "_degree_distances")
 
     def __init__(self, order: int, edge_array: np.ndarray):
         if not _is_int(order) or order < 0:
@@ -194,6 +196,7 @@ class SimpleGraph:
         self._degrees: np.ndarray | None = None
         self._dist: np.ndarray | None = None
         self._gutman: int | None = None
+        self._degree_distances: np.ndarray | None = None
 
     @classmethod
     def from_reach(cls, hi: np.ndarray) -> SimpleGraph:
@@ -210,7 +213,7 @@ class SimpleGraph:
         g._hi = hi
         g._edges = None
         g.order = len(hi)
-        g._degrees = g._dist = g._gutman = None
+        g._degrees = g._dist = g._gutman = g._degree_distances = None
         return g
 
     @property
@@ -224,8 +227,9 @@ class SimpleGraph:
 
     @property
     def size(self) -> int:
+        """Edge count: the table's row count, or half the kept degree total of a reach-backed graph."""
         if self._hi is not None:
-            return int(self._hi.sum()) - self.order * (self.order + 1) // 2
+            return self._degree_parts()[3] // 2
         return int(self._edges.shape[0])
 
     @property
@@ -237,8 +241,8 @@ class SimpleGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         return list(zip(*self.edge_array.T.tolist()))
 
-    def _degree_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(below, above, degree) per vertex, computed once and kept read-only.
+    def _degree_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(below, above, degree) per vertex and the degree total, computed once and kept read-only.
 
         below(v) counts the neighbours u < v and above(v) those u > v:
         v - lo(v) and hi(v) - v from reach, else a bincount of each table
@@ -250,9 +254,10 @@ class SimpleGraph:
                 below, above = v - self._lo(), self._hi - v
             else:
                 below, above = (np.bincount(self._edges[:, k], minlength=self.order + 1)[1:] for k in (1, 0))
-            self._degrees = (below, above, below + above)
-            for counts in self._degrees:
+            degree = below + above
+            for counts in (below, above, degree):
                 counts.setflags(write=False)
+            self._degrees = (below, above, degree, int(degree.sum()))
         return self._degrees
 
     def degree_array(self) -> np.ndarray:
@@ -307,8 +312,7 @@ def dense_adjacency(g: SimpleGraph) -> np.ndarray:
     with the diagonal cleared, block by block of rows, and never builds its
     edge table; any other graph scatters its table.  Distances of a
     reach-backed graph come from its reach and never need this matrix; it
-    serves the BFS inputs of table-backed graphs and of the edge-joint
-    stacks, which copy their sides from it.
+    serves the BFS inputs of table-backed graphs.
     """
     a = np.zeros((g.order, g.order), dtype=bool)
     if g.reach is not None:
@@ -581,16 +585,17 @@ def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int | list[int]:
 
 
 def _exact_dot(w: np.ndarray, c: np.ndarray) -> int:
-    """Exact dot product of two nonnegative int64 vectors of one length, however large.
+    """Exact dot product of a nonnegative int64 vector w and a nonnegative vector c of one length.
 
-    c is cut into limbs of b bits, the most for which len(w) * max(w) * 2^b
-    stays within _INT64_SAFE, so the dot product of w with one limb is exact
-    in int64, and the shifted limb products add up as Python integers.  A
-    product under that bound takes one limb; with no room for a single bit,
-    the product runs in Python integers.
+    c is int64, or Python integers (dtype object), whose product runs in
+    Python integers.  An int64 c is cut into limbs of b bits, the most for
+    which len(w) * max(w) * 2^b stays within _INT64_SAFE, so the dot product
+    of w with one limb is exact in int64, and the shifted limb products add
+    up as Python integers.  A product under that bound takes one limb; with
+    no room for a single bit, the product runs in Python integers.
     """
     bits = _INT64_SAFE.bit_length() - 1 - (len(w) * int(w.max())).bit_length()
-    if bits < 1:
+    if bits < 1 or c.dtype == object:
         return int(w.astype(object) @ c.astype(object))
     total = 0
     for shift in range(0, int(c.max()).bit_length(), bits):
@@ -598,29 +603,41 @@ def _exact_dot(w: np.ndarray, c: np.ndarray) -> int:
     return total
 
 
-def _forest_pair_sum(hi: np.ndarray, w: np.ndarray) -> int:
-    """Exact sum of w_a * w_b * dist(a, b) over pairs a < b of a connected reach-backed graph.
+def _segment_dots(w: np.ndarray, c: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Exact dot products of w and c over the consecutive segments that begin at `starts`.
+
+    `starts` rises from 0, and each segment runs to the next start or the
+    end.  w and c are as in `_exact_dot`.  The products are summed in int64
+    by one `np.add.reduceat` when len(w) * max(w) * max(c) is below
+    _INT64_SAFE, and otherwise by `_exact_dot` segment by segment.
+    """
+    if c.dtype != object and len(w) * int(w.max()) * int(c.max()) < _INT64_SAFE:
+        return np.add.reduceat(w * c, starts).tolist()
+    bounds = [*starts.tolist(), len(w)]
+    return [_exact_dot(w[a:b], c[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _forest_sums(hi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """C(a) = sum of w(b) * dist(a, b) over b > a, for every vertex a of a connected reach-backed graph.
 
     `hi` is the reach, 1-based as in `SimpleGraph.reach`, and `w` holds
-    nonnegative int64 weights.  hi must have no fixed point below n, which
-    `_index` checks first: the graph is connected.  A fixed point would stop
-    the walks short of n, and the rounds below would never end.
+    nonnegative int64 weights.  hi must have no fixed point below n: the
+    graph is connected.  A fixed point would stop the walks short of n, and
+    the rounds below would never end.
 
     For a < b, dist(a, b) is the number of k >= 0 with hi^k(a) < b (the
-    greedy jumps that `_jump_counts` counts), so the sum is
-    sum_a w(a) * C(a), where C(a) = sum_k S(hi^k(a)) and S(x) is the weight
-    of the vertices above x.  The walk ends at n, where S is 0.  C comes from
-    pointer doubling over the forest of hi: acc starts as S and P as hi, and
-    each round adds acc[P] to acc and replaces P by P[P], so after r rounds
-    acc(a) holds the walk's first 2^r terms.  hi and so P never decrease, so
-    P has reached n everywhere once P(1) has, after ceil(log2(diameter))
-    rounds.  Memory and time per round are O(n), and no distance, adjacency
-    or edge is formed.
+    greedy jumps that `_jump_counts` counts), so C(a) = sum_k S(hi^k(a)),
+    where S(x) is the weight of the vertices above x.  The walk ends at n,
+    where S is 0.  C comes from pointer doubling over the forest of hi: acc
+    starts as S and P as hi, and each round adds acc[P] to acc and replaces
+    P by P[P], so after r rounds acc(a) holds the walk's first 2^r terms.  hi
+    and so P never decrease, so P has reached n everywhere once P(1) has,
+    after ceil(log2(diameter)) rounds.  Memory and time per round are O(n),
+    and no distance, adjacency or edge is formed.
 
     acc(a) after r rounds sums at most 2^r values of S, each at most sum(w),
     so it runs in int64 while 2^r * sum(w) is below _INT64_SAFE, and in
-    Python integers from the first round where it is not.  The dot product
-    w . C, whose value can outgrow int64 when C does not, is `_exact_dot`.
+    Python integers (dtype object) from the first round where it is not.
     """
     order = len(hi)
     total = int(w.sum())
@@ -633,7 +650,17 @@ def _forest_pair_sum(hi: np.ndarray, w: np.ndarray) -> int:
             acc = acc.astype(object, copy=False)
         acc += acc[jump]
         jump = jump[jump]
-    return int(w @ acc) if acc.dtype == object else _exact_dot(w, acc)
+    return acc
+
+
+def _forest_pair_sum(hi: np.ndarray, w: np.ndarray) -> int:
+    """Exact sum of w_a * w_b * dist(a, b) over pairs a < b of a connected reach-backed graph.
+
+    The sum is w . C with C from `_forest_sums`, whose arguments and
+    preconditions it takes.  The dot product, whose value can outgrow int64
+    when C does not, is `_exact_dot`.
+    """
+    return _exact_dot(w, _forest_sums(hi, w))
 
 
 def _index(g: SimpleGraph, w: np.ndarray, what: str) -> int:
@@ -663,6 +690,35 @@ def gutman_index(g: SimpleGraph) -> int:
     if g._gutman is None:
         g._gutman = _index(g, g.degree_array(), "the Gutman index")
     return g._gutman
+
+
+def degree_distance_sums(g: SimpleGraph) -> np.ndarray:
+    """T(v) = sum over x of deg(x) * dist(v, x), for every vertex v of a connected graph.
+
+    A read-only vector indexed 0-based, computed once and kept on the graph.
+    A reach-backed graph sums over its jump forest with no matrix: the part
+    over x > v is `_forest_sums` of its reach, and the part over x < v is
+    the same sum over the graph read backwards, whose reach at position p is
+    n + 1 - lo(n + 1 - p).  Any other graph multiplies its all-pairs matrix
+    by its degrees.  T is int64, or Python integers where `_forest_sums`
+    outgrows int64.  The empty graph raises ValueError and a disconnected
+    one DisconnectedGraphError.
+    """
+    if g._degree_distances is None:
+        what = "the degree-distance sums"
+        w = g.degree_array()
+        if g.reach is None:
+            # An entry is at most n * max(deg) * diameter < n^3, inside int64
+            # for any order whose matrix fits in memory.
+            t = np.einsum("ij,j->i", _require_connected(all_pairs_distances(g), what), w, dtype=np.int64)
+        elif len(_component_sizes(g)) != 1:
+            raise _connectivity_error(what, g.order)
+        else:
+            backwards = (g.order + 1 - g._lo())[::-1]
+            t = _forest_sums(g.reach, w) + _forest_sums(backwards, w[::-1])[::-1]
+        t.setflags(write=False)
+        g._degree_distances = t
+    return g._degree_distances
 
 
 def wiener_index(g: SimpleGraph) -> int:

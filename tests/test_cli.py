@@ -210,6 +210,21 @@ class TestJoint:
         assert row["direct"] == row["closed_form"]
         assert "paper_rhs" not in header
 
+    def test_mismatch_exits_2_naming_the_joint(self, capsys, monkeypatch):
+        argv = ("joint", "--n", "4", "--m", "3", "--vi", "2")
+        code, clean, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        real = cli.joint_check
+        monkeypatch.setattr(cli, "joint_check", lambda *a: {**real(*a), "direct": 123})
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == (
+            "error: an audited value mismatched the direct oracle at joint (n, m, vi, uj) = (4, 3, 2, 1): "
+            "closed form 122, direct 123\n"
+        )
+        # The row itself still prints, and shows the corrupted value.
+        assert out == clean.replace("122,122", "123,122")
+
     def test_anchor_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "joint", "--n", "3", "--m", "2", "--vi", "9")
         assert code == 1 and "out of range" in err

@@ -12,6 +12,7 @@ from jaco_gutman import (
     IDENTITY,
     JointSpec,
     LinearFunction,
+    SimpleGraph,
     all_pairs_distances,
     anchor_audit,
     build_jaco,
@@ -26,7 +27,7 @@ from jaco_gutman import (
 )
 from jaco_gutman import edge_joint, graph_core
 
-from bruteforce import brute_gutman, random_connected_graph
+from bruteforce import adjacency_from_edges, bfs_distances, brute_gutman, random_connected_graph
 
 # (n, m, paper_rhs, closed_form == direct, missing_block)
 FROZEN_ROWS = (
@@ -252,33 +253,42 @@ class TestJointCheck:
         assert a == b
 
     def test_audits_compute_each_graph_distances_once(self, monkeypatch):
-        # one kernel slice per composed graph (the independent direct value)
-        # and one per identity graph J_2..J_n_max, however many grid points
-        # share it: a stack of b graphs counts b, a single matrix counts 1
-        slices = []
-        real = graph_core.layered_distance_matrix
+        # each identity graph J_2..J_n_max is summed over its jump forest three
+        # times (its index, and T from either end) however many grid points
+        # share it, and each composed graph grows every one of its vertices'
+        # balls once (the independent direct value)
+        forests, sources = [], []
+        real_forest, real_balls = graph_core._forest_sums, edge_joint._ball_sums
 
-        def counting(adj):
-            slices.append(adj.shape[0] if adj.ndim == 3 else 1)
-            return real(adj)
+        def counting_forest(hi, w):
+            forests.append(len(hi))
+            return real_forest(hi, w)
 
-        for module in (graph_core, edge_joint):
-            monkeypatch.setattr(module, "layered_distance_matrix", counting)
+        def counting_balls(tables, ball, *rest):
+            sources.append(len(ball[0]))
+            return real_balls(tables, ball, *rest)
+
+        monkeypatch.setattr(graph_core, "_forest_sums", counting_forest)
+        monkeypatch.setattr(edge_joint, "_ball_sums", counting_balls)
         rows = joint_delta_report(7, 4)
-        assert sum(slices) == len(rows) + 6
-        slices.clear()
+        assert sorted(forests) == [k for k in range(2, 8) for _ in range(3)]
+        assert sum(sources) == sum(row.n + row.m for row in rows)
+        forests.clear()
+        sources.clear()
         checks = anchor_audit(7, 4, per_pair=3, seed=2)
-        assert sum(slices) == len(checks) + 6
+        assert sorted(forests) == [k for k in range(2, 8) for _ in range(3)]
+        assert sum(sources) == sum(check.n + check.m for check in checks)
         assert all(c.ok for c in checks)
 
-    # One pair per call puts every composed graph in a stack of its own; the
-    # default and the bounds near it pack several graphs of one order per
-    # call, and a huge bound packs each order in one call.
-    @pytest.mark.parametrize("pairs", [1, None, 1 << 13, 1 << 15, 10**9])
-    def test_stack_size_leaves_the_audits_unchanged(self, pairs, monkeypatch):
+    # One source per batch grows every vertex's balls on its own and splits
+    # each joint over many batches; the default and the bounds near it mix
+    # joints of every order in a batch, and a huge bound grows every source of
+    # an audit in one batch.
+    @pytest.mark.parametrize("sources", [1, None, 1 << 13, 1 << 15, 10**9])
+    def test_stack_size_leaves_the_audits_unchanged(self, sources, monkeypatch):
         rows, checks = joint_delta_report(11, 7), anchor_audit(11, 7, per_pair=3, seed=9)
-        if pairs is not None:
-            monkeypatch.setattr(edge_joint, "_STACK_PAIRS", pairs)
+        if sources is not None:
+            monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
         assert joint_delta_report(11, 7) == rows
         assert anchor_audit(11, 7, per_pair=3, seed=9) == checks
         jacos = {k: build_jaco(IDENTITY, k).underlying for k in range(2, 12)}
@@ -288,99 +298,202 @@ class TestJointCheck:
             spec = JointSpec(jacos[check.n], jacos[check.m], check.vi, check.uj)
             assert check.direct == gutman_index(edge_joint_graph(spec))
 
+    def test_audits_form_no_matrix_and_no_adjacency(self, monkeypatch):
+        # every side of an audit is reach-backed: its index and T come from its
+        # jump forest and each direct value from interval balls
+        def refuse(*args):
+            raise AssertionError("an audit filled a distance matrix or an adjacency")
 
-@st.composite
-def connected_sides(draw, order):
-    """An order-`order` connected side: a random tree (table-backed) or a Jaco graph (reach-backed)."""
-    if draw(st.booleans()):
-        f = draw(st.sampled_from([IDENTITY, LinearFunction(2, 1), LinearFunction(3, 0)]))
-        return build_jaco(f, order).underlying
-    return from_edges(order, [(draw(st.integers(1, v - 1)), v) for v in range(2, order + 1)])
+        monkeypatch.setattr(graph_core, "layered_distance_matrix", refuse)
+        monkeypatch.setattr(graph_core, "dense_adjacency", refuse)
+        rows = joint_delta_report(12, 8)
+        assert rows and all(row.closed_matches_direct and row.residual == 0 for row in rows)
+        checks = anchor_audit(12, 8, per_pair=2, seed=4)
+        assert checks and all(check.ok for check in checks)
+        row = joint_check(30, 20, 7, 3)
+        assert row["direct"] == row["closed_form"]
+
+
+REACH_FUNCTIONS = [IDENTITY, LinearFunction(2, 1), LinearFunction(3, 0), LinearFunction(1, 3), LinearFunction(5, 7)]
 
 
 @st.composite
 def joint_specs(draw):
-    """Joints of a few total orders, so that a stack mixes sides of every kind and size."""
-    specs = []
+    """Joints of sides of orders 1-12, anchored at an end as often as anywhere.
+
+    Most sides are reach-backed Jaco graphs, and a table-backed tree, whose
+    joints take the dense BFS, comes now and then.  A side is drawn again
+    from the specs before it now and then, so that some joints share a side
+    and some join a graph to itself.
+    """
+    specs, sides = [], []
+
+    def side():
+        if sides and draw(st.booleans()):
+            return draw(st.sampled_from(sides))
+        order = draw(st.integers(1, 12))
+        if draw(st.integers(0, 5)) == 0:
+            g = from_edges(order, [(draw(st.integers(1, v - 1)), v) for v in range(2, order + 1)])
+        else:
+            g = build_jaco(draw(st.sampled_from(REACH_FUNCTIONS)), order).underlying
+        sides.append(g)
+        return g
+
     for _ in range(draw(st.integers(1, 8))):
-        order = draw(st.sampled_from([2, 5, 9]))
-        n = draw(st.integers(1, order - 1))
-        g, h = draw(connected_sides(n)), draw(connected_sides(order - n))
-        # anchors at either end of a side as often as anywhere between
-        v, u = (draw(st.one_of(st.just(1), st.just(k), st.integers(1, k))) for k in (n, order - n))
+        g, h = side(), side()
+        v, u = (draw(st.one_of(st.just(1), st.just(k), st.integers(1, k))) for k in (g.order, h.order))
         specs.append(JointSpec(g, h, v, u))
     return specs
 
 
-@given(joint_specs())
+@given(joint_specs(), st.sampled_from([1, 2, 7, 1 << 12]))
 @settings(max_examples=80, deadline=None)
-def test_audit_stacks_are_the_composed_graphs(specs):
-    # every slice the audit composes from the sides equals the joint built as
-    # an edge table, adjacency and degrees alike, and so does its index
-    stacks = []
-    real = edge_joint._joint_stack
-
-    def recording(batch, sides):
-        adj, deg = real(batch, sides)
-        stacks.append((batch, adj, deg))
-        return adj, deg
-
-    with mock.patch.object(edge_joint, "_joint_stack", recording):
+def test_audit_stacks_are_the_composed_graphs(specs, sources):
+    # the interval balls give every joint of reach-backed sides the Gutman
+    # index of the composed graph's edge table, by its dense BFS and by the
+    # pure-Python oracle, however the batches split the joints' sources
+    with mock.patch.object(edge_joint, "_BATCH_SOURCES", sources):
         values = edge_joint._direct_gutman(specs)
-    assert sorted(id(spec) for batch, _, _ in stacks for spec in batch) == sorted(map(id, specs))
-    for batch, adj, deg in stacks:
-        assert adj.dtype == bool and deg.dtype == np.int64
-        for spec, a, d in zip(batch, adj, deg):
-            composed = edge_joint_graph(spec)
-            assert np.array_equal(a, graph_core.dense_adjacency(composed))
-            assert np.array_equal(d, composed.degree_array())
-    assert values == [gutman_index(edge_joint_graph(spec)) for spec in specs]
+    composed = [edge_joint_graph(spec) for spec in specs]
+    assert values == [gutman_index(graph) for graph in composed]
+    assert values == [brute_gutman(graph.order, graph.edge_list()) for graph in composed]
 
 
 def test_disconnected_side_in_a_stack_raises(monkeypatch):
+    # J_3(0x + 1) is K2 plus K1, a reach-backed graph with two components;
+    # the check runs before any ball grows, as a ball of it would never fill
+    cliques = build_jaco(LinearFunction(0, 1), 3).underlying
+    assert cliques.reach is not None
+    jk2 = build_jaco(IDENTITY, 2).underlying
     specs = [
-        JointSpec(path(3), k2(), 1, 1),
-        JointSpec(from_edges(3, [(1, 2)]), k2(), 3, 2),
-        JointSpec(k2(), path(3), 2, 3),
+        JointSpec(build_jaco(IDENTITY, 3).underlying, jk2, 1, 1),
+        JointSpec(cliques, jk2, 3, 2),
+        JointSpec(jk2, cliques, 2, 3),
     ]
-    shapes = []
-    real = graph_core.layered_distance_matrix
+    message = "^the Gutman index is defined for connected graphs only and this graph is disconnected$"
 
-    def recording(adj):
-        shapes.append(adj.shape)
-        return real(adj)
+    def no_balls(*args):
+        raise AssertionError("a ball grew before the connectivity check")
 
-    monkeypatch.setattr(edge_joint, "layered_distance_matrix", recording)
-    with pytest.raises(DisconnectedGraphError):
+    monkeypatch.setattr(edge_joint, "_ball_sums", no_balls)
+    with pytest.raises(DisconnectedGraphError, match=message):
         edge_joint._direct_gutman(specs)
-    assert shapes == [(3, 5, 5)]
+    # the composed graph's own index, which a table-backed side takes, says the same
+    with pytest.raises(DisconnectedGraphError, match=message):
+        gutman_index(edge_joint_graph(specs[1]))
+    with pytest.raises(DisconnectedGraphError, match=message):
+        edge_joint._direct_gutman([JointSpec(from_edges(3, [(1, 2)]), k2(), 3, 2)])
 
 
-# The stack's one `_pair_sum` call runs in int64, or, with its bound at 0,
-# in Python integers; either way each slice is its own graph's sum.
+# The acc and the per-joint sums run in int64, or, with both modules' bound
+# at 0, in Python integers; either way each joint gets its own graph's sum.
 @pytest.mark.parametrize("object_sums", [False, True], ids=["int64 slices", "object slices"])
 def test_stack_past_the_int64_bound_sums_each_slice(object_sums, monkeypatch):
-    jacos = {k: build_jaco(IDENTITY, k).underlying for k in range(2, 9)}
-    specs = [JointSpec(jacos[n], jacos[m], v, 1) for n in range(2, 9) for m in range(2, n + 1) for v in (1, n)]
+    jacos = {k: build_jaco(IDENTITY, k).underlying for k in range(1, 9)}
+    specs = [JointSpec(jacos[n], jacos[m], v, 1) for n in range(1, 9) for m in range(1, n + 1) for v in (1, n)]
     expected = []
     for spec in specs:
         composed = edge_joint_graph(spec)
         expected.append(graph_core._pair_sum(composed.degree_array(), all_pairs_distances(composed)))
     if object_sums:
         monkeypatch.setattr(graph_core, "_INT64_SAFE", 0)
+        monkeypatch.setattr(edge_joint, "_INT64_SAFE", 0)
+    monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", 16)
     assert edge_joint._direct_gutman(specs) == expected
 
 
 def test_odd_stack_total_raises(monkeypatch):
-    # P4 as 2-1-3-4: vertices 2 and 4 both have degree 1, so one extra unit
-    # of distance between them makes the ordered total odd
-    real = graph_core.layered_distance_matrix
+    # P4 as 2-1-3-4: vertex 2, the first joint's second source, has degree 1,
+    # so one extra unit in its distance sum makes the ordered total odd
+    real = edge_joint._ball_sums
 
-    def doctored(adj):
-        dist = real(adj)
-        dist[0, 1, 3] += 1
-        return dist
+    def doctored(*args):
+        weight, sums = real(*args)
+        assert weight[1] == 1
+        sums[1] += 1
+        return weight, sums
 
-    monkeypatch.setattr(edge_joint, "layered_distance_matrix", doctored)
+    monkeypatch.setattr(edge_joint, "_ball_sums", doctored)
+    jk2 = build_jaco(IDENTITY, 2).underlying
     with pytest.raises(ArithmeticError, match="is odd"):
-        edge_joint._direct_gutman([JointSpec(k2(), k2(), 1, 1), JointSpec(k2(), k2(), 2, 2)])
+        edge_joint._direct_gutman([JointSpec(jk2, jk2, 1, 1), JointSpec(jk2, jk2, 2, 2)])
+
+
+def test_a_ball_that_stops_growing_raises(monkeypatch):
+    # with lo and hi frozen at each vertex, a ball grows only across the
+    # bridge and never fills; no eccentricity reaches the joint's order
+    real = edge_joint._side_tables
+
+    def frozen(sides):
+        offset, lo, _, pre = real(sides)
+        positions = np.arange(len(lo))
+        return offset, positions, positions, pre
+
+    monkeypatch.setattr(edge_joint, "_side_tables", frozen)
+    spec = JointSpec(build_jaco(IDENTITY, 3).underlying, build_jaco(IDENTITY, 2).underlying, 2, 1)
+    with pytest.raises(RuntimeError, match="has not filled its joint after 5 rounds"):
+        edge_joint._direct_gutman([spec])
+
+
+def _brute_degree_distance_sums(order, edges):
+    adj = adjacency_from_edges(order, edges)
+    deg = {x: len(adj[x]) for x in adj}
+    return [sum(deg[x] * d for x, d in bfs_distances(adj, v).items()) for v in range(1, order + 1)]
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(REACH_FUNCTIONS + [LinearFunction(0, 40)]), st.integers(1, 40)),
+        st.randoms(use_true_random=False),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_degree_distance_sums_match_bruteforce(source):
+    # T(v) = sum of deg(x) * dist(v, x): from both ends of the jump forest for
+    # a reach-backed graph, from the matrix for a table-backed one
+    if isinstance(source, tuple):
+        g = build_jaco(*source).underlying
+        assert g.reach is not None
+    else:
+        g = from_edges(*random_connected_graph(source, max_order=12))
+    t = graph_core.degree_distance_sums(g)
+    assert t.tolist() == _brute_degree_distance_sums(g.order, g.edge_list())
+    assert not t.flags.writeable and graph_core.degree_distance_sums(g) is t
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [build_jaco(LinearFunction(0, 2), 7).underlying, from_edges(4, [(1, 2), (3, 4)]), from_edges(0, [])],
+    ids=["reach cliques", "table", "empty"],
+)
+def test_degree_distance_sums_need_a_connected_graph(graph):
+    error = ValueError if graph.order == 0 else DisconnectedGraphError
+    with pytest.raises(error, match="^the degree-distance sums"):
+        graph_core.degree_distance_sums(graph)
+
+
+def _trivial_joint_reach(g, h):
+    """The trivial joint of reach-backed g and h as one reach: h read backwards, the bridge, then g."""
+    m = h.order
+    below, _ = h.split_degree_arrays()
+    lo = np.arange(1, m + 1) - below
+    backwards = (m + 1 - lo)[::-1]
+    backwards[-1] = m + 1
+    return np.concatenate((backwards, m + g.reach))
+
+
+# Complete sides of 50 000 vertices: every joint's index is past 2^63, and so
+# is one batch's sum when a single batch holds every source.
+@pytest.mark.parametrize("sources", [None, 10**9], ids=["default batches", "one batch"])
+def test_joint_index_past_the_int64_bound_is_exact(sources, monkeypatch):
+    n, m = 50_000, 40_000
+    g = SimpleGraph.from_reach(np.full(n, n, dtype=np.int64))
+    h = SimpleGraph.from_reach(np.full(m, m, dtype=np.int64))
+    # every vertex of a complete graph is alike, so any anchors give the trivial joint
+    expected = gutman_index(SimpleGraph.from_reach(_trivial_joint_reach(g, h)))
+    assert expected > 2**63
+    if sources is not None:
+        monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
+    specs = [JointSpec(g, h, 1, 1), JointSpec(g, h, 777, 5), JointSpec(g, h, n, m)]
+    assert edge_joint._direct_gutman(specs) == [expected] * 3
+    assert [closed_form_joint_gutman(spec) for spec in specs] == [expected] * 3

@@ -1,5 +1,6 @@
 """Reach-backed graphs: `build_jaco` holds hi and builds its arc table on demand."""
 import ast
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -389,10 +390,21 @@ def test_export_2000_peak_memory():
 
 
 def test_erratum_40_peak_memory():
-    # The edge-joint audits compose stacks of one order from each side's
-    # adjacency, kept once per side, into kernel calls of at most
-    # edge_joint._STACK_PAIRS vertex pairs (2^15, about 0.56 MB of BFS
-    # buffers), about 2 MB above the floor in all; stacking a whole order's
-    # joints at once would not fit.
+    # The edge-joint audits grow their BFS balls in batches of at most
+    # edge_joint._BATCH_SOURCES sources (2^12, about 0.6 MB of int64 arrays),
+    # about 2 MB above the floor in all; one batch of all the audits' sources
+    # would not fit.
     grown_mb = _peak_growth_mb("erratum --n-max 40 --m-max 40")
     assert grown_mb < 5, f"erratum --n-max 40 --m-max 40 peaked {grown_mb:.1f} MB above gutman --n 2"
+
+
+def test_joint_100000_peak_memory(tmp_path):
+    # Both sides' index and T come from their jump forests and the direct
+    # value from interval balls, so the joint of two J_100000(x) takes O(n)
+    # memory, about 20 MB above the floor; its bool adjacency alone would be
+    # 40 GB.  Past 2^63, the direct value must still equal the closed form.
+    out = tmp_path / "joint.json"
+    grown_mb = _peak_growth_mb(f"joint --n 100000 --m 100000 --vi 777 --uj 5 --format json --out {out}")
+    assert grown_mb < 100, f"joint --n 100000 --m 100000 peaked {grown_mb:.0f} MB above gutman --n 2"
+    row = json.loads(out.read_text())
+    assert row["direct"] == row["closed_form"] > 2**63
