@@ -361,10 +361,11 @@ def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | Non
     """Single composed pair of identity Jaco graphs, all values in one row.
 
     The published columns only apply to the trivial anchor choice with
-    n >= m >= 2; they are None otherwise.
+    n >= m >= 2; they are None otherwise.  When m == n, J_n serves as both
+    sides.
     """
     jn = build_jaco(IDENTITY, n)
-    jm = build_jaco(IDENTITY, m)
+    jm = jn if m == n else build_jaco(IDENTITY, m)
     spec = JointSpec(jn.underlying, jm.underlying, vi, uj)
     (direct,) = _direct_gutman([spec])
     closed = closed_form_joint_gutman(spec)

@@ -1,6 +1,7 @@
 """Command-line contract: formats, exit codes, file output."""
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -487,3 +488,75 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout == J5_JSON
+
+
+def _fresh(code, blas_threads=None):
+    """Stdout lines of `code` run in a new interpreter, with OPENBLAS_NUM_THREADS unset or set."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+# Each entry point as the process runs it: `python -m jaco_gutman` executes
+# the submodule as __main__, and the `jaco` script imports it and calls entrypoint.
+_ENTRY = {
+    "module": "import runpy; runpy.run_module('jaco_gutman', run_name='__main__', alter_sys=True)",
+    "script": "from jaco_gutman.__main__ import entrypoint; entrypoint()",
+}
+
+
+def _entry_run(entry):
+    """Code that runs `jaco gutman --n 5` through `entry`, then prints the BLAS
+    variable and the process's thread count."""
+    return (
+        "import os, sys\n"
+        "sys.argv = ['jaco', 'gutman', '--n', '5']\n"
+        "try:\n"
+        f"    {_ENTRY[entry]}\n"
+        "except SystemExit as stop:\n"
+        "    assert stop.code == 0, stop.code\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None)\n"
+    )
+
+
+class TestEntryPoints:
+    def test_package_import_loads_no_numpy(self):
+        code = "import sys, jaco_gutman, jaco_gutman.__main__; dir(jaco_gutman); print('numpy' in sys.modules)"
+        assert _fresh(code) == ["False"]
+
+    def test_every_public_name_resolves(self):
+        code = (
+            "import jaco_gutman\n"
+            "from jaco_gutman import *\n"
+            "from jaco_gutman import cli, edge_joint, graph_core, jaco, recursion, sequences\n"
+            "layers = (edge_joint, graph_core, jaco, recursion, sequences)\n"
+            "for name in jaco_gutman.__all__:\n"
+            "    value = globals()[name]\n"
+            "    assert value is getattr(jaco_gutman, name), name\n"
+            "    assert any(getattr(layer, name, None) is value for layer in layers), name\n"
+            "    assert name in dir(jaco_gutman), name\n"
+            "assert not hasattr(jaco_gutman, 'no_such_name')\n"
+            "print(len(jaco_gutman.__all__), cli.__name__)"
+        )
+        assert _fresh(code) == ["45 jaco_gutman.cli"]
+
+    def test_library_imports_set_no_blas_threads(self):
+        code = "import os, jaco_gutman.cli, jaco_gutman.__main__; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert _fresh(code) == ["None"]
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY))
+    @pytest.mark.parametrize("blas_threads, seen", [(None, "1"), ("2", "2")])
+    def test_entry_points_default_to_one_blas_thread(self, entry, blas_threads, seen):
+        out, variable, _ = _fresh(_entry_run(entry), blas_threads)
+        assert (out, variable) == ("58", seen)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+    @pytest.mark.parametrize("entry", sorted(_ENTRY))
+    def test_entry_process_has_one_thread_after_numpy_loads(self, entry):
+        assert _fresh(_entry_run(entry))[2] == "1"

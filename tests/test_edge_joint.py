@@ -25,7 +25,7 @@ from jaco_gutman import (
     joint_paper_rhs,
     missing_anchor_block,
 )
-from jaco_gutman import edge_joint, graph_core
+from jaco_gutman import cli, edge_joint, graph_core
 
 from bruteforce import adjacency_from_edges, bfs_distances, brute_gutman, random_connected_graph
 
@@ -241,6 +241,29 @@ class TestJointCheck:
         assert row["missing_block"] is None
         assert row["closed_form"] == row["direct"]
 
+    @pytest.mark.parametrize("n, vi, uj", [(2, 1, 1), (7, 1, 1), (7, 5, 2), (40, 1, 1), (40, 1, 33), (40, 17, 3)])
+    def test_joint_of_one_order_builds_one_graph(self, n, vi, uj, monkeypatch):
+        g, h = build_jaco(IDENTITY, n), build_jaco(IDENTITY, n)
+        spec = JointSpec(g.underlying, h.underlying, vi, uj)
+        direct = gutman_index(edge_joint_graph(spec))
+        builds = []
+        real_build = edge_joint.build_jaco
+
+        def counting_build(f, order):
+            builds.append(order)
+            return real_build(f, order)
+
+        monkeypatch.setattr(edge_joint, "build_jaco", counting_build)
+        row = joint_check(n, n, vi, uj)
+        assert builds == [n]
+        assert row["direct"] == row["closed_form"] == closed_form_joint_gutman(spec) == direct
+        if spec.trivial:
+            assert row["paper_rhs"] == joint_paper_rhs(g, h)
+            assert row["missing_block"] == missing_anchor_block(g, h)
+            assert row["delta_paper"] == row["paper_rhs"] - direct
+        else:
+            assert row["paper_rhs"] is row["missing_block"] is row["delta_paper"] is None
+
     def test_anchor_audit_all_pass(self):
         checks = anchor_audit(8, 8, per_pair=3, seed=11)
         assert checks
@@ -298,14 +321,28 @@ class TestJointCheck:
             spec = JointSpec(jacos[check.n], jacos[check.m], check.vi, check.uj)
             assert check.direct == gutman_index(edge_joint_graph(spec))
 
-    def test_audits_form_no_matrix_and_no_adjacency(self, monkeypatch):
+    def test_audits_form_no_matrix_and_no_adjacency(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a dense BFS, a distance matrix or an adjacency was formed")
+
+        # No command runs the dense BFS, the one float matrix product, so the
+        # entry points' one-thread BLAS default costs the command line nothing.
+        monkeypatch.setattr(graph_core, "_layered_bfs", refuse)
+        monkeypatch.setattr(graph_core, "dense_adjacency", refuse)
+        for argv in (
+            "build --m 2 --c 1 --n 30 --format json",
+            "gutman --n 40",
+            "wiener --m 2 --c 1 --n 12",
+            "recursion-check --n-max 12",
+            "joint --n 12 --m 9 --vi 4 --uj 2",
+            "sequences --n-max 15",
+            "erratum --n-max 10 --m-max 6 --seed 3",
+        ):
+            assert cli.main(argv.split()) == 0, argv
+        assert capsys.readouterr().err == ""
         # every side of an audit is reach-backed: its index and T come from its
         # jump forest and each direct value from interval balls
-        def refuse(*args):
-            raise AssertionError("an audit filled a distance matrix or an adjacency")
-
         monkeypatch.setattr(graph_core, "layered_distance_matrix", refuse)
-        monkeypatch.setattr(graph_core, "dense_adjacency", refuse)
         rows = joint_delta_report(12, 8)
         assert rows and all(row.closed_matches_direct and row.residual == 0 for row in rows)
         checks = anchor_audit(12, 8, per_pair=2, seed=4)
