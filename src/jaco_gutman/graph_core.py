@@ -5,25 +5,24 @@ Vertices are the integers 1..order.  Edges are unordered pairs stored in a
 canonical form: each pair as (low, high), the whole list sorted
 lexicographically.  A proper interval graph in index order can instead be
 held as its reach array hi, the top of each closed neighbourhood
-(`SimpleGraph.from_reach`): its size, degrees and bool adjacency come from hi
-and its edge table is built only when read.  All distances and index values
-are exact integers.
+(`SimpleGraph.from_reach`): its size and degrees come from hi, and its edge
+table is built only when read.  All distances and index values are exact
+integers.
 
 Distances come from one kernel with two paths, and the shape of its input
 picks the path; nothing tests the graph's structure.  A reach array hi
 describes a proper interval graph in index order (every closed neighbourhood
 an index interval whose ends never decrease, as in the underlying graph of a
 linear Jaco graph), whose distances are counted as greedy farthest-reach
-jumps, in O(n^2 + n * diameter).  An adjacency matrix, or a stack of them of
-one order, shape (b, k, k), takes layered breadth-first search driven by
-dense float32 matrix products, O(n^3 * diameter), all slices of a stack in
-one batched product per radius.  The products and level counts never exceed
-the vertex count, far below float32's exact-integer ceiling of 2**24, so
-both paths are exact.  Either path stores its matrix (-1 for an unreachable
-pair) in the smallest signed integer type that holds the largest distance
-+ 1.  A linear Jaco graph's diameter grows logarithmically (17 for
-J_4000(x)), so its matrix is int8, and the jump path builds no other n x n
-array: its distances cost about 1 byte a vertex pair.  The BFS holds four
+jumps, in O(n^2 + n * diameter).  A square adjacency matrix takes layered
+breadth-first search driven by dense float32 matrix products, O(n^3 *
+diameter).  The products and level counts never exceed the vertex count, far
+below float32's exact-integer ceiling of 2**24, so both paths are exact.
+Either path stores its matrix (-1 for an unreachable pair) in the smallest
+signed integer type that holds the largest distance + 1.  A linear Jaco
+graph's diameter grows logarithmically (17 for J_4000(x)), so its matrix is
+int8, and the jump path builds no other n x n array: its distances cost
+about 1 byte a vertex pair.  The BFS holds four
 float32 n x n buffers, about 17 bytes a pair.  `all_pairs_distances` is the
 one place that picks the input from the graph's backing: its reach, else its
 bool adjacency.  A graph's all-pairs matrix, its Gutman index and its
@@ -306,27 +305,16 @@ def _row_blocks(order: int) -> Iterator[tuple[int, int]]:
 
 
 def dense_adjacency(g: SimpleGraph) -> np.ndarray:
-    """Adjacency matrix as bool, indexed 0-based.
+    """Adjacency matrix as bool, indexed 0-based, scattered from the edge table.
 
-    A reach-backed graph fills it from its intervals, lo(v) <= u <= hi(v)
-    with the diagonal cleared, block by block of rows, and never builds its
-    edge table; any other graph scatters its table.  Distances of a
-    reach-backed graph come from its reach and never need this matrix; it
-    serves the BFS inputs of table-backed graphs.
+    It serves the BFS input of a table-backed graph.  Distances of a
+    reach-backed graph come from its reach and never need this matrix; asked
+    for one anyway, such a graph builds its edge table first.
     """
     a = np.zeros((g.order, g.order), dtype=bool)
-    if g.reach is not None:
-        cols = np.arange(1, g.order + 1)
-        lo = g._lo()
-        for start, stop in _row_blocks(g.order):
-            block = a[start:stop]
-            np.less_equal(lo[start:stop, None], cols, out=block)
-            block &= cols <= g.reach[start:stop, None]
-            np.fill_diagonal(block[:, start:stop], False)
-    elif g.size:
-        e = g.edge_array - 1
-        a[e[:, 0], e[:, 1]] = True
-        a[e[:, 1], e[:, 0]] = True
+    e = g.edge_array - 1
+    a[e[:, 0], e[:, 1]] = True
+    a[e[:, 1], e[:, 0]] = True
     return a
 
 
@@ -408,57 +396,47 @@ def layered_distance_matrix(adj: np.ndarray) -> np.ndarray:
     filled in O(n^2 + n * diameter) at about 1 byte a vertex pair, and
     dist(b, a) is its mirror image.
 
-    A square (k, k) adjacency, or a stack of b of them of one order, shape
-    (b, k, k), takes layered breadth-first search (`_layered_bfs`),
-    O(k^3 * diameter), every slice of a stack at once in one batched matrix
-    product per radius, so that many small graphs share the per-call cost.
-    Any nonzero entry is an edge; a bool matrix is the usual input.  A stack
-    is stored in the one type that holds its largest distance, and slice s
-    holds the distances of adj[s].  A matrix that is not square raises
-    ValueError, and so does an asymmetric one, naming the pair and, in a
-    stack, the slice.
+    A square (k, k) adjacency takes layered breadth-first search
+    (`_layered_bfs`), O(k^3 * diameter).  Any nonzero entry is an edge; a
+    bool matrix is the usual input.  Any other shape raises ValueError, and
+    so does an asymmetric matrix, naming the pair.
     """
     if adj.ndim == 1:
         _check_reach(adj)
         return _jump_counts(adj - 1)
-    if adj.ndim not in (2, 3) or adj.shape[-1] != adj.shape[-2]:
-        raise ValueError(f"adjacency must be a square matrix or a stack of them, got shape {adj.shape}")
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
     if adj.size == 0:
         return np.zeros(adj.shape, dtype=_distance_dtype(0))
     return _layered_bfs(adj)
 
 
 def _layered_bfs(adj: np.ndarray) -> np.ndarray:
-    """Distances of a nonempty (k, k) adjacency or (b, k, k) stack by growing balls.
+    """Distances of a nonempty (k, k) adjacency by growing balls.
 
     The ball of radius r + 1 is everything adjacent to or inside the ball of
     radius r: one float32 matrix product per radius into a reused buffer,
-    clipped to 0/1, batched over a stack.  The radii stop when no ball of any
-    slice grows.  A pair's distance is the number of balls that miss it,
-    counted in float32 and cast once at the end; a radius past a slice's
-    eccentricity adds one ball to its count and one hit to each reached pair,
-    so it leaves that slice's distances unchanged.  The products and counts
-    never exceed the vertex count, far below float32's exact-integer ceiling
-    of 2**24, so the result is exact.  Four float32 buffers of the input's
+    clipped to 0/1.  The radii stop when no ball grows.  A pair's distance is
+    the number of balls that miss it, counted in float32 and cast once at the
+    end; a radius past a vertex's eccentricity adds one ball to the count and
+    one hit to each pair it reached, so it leaves those distances unchanged.
+    The products and counts never exceed the vertex count, far below
+    float32's exact-integer ceiling of 2**24, so the result is exact.  Four float32 buffers of the input's
     shape are live at once, about 17 bytes a vertex pair.
     """
-    order = adj.shape[-1]
     step = np.not_equal(adj, 0, out=np.empty(adj.shape, dtype=np.float32))
-    flipped = np.swapaxes(step, -1, -2)
-    if not np.array_equal(step, flipped):
-        *stacked, a, b = np.argwhere(step != flipped)[0].tolist()
-        where = f" of slice {stacked[0]}" if stacked else ""
-        raise ValueError(f"adjacency must be symmetric, but entries ({a}, {b}) and ({b}, {a}){where} differ")
+    if not np.array_equal(step, step.T):
+        a, b = np.argwhere(step != step.T)[0].tolist()
+        raise ValueError(f"adjacency must be symmetric, but entries ({a}, {b}) and ({b}, {a}) differ")
     # step is A + I, so a ball times step is the ball one radius larger.
-    diagonal = (Ellipsis, *np.diag_indices(order))
-    step[diagonal] = 1
+    np.fill_diagonal(step, 1)
     ball = step.copy()
     # hits counts how many of the balls so far, of radius 0, 1, ..., hold each pair.
     hits = step.copy()
-    hits[diagonal] = 2
+    np.fill_diagonal(hits, 2)
     balls = 2
     grown = np.empty_like(ball)
-    # Balls only grow, so the total count stands still exactly when no slice
+    # Balls only grow, so the total count stands still exactly when no ball
     # grows.  Every ball entry is +0.0 or 1.0, so its int32 view has the same
     # nonzero entries and counts about three times as fast.
     reached = np.count_nonzero(ball.view(np.int32))
@@ -472,7 +450,7 @@ def _layered_bfs(adj: np.ndarray) -> np.ndarray:
         hits += ball
         balls += 1
     # Free two of the four buffers before the cast allocates the result.
-    del step, flipped, grown
+    del step, grown
     # A reached pair is missed by balls - hits of the balls; an unreached one reads -1.
     np.subtract(balls + 1, hits, out=hits)
     hits *= ball
@@ -560,28 +538,24 @@ def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
 _INT64_SAFE = 2**62
 
 
-def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int | list[int]:
-    """Exact sum of w_a * w_b * d_ab over unordered pairs a < b, of one graph or of a stack.
+def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
+    """Exact sum of w_a * w_b * d_ab over unordered pairs a < b of one graph.
 
-    `weights` (k,) with `dist` (k, k) gives an int.  A (b, k) weight stack
-    with a (b, k, k) distance stack gives a list of b ints, slice by slice.
-    Each distance matrix is symmetric and nonnegative with a zero diagonal,
-    so the ordered-pair total w . (dist w) is twice the answer.  The totals
-    run in int64 when (sum |w|)^2 * max(dist), over the whole stack, bounds
-    them below _INT64_SAFE, without an int64 copy of `dist`, and in Python
-    integers otherwise.  An odd total raises ArithmeticError.
+    `weights` has shape (k,) and `dist` (k, k).  The matrix is symmetric and nonnegative with a zero diagonal, so the
+    ordered-pair total w . (dist w) is twice the answer.  The total runs in
+    int64 when (sum |w|)^2 * max(dist) bounds it below _INT64_SAFE, without
+    an int64 copy of `dist`, and in Python integers otherwise.  An odd total
+    raises ArithmeticError.
     """
     w = np.asarray(weights, dtype=np.int64)
-    if int(np.abs(w).sum(axis=-1).max()) ** 2 * int(dist.max()) < _INT64_SAFE:
-        totals = (w * np.einsum("...ij,...j->...i", dist, w, dtype=np.int64)).sum(axis=-1)
+    if int(np.abs(w).sum()) ** 2 * int(dist.max()) < _INT64_SAFE:
+        total = int(w @ np.einsum("ij,j->i", dist, w, dtype=np.int64))
     else:
         w = w.astype(object)
-        totals = (w * (dist.astype(object) @ w[..., None])[..., 0]).sum(axis=-1)
-    totals = np.asarray(totals)
-    odd = totals[totals % 2 == 1]
-    if odd.size:
-        raise ArithmeticError(f"ordered pair total {odd[0]} is odd; the distances are not symmetric")
-    return (totals // 2).tolist()
+        total = int(w @ (dist.astype(object) @ w))
+    if total % 2:
+        raise ArithmeticError(f"ordered pair total {total} is odd; the distances are not symmetric")
+    return total // 2
 
 
 def _exact_dot(w: np.ndarray, c: np.ndarray) -> int:

@@ -8,16 +8,12 @@ Four sequences are supported, each tabulated for every order 1..n_max:
   v1_vn_distance        distance between the first and last vertex
 
 The order-n graph is the order-n_max graph with the tail vertices deleted, so
-one build serves all orders, and one all-pairs distance matrix of that graph
-serves every distance sequence: order n reads its leading n x n block.  That
-block is exact because every closed neighbourhood of the graph is an index
-interval.  A walk between a <= b clamped into [a, b] is then still a walk, and
-no longer, so a shortest path between two of the first n vertices never needs
-a later one: deleting the vertices above n changes no distance among the rest,
-and disconnects no pair.  Out-sets are intervals by construction; in-sets are
-audited before the matrix is used.  `sequence_tables` serves any set of tables
-from one such build and at most one matrix.  Memory for the matrix puts the
-practical ceiling at a few thousand vertices.
+one build serves all orders.  Every closed neighbourhood of that graph is an
+index interval, so order n is reach-backed by the prefix reach min(hi(v), n)
+for v <= n and keeps every distance among its vertices.  Its Gutman index is
+the jump-forest sum of that prefix, and dist(v_1, v_n) counts the members of
+vertex 1's greedy hi chain below n, so no table forms a distance matrix.
+Out-sets are intervals by construction; in-sets are audited first.
 """
 from __future__ import annotations
 
@@ -26,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import SimpleGraph, _pair_sum, _require_at_least, _require_connected, all_pairs_distances
+from .graph_core import SimpleGraph, _connectivity_error, _index, _require_at_least
 from .jaco import LinearFunction, _audited_jaco, _prefix_facts
 
 SEQUENCE_NAMES = ("edges", "gutman", "jaconian_cardinality", "v1_vn_distance")
@@ -49,10 +45,9 @@ def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
 def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list[SequenceTable]:
     """Tabulate the named sequences for orders 1..n_max, in the order named.
 
-    One audited build serves them all.  The count tables read the prefix
-    facts of J_{n_max+1}; the distance tables read leading blocks of one
-    all-pairs matrix of the same graph, which is J_{n_max} when no count
-    table is asked for.  The first table that cannot be tabulated raises.
+    One audited build serves them all: J_{n_max+1} when a count table is
+    asked for, whose prefix facts the count tables read, else J_{n_max}.
+    The first table that cannot be tabulated raises.
     """
     unknown = [name for name in names if name not in SEQUENCE_NAMES]
     if unknown:
@@ -67,23 +62,26 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
             values = [fact.edge_count for fact in facts]
         elif name == "jaconian_cardinality":
             values = [fact.jaconian_count for fact in facts]
+        elif name == "gutman":
+            values = []
+            for n in range(1, n_max + 1):
+                prefix = SimpleGraph.from_reach(np.minimum(j.underlying.reach[:n], n))
+                values.append(_index(prefix, prefix.degree_array(), f"the Gutman index sequence at order {n}"))
         else:
-            values = [_distance_value(name, j.underlying, n) for n in range(1, n_max + 1)]
+            values = _first_vertex_distances(j.underlying.reach, n_max)
         tables.append(SequenceTable(name, f, tuple(zip(range(1, n_max + 1), values))))
     return tables
 
 
-def _distance_value(name: str, g: SimpleGraph, n: int) -> int:
-    """Order n's value of a distance sequence, read from the leading block of g's distances.
+def _first_vertex_distances(hi: np.ndarray, n_max: int) -> list[int]:
+    """dist(v_1, v_n) for n = 1..n_max, from the chain 1, hi(1), hi(hi(1)), ...
 
-    Vertex v's neighbours above it are v + 1..hi(v), so order n keeps
-    min(above(v), n - v) of them and all of those below: its degrees take
-    O(n), not a pass over the block.
+    The chain stops at e, the last vertex of vertex 1's component, so an e
+    below n_max disconnects order e + 1.
     """
-    dist = all_pairs_distances(g)
-    if name == "v1_vn_distance":
-        _require_connected(dist[0, :n], f"the distance sequence at order {n}")
-        return int(dist[0, n - 1])
-    block = _require_connected(dist[:n, :n], f"the Gutman index sequence at order {n}")
-    below, above = g.split_degree_arrays()
-    return _pair_sum(below[:n] + np.minimum(above[:n], np.arange(n - 1, -1, -1)), block)
+    chain = [1]
+    while hi[chain[-1] - 1] > chain[-1]:
+        chain.append(int(hi[chain[-1] - 1]))
+    if chain[-1] < n_max:
+        raise _connectivity_error(f"the distance sequence at order {chain[-1] + 1}", chain[-1] + 1)
+    return np.searchsorted(chain, np.arange(1, n_max + 1)).tolist()

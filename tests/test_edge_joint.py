@@ -329,14 +329,18 @@ class TestJointCheck:
         # entry points' one-thread BLAS default costs the command line nothing.
         monkeypatch.setattr(graph_core, "_layered_bfs", refuse)
         monkeypatch.setattr(graph_core, "dense_adjacency", refuse)
+        # The recursion audit's direct value fills one jump matrix per order;
+        # no other command fills an all-pairs matrix of a Jaco graph at all.
+        for argv in ("recursion-check --n-max 12", "erratum --n-max 10 --m-max 6 --seed 3"):
+            assert cli.main(argv.split()) == 0, argv
+        monkeypatch.setattr(graph_core, "_jump_counts", refuse)
         for argv in (
             "build --m 2 --c 1 --n 30 --format json",
             "gutman --n 40",
             "wiener --m 2 --c 1 --n 12",
-            "recursion-check --n-max 12",
             "joint --n 12 --m 9 --vi 4 --uj 2",
+            "joint --n 12 --m 9",
             "sequences --n-max 15",
-            "erratum --n-max 10 --m-max 6 --seed 3",
         ):
             assert cli.main(argv.split()) == 0, argv
         assert capsys.readouterr().err == ""

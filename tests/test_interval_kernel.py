@@ -1,11 +1,10 @@
 """The distance kernel's jump fill against dense BFS and the oracle.
 
 `layered_distance_matrix` takes a reach hi (one-dimensional) to the greedy
-jump fill, and an adjacency matrix or a stack of them to layered BFS; no
-structure test chooses between them.  Each reach here is also rendered as the
-same graph's bool adjacency, and its jump fill is compared with that
-adjacency's BFS and with the pure-Python BFS oracle.  A stack's slices are
-compared with the BFS of each slice alone.
+jump fill, and a square adjacency matrix to layered BFS; no structure test
+chooses between them.  Each reach here is also rendered as the same graph's
+bool adjacency, and its jump fill is compared with that adjacency's BFS and
+with the pure-Python BFS oracle.
 """
 import re
 
@@ -87,8 +86,7 @@ def test_random_interval_graphs(ohe):
     check_reach([h + 1 for h in hi], edges)
 
 
-# The n x n passes work in blocks of rows: the reach-backed adjacency and the
-# jump fill's cumulative sum and mirror.  Small blocks put block edges inside
+# The jump fill's cumulative sum and mirror work in blocks of rows.  Small blocks put block edges inside
 # these orders, and order 300 crosses the default block.
 @pytest.mark.parametrize("rows", [1, 3, 7, None])
 @pytest.mark.parametrize("m, c, n", [(1, 0, 40), (2, 1, 33), (0, 3, 29), (0, 0, 9), (1, 0, 300), (0, 2, 300)])
@@ -181,11 +179,10 @@ def test_unreachable_pairs_read_minus_one_in_every_type(kernel, order, dtype):
     assert dist[order, order] == 0 and dist[0, order - 1] == order - 1
 
 
-# (2, 2, 2) is a stack of two 2 x 2 matrices, so the last two are accepted.
 # A one-dimensional input is a reach, checked in test_malformed_reach_raises.
-@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (), (2, 2, 3), (1, 2, 2, 2)])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (), (2, 2, 3), (1, 2, 2, 2), (2, 2, 2)])
 def test_non_square_adjacency_raises(shape):
-    message = f"adjacency must be a square matrix or a stack of them, got shape {shape}"
+    message = f"adjacency must be a square matrix, got shape {shape}"
     with pytest.raises(ValueError, match=re.escape(message)):
         layered_distance_matrix(np.zeros(shape, dtype=bool))
 
@@ -221,67 +218,3 @@ def test_asymmetric_adjacency_raises_naming_an_entry():
     adj[4, 1] = True
     with pytest.raises(ValueError, match=re.escape("entries (1, 4) and (4, 1) differ")):
         layered_distance_matrix(adj)
-
-
-@st.composite
-def same_order_stacks(draw, max_order=9, max_slices=6):
-    """(order, [edges of each slice]): random graphs that share one order."""
-    order = draw(st.integers(1, max_order))
-    pairs = st.tuples(st.integers(1, order), st.integers(1, order))
-    slices = []
-    for _ in range(draw(st.integers(1, max_slices))):
-        slices.append(sorted({(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=14)) if a != b}))
-    return order, slices
-
-
-def adjacency_stack(graphs):
-    return np.stack([dense_adjacency(g) for g in graphs])
-
-
-@given(same_order_stacks())
-@settings(max_examples=150, deadline=None)
-def test_stack_slices_match_the_forced_bfs_and_the_oracle(stack):
-    order, slices = stack
-    adj = adjacency_stack(from_edges(order, edges) for edges in slices)
-    dist = layered_distance_matrix(adj)
-    assert dist.shape == adj.shape and dist.dtype == np.int8
-    for s, edges in enumerate(slices):
-        assert (dist[s] == layered_distance_matrix(adj[s])).all()
-        assert (dist[s] == oracle_matrix(order, edges)).all()
-
-
-def test_a_disconnected_slice_reads_minus_one_only_in_that_slice():
-    split = from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
-    graphs = [path(6), split, build_jaco(LinearFunction(1, 0), 6).underlying]
-    dist = layered_distance_matrix(adjacency_stack(graphs))
-    assert (dist[[0, 2]] >= 0).all()
-    assert (dist[1] == oracle_matrix(6, split.edge_list())).all()
-    assert (dist[1, :3, 3:] == -1).all() and (dist[1, 3:, :3] == -1).all() and (dist[1] >= 0).sum() == 18
-
-
-@pytest.mark.parametrize("shape", [(3, 1, 1), (1, 1, 1), (3, 0, 0), (0, 4, 4)])
-def test_stacks_of_order_one_and_zero(shape):
-    dist = layered_distance_matrix(np.zeros(shape, dtype=bool))
-    assert dist.shape == shape and dist.dtype == np.int8
-    assert (dist == 0).all()
-
-
-def test_asymmetric_slice_raises_naming_the_slice_and_the_pair():
-    adj = adjacency_stack([path(6)] * 3)
-    adj[2, 4, 1] = True
-    with pytest.raises(ValueError, match=re.escape("entries (1, 4) and (4, 1) of slice 2 differ")):
-        layered_distance_matrix(adj)
-
-
-# The stack takes the type of its largest distance: a path of order 128 has
-# diameter 127, so its complete-graph neighbour in the stack is int16 too.
-@pytest.mark.parametrize("order, dtype", [(127, np.int8), (128, np.int16)])
-def test_stack_type_comes_from_its_largest_distance(order, dtype):
-    complete = from_edges(order, [(a, b) for a in range(1, order + 1) for b in range(a + 1, order + 1)])
-    adj = adjacency_stack([complete, path(order)])
-    dist = layered_distance_matrix(adj)
-    assert dist.dtype == dtype
-    v = np.arange(order)
-    assert (dist[0] == (v[:, None] != v)).all()
-    assert (dist[1] == abs(v[:, None] - v)).all()
-    assert layered_distance_matrix(adj[:1]).dtype == np.int8

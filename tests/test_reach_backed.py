@@ -67,12 +67,13 @@ def test_reach_backed_graph_matches_its_table(m, c, n):
     assert g.reach is not None and h.reach is None
     assert g.order == h.order and g.size == h.size == built.arc_count == table.arc_count
     assert np.array_equal(g.degree_array(), h.degree_array())
-    adj = dense_adjacency(g)
-    assert adj.dtype == bool and np.array_equal(adj, dense_adjacency(h))
     assert np.array_equal(all_pairs_distances(g), all_pairs_distances(h))
     for index in (gutman_index, wiener_index):
         assert _index_or_disconnected(index, g) == _index_or_disconnected(index, h)
     assert g._edges is None  # nothing above read the table
+    # the adjacency of either backing is scattered from its edge table
+    adj = dense_adjacency(g)
+    assert adj.dtype == bool and np.array_equal(adj, dense_adjacency(h))
     assert np.array_equal(built.arc_array, table.arc_array)
     assert built.arc_array.dtype == np.int64 and not built.arc_array.flags.writeable
     assert built.arc_array is g.edge_array
@@ -380,6 +381,15 @@ def test_distances_of_a_built_graph_take_one_byte_a_pair(f):
         tracemalloc.stop()
     assert dist.dtype == np.int8
     assert peak <= 1.2 * n * n, f"all_pairs_distances of {f} at n = {n} peaked {peak / n / n:.2f} B a pair"
+
+
+def test_sequences_5000_peak_memory():
+    # Each order's Gutman index sums over its prefix reach's jump forest and
+    # the distance table walks one chain, so all four tables take O(N)
+    # memory, about 5 MB above the floor; the int8 matrix of J_5001 alone
+    # would be 25 MB.
+    grown_mb = _peak_growth_mb("sequences --n-max 5000")
+    assert grown_mb < 12, f"sequences --n-max 5000 peaked {grown_mb:.1f} MB above gutman --n 2"
 
 
 def test_export_2000_peak_memory():

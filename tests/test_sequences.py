@@ -60,10 +60,11 @@ class TestCrossChecks:
             assert value == len(info.jaconian_set)
 
     def test_distance_matches_matrix(self):
-        table = sequence_table("v1_vn_distance", IDENTITY, 60)
-        for n, value in table.rows:
-            d = all_pairs_distances(build_jaco(IDENTITY, n).underlying)
-            assert value == d[0, n - 1]
+        # row 1 of J_N's all-pairs matrix holds dist(v_1, v_n) in column n
+        cases = [(IDENTITY, 60), (LinearFunction(2, 1), 60), (LinearFunction(3, 2), 45), (LinearFunction(0, 5), 6)]
+        for f, n_max in cases:
+            table = sequence_table("v1_vn_distance", f, n_max)
+            assert table.rows == tuple(enumerate(all_pairs_distances(build_jaco(f, n_max).underlying)[0].tolist(), 1))
 
     @pytest.mark.parametrize("m, c", [(2, 1), (1, 3)])
     def test_distance_matches_oracle(self, m, c):
@@ -110,6 +111,8 @@ DISTANCE_TABLES = {"gutman": "the Gutman index sequence", "v1_vn_distance": "the
 @given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 40))
 @example(0, 2, 12)  # m = 0: cliques on c + 1 vertices, apart from order 4
 @example(0, 0, 5)  # m = 0 = c: no arcs, apart from order 2
+@example(0, 2, 3)  # vertex 1's component ends at n_max ...
+@example(0, 2, 4)  # ... and one order below it
 @settings(max_examples=100, deadline=None)
 def test_distance_tables_match_oracle(m, c, n_max):
     arcs = slow_jaco_arcs(m, c, n_max)
@@ -132,47 +135,47 @@ def test_distance_tables_match_oracle(m, c, n_max):
                 sequence_table(name, LinearFunction(m, c), n_max)
 
 
-# Order n's degrees come from J_N's split degrees, truncated at n; each row
-# must equal the index of the order-n graph built on its own.
+# Order n's graph is J_N's prefix reach truncated at n; each row must equal
+# the index of the order-n graph built on its own, and, up to order 60, the
+# pure-Python oracle on the rule's own arcs.
 @pytest.mark.parametrize("m, c", [(1, 0), (2, 1), (3, 2), (1, 3)])
 def test_gutman_table_equals_each_order_built_alone(m, c):
     f = LinearFunction(m, c)
     rows = sequence_table("gutman", f, 150).rows
     assert rows == tuple((n, gutman_index(build_jaco(f, n).underlying)) for n in range(1, 151))
+    arcs = slow_jaco_arcs(m, c, 60)
+    assert rows[:60] == tuple((n, brute_gutman(n, [(a, b) for a, b in arcs if b <= n])) for n in range(1, 61))
 
 
+def _no_matrix(*args):
+    raise AssertionError("a distance matrix was formed")
+
+
+# No table runs the distance kernel: both of its paths are patched to raise.
 @pytest.mark.parametrize("name", DISTANCE_TABLES)
 def test_one_kernel_call_per_table(name, monkeypatch):
-    calls = []
-    real = graph_core.layered_distance_matrix
-
-    def counting(adj):
-        calls.append(adj.shape[0])
-        return real(adj)
-
-    monkeypatch.setattr(graph_core, "layered_distance_matrix", counting)
-    assert len(sequence_table(name, LinearFunction(2, 1), 30).rows) == 30
-    assert calls == [30]
+    monkeypatch.setattr(graph_core, "_jump_counts", _no_matrix)
+    monkeypatch.setattr(graph_core, "_layered_bfs", _no_matrix)
+    assert sequence_table(name, LinearFunction(2, 1), 30).rows[-1][0] == 30
+    with pytest.raises(DisconnectedGraphError, match=f"^{DISTANCE_TABLES[name]} at order 4 "):
+        sequence_table(name, LinearFunction(0, 2), 30)
 
 
 def test_every_table_from_one_build_and_one_kernel_call(monkeypatch, capsys):
-    builds, kernel_orders = [], []
-    real_build, real_kernel = jaco.build_jaco, graph_core.layered_distance_matrix
+    builds = []
+    real_build = jaco.build_jaco
 
     def counting_build(f, n):
         builds.append(n)
         return real_build(f, n)
 
-    def counting_kernel(adj):
-        kernel_orders.append(adj.shape[0])
-        return real_kernel(adj)
-
     monkeypatch.setattr(jaco, "build_jaco", counting_build)
-    monkeypatch.setattr(graph_core, "layered_distance_matrix", counting_kernel)
+    monkeypatch.setattr(graph_core, "_jump_counts", _no_matrix)
+    monkeypatch.setattr(graph_core, "_layered_bfs", _no_matrix)
     assert main(["sequences", "--n-max", "50"]) == 0
     out = capsys.readouterr().out
-    # J_51 serves the counts of orders 1..50 and, as leading blocks, their distances.
-    assert builds == [51] and kernel_orders == [51]
+    # J_51 serves the counts of orders 1..50 and, as prefix reaches, their distance tables.
+    assert builds == [51]
     expected = "\n".join(f"# {name}\n{sequence_to_csv(sequence_table(name, IDENTITY, 50))}" for name in SEQUENCE_NAMES)
     assert out == expected
 
