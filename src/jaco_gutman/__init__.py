@@ -23,6 +23,7 @@ _PUBLIC = {
     "graph_core": (
         "DisconnectedGraphError",
         "SimpleGraph",
+        "StructureAssumptionViolated",
         "all_pairs_distances",
         "degree",
         "from_edges",
@@ -38,6 +39,7 @@ _PUBLIC = {
         "LinearFunction",
         "PrefixFacts",
         "PropertyReport",
+        "SEQUENCE_NAMES",
         "build_jaco",
         "component_structure",
         "hope_graph",
@@ -50,14 +52,13 @@ _PUBLIC = {
     "recursion": (
         "RecursionDelta",
         "RecursionTerms",
-        "StructureAssumptionViolated",
         "recursion_delta_report",
         "recursion_exact_rhs",
         "recursion_exact_terms",
         "recursion_paper_rhs",
         "recursion_paper_terms",
     ),
-    "sequences": ("SEQUENCE_NAMES", "SequenceTable", "sequence_table", "sequence_tables"),
+    "sequences": ("SequenceTable", "sequence_table", "sequence_tables"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 

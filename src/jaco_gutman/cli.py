@@ -4,27 +4,35 @@ Subcommands: build, gutman, wiener, recursion-check, joint, sequences,
 erratum.  Exit codes: 0 success, 1 usage error (bad flags, unknown names,
 out-of-range anchors, an --out path that cannot be written), 2 domain error
 (disconnected graph where an index needs connectivity, failed structural
-precondition, mismatched audit) or a command that ran out of memory.
+precondition, mismatched audit) or a command that ran out of memory.  A
+reader that closes stdout before the output ends (`| head -1`) gives exit 1
+with no message.
 
 All output is deterministic; the only randomized piece, the non-trivial
 anchor audit inside `erratum`, draws from a seeded generator (--seed,
 default 0).
+
+A process runs one subcommand, so each `_cmd_*` imports the modules it uses
+(`serialize`, `edge_joint`, `recursion`, `sequences`) when it runs: `gutman`
+and `wiener` load `graph_core` and `jaco` only.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 # Lowest layer first: without a bytecode cache each module then compiles with
 # fewer half-run modules above it, which keeps about 0.5 MB off the peak RSS.
-from .graph_core import DisconnectedGraphError, gutman_index, wiener_index
-from .jaco import LinearFunction, build_jaco
-from .edge_joint import AnchorCheck, JointDelta, anchor_audit, joint_check, joint_delta_report
-from .recursion import RecursionDelta, StructureAssumptionViolated, recursion_delta_report
-from .sequences import SEQUENCE_NAMES, sequence_tables
-from . import serialize
+# The commands import their other layers in the same order, `serialize` last.
+from .graph_core import StructureAssumptionViolated, gutman_index, wiener_index
+from .jaco import SEQUENCE_NAMES, LinearFunction, build_jaco
+
+if TYPE_CHECKING:
+    from .edge_joint import AnchorCheck, JointDelta
+    from .recursion import RecursionDelta
 
 
 class UsageError(Exception):
@@ -141,6 +149,8 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from . import serialize
+
     j = build_jaco(LinearFunction(args.m, args.c), args.n)
     if args.format == "json":
         text = serialize.jaco_to_json(j)
@@ -167,6 +177,9 @@ def _cmd_wiener(args: argparse.Namespace) -> int:
 def _cmd_recursion_check(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise UsageError("--n-max must be at least 2")
+    from .recursion import recursion_delta_report
+    from . import serialize
+
     rows = recursion_delta_report(args.n_max)
     if args.format == "csv":
         text = serialize.recursion_report_csv(rows)
@@ -183,6 +196,9 @@ def _cmd_joint(args: argparse.Namespace) -> int:
         raise UsageError(f"--vi {args.vi} out of range 1..{args.n}")
     if args.uj > args.m:
         raise UsageError(f"--uj {args.uj} out of range 1..{args.m}")
+    from .edge_joint import joint_check
+    from . import serialize
+
     row = joint_check(args.n, args.m, args.vi, args.uj)
     if args.format == "csv":
         text = serialize.joint_single_csv(row)
@@ -205,6 +221,9 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     unknown = [w for w in names if w not in SEQUENCE_NAMES]
     if unknown:
         raise UsageError(f"unknown sequence name {unknown[0]!r}")
+    from .sequences import sequence_tables
+    from . import serialize
+
     f = LinearFunction(args.m, args.c)
     tables = sequence_tables(names, f, args.n_max)
     render = serialize.sequence_to_csv if args.format == "csv" else serialize.sequence_to_json
@@ -228,6 +247,10 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
         raise UsageError("--n-max must be at least 2")
     if args.m_max < 2:
         raise UsageError("--m-max must be at least 2")
+    from .edge_joint import anchor_audit, joint_delta_report
+    from .recursion import recursion_delta_report
+    from . import serialize
+
     recursion_rows = recursion_delta_report(args.n_max)
     joint_rows = joint_delta_report(args.n_max, args.m_max)
     anchors = anchor_audit(args.n_max, args.m_max, per_pair=5, seed=args.seed)
@@ -277,6 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the output early (`jaco build ... | head -1`):
+        # the output is cut short, but no flag was wrong.
+        return 1
     except (UsageError, OSError) as exc:
         # OSError: an --out path that cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
@@ -294,4 +321,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    try:
+        # Output still buffered meets a closed reader here, not at teardown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the `signal` docs advise: point stdout at devnull, so that the
+        # flush at exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = code or 1
+    sys.exit(code)

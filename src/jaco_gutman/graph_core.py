@@ -49,6 +49,10 @@ class DisconnectedGraphError(ValueError):
     """An index that is only defined for connected graphs was requested."""
 
 
+class StructureAssumptionViolated(RuntimeError):
+    """The structural hypotheses behind the recursion's exact decomposition do not hold."""
+
+
 def _is_int(value: object) -> bool:
     """True for an int or a numpy integer; False for a bool and anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

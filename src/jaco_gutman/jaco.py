@@ -368,6 +368,11 @@ def _audited_jaco(f: LinearFunction, n: int) -> JacoGraph:
     return j
 
 
+# The per-order tables of `sequences`, named here so that the command line
+# can list them without importing that module.
+SEQUENCE_NAMES = ("edges", "gutman", "jaconian_cardinality", "v1_vn_distance")
+
+
 @dataclass(frozen=True)
 class PrefixFacts:
     """Per-order facts collected by `prefix_scan`.

@@ -34,6 +34,7 @@ import numpy as np
 
 from .graph_core import (
     SimpleGraph,
+    StructureAssumptionViolated,
     _pair_sum,
     _require_at_least,
     _require_connected,
@@ -41,10 +42,6 @@ from .graph_core import (
     layered_distance_matrix,
 )
 from .jaco import IDENTITY, JacoGraph, _audited_jaco
-
-
-class StructureAssumptionViolated(RuntimeError):
-    """The structural hypotheses behind the exact decomposition do not hold."""
 
 
 @dataclass(frozen=True)

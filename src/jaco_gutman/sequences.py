@@ -23,9 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph_core import SimpleGraph, _connectivity_error, _index, _require_at_least
-from .jaco import LinearFunction, _audited_jaco, _prefix_facts
-
-SEQUENCE_NAMES = ("edges", "gutman", "jaconian_cardinality", "v1_vn_distance")
+from .jaco import SEQUENCE_NAMES, LinearFunction, _audited_jaco, _prefix_facts
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,18 @@ from its reach, so exporting it never builds its arc table.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .edge_joint import JointDelta
 from .graph_core import _is_int
 from .jaco import JacoGraph, LinearFunction, jaco_from_arcs, verify_definition_fixed_point
-from .recursion import TERM_NAMES, RecursionDelta
-from .sequences import SequenceTable
+
+if TYPE_CHECKING:
+    # Only the report renderers take these, so `build` loads no audit module.
+    from .edge_joint import JointDelta
+    from .recursion import RecursionDelta
+    from .sequences import SequenceTable
 
 RECURSION_HEADER = "n,i,paper_rhs,exact_rhs,direct,delta_paper"
 JOINT_HEADER = "n,m,paper_rhs,closed_form,direct,delta_paper,missing_block,residual"
@@ -121,6 +124,8 @@ def _recursion_row_values(row: RecursionDelta) -> list[int]:
 
 
 def recursion_report_csv(rows: Iterable[RecursionDelta], per_term: bool = False) -> str:
+    from .recursion import TERM_NAMES
+
     header = RECURSION_HEADER
     if per_term:
         header += "," + ",".join(f"delta_{name}" for name in TERM_NAMES)

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from jaco_gutman import IDENTITY, build_jaco
-from jaco_gutman import cli
+from jaco_gutman import IDENTITY, StructureAssumptionViolated, build_jaco
+from jaco_gutman import cli, edge_joint, recursion, sequences
 from jaco_gutman.cli import entrypoint, main
 from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
@@ -159,9 +159,9 @@ class TestRecursionCheck:
         assert rows[1]["direct"] == 19
 
     def test_names_the_first_mismatch(self, capsys, monkeypatch):
-        real = cli.recursion_delta_report
+        real = recursion.recursion_delta_report
         monkeypatch.setattr(
-            cli, "recursion_delta_report", lambda *a, **k: _corrupt(real(*a, **k), {1, 2}, _off_by_one_recursion)
+            recursion, "recursion_delta_report", lambda *a, **k: _corrupt(real(*a, **k), {1, 2}, _off_by_one_recursion)
         )
         code, out, err = run(capsys, "recursion-check", "--n-max", "4")
         assert code == 2
@@ -215,8 +215,8 @@ class TestJoint:
         argv = ("joint", "--n", "4", "--m", "3", "--vi", "2")
         code, clean, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        real = cli.joint_check
-        monkeypatch.setattr(cli, "joint_check", lambda *a: {**real(*a), "direct": 123})
+        real = edge_joint.joint_check
+        monkeypatch.setattr(edge_joint, "joint_check", lambda *a: {**real(*a), "direct": 123})
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err == (
@@ -321,13 +321,13 @@ def _off_by_one_joint(row):
 class TestErratumNamesTheFirstFailure:
     ARGV = ("erratum", "--n-max", "6", "--m-max", "4")
 
-    def _patch(self, monkeypatch, name, picks, change):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, **k: _corrupt(real(*a, **k), picks, change))
+    def _patch(self, monkeypatch, module, name, picks, change):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: _corrupt(real(*a, **k), picks, change))
 
     def test_recursion_row(self, capsys, monkeypatch):
-        self._patch(monkeypatch, "recursion_delta_report", {1, 3}, _off_by_one_recursion)
-        self._patch(monkeypatch, "joint_delta_report", {0}, _off_by_one_joint)
+        self._patch(monkeypatch, recursion, "recursion_delta_report", {1, 3}, _off_by_one_recursion)
+        self._patch(monkeypatch, edge_joint, "joint_delta_report", {0}, _off_by_one_joint)
         code, _, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (
@@ -337,8 +337,8 @@ class TestErratumNamesTheFirstFailure:
 
     def test_joint_point(self, capsys, monkeypatch):
         code, clean, _ = run(capsys, *self.ARGV)
-        self._patch(monkeypatch, "joint_delta_report", {2, 4}, _off_by_one_joint)
-        self._patch(monkeypatch, "anchor_audit", {0}, _off_by_one_joint)
+        self._patch(monkeypatch, edge_joint, "joint_delta_report", {2, 4}, _off_by_one_joint)
+        self._patch(monkeypatch, edge_joint, "anchor_audit", {0}, _off_by_one_joint)
         code, out, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (
@@ -350,9 +350,9 @@ class TestErratumNamesTheFirstFailure:
 
     def test_anchor_check(self, capsys, monkeypatch):
         code, clean, _ = run(capsys, *self.ARGV)
-        checks = cli.anchor_audit(6, 4, per_pair=5, seed=0)
+        checks = edge_joint.anchor_audit(6, 4, per_pair=5, seed=0)
         bad = checks[7]
-        self._patch(monkeypatch, "anchor_audit", {7}, _off_by_one_joint)
+        self._patch(monkeypatch, edge_joint, "anchor_audit", {7}, _off_by_one_joint)
         code, out, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (
@@ -440,7 +440,8 @@ class TestExitCodes:
         assert capsys.readouterr().out == ("58\n" if expected == 0 else "")
 
     # A failed allocation is raised, never made: each command's callee is
-    # patched to raise what numpy raises for an array too large to allocate.
+    # patched, in the module the command reads it from, to raise what numpy
+    # raises for an array too large to allocate.
     @pytest.mark.parametrize(
         "callee, argv",
         [
@@ -459,7 +460,8 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, callee, exhausted)
+        owner = {"sequence_tables": sequences, "joint_check": edge_joint}.get(callee, cli)
+        monkeypatch.setattr(owner, callee, exhausted)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {argv[0]} ran out of memory{detail}\n")
 
@@ -488,6 +490,52 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout == J5_JSON
+
+    def test_structure_violation_is_a_domain_error(self, capsys, monkeypatch):
+        def violated(deg, dist, i):
+            raise StructureAssumptionViolated(f"Hope vertices of the order-{len(deg)} graph are not pairwise adjacent")
+
+        monkeypatch.setattr(recursion, "_check_structure", violated)
+        code, out, err = run(capsys, "recursion-check", "--n-max", "3")
+        assert (code, out, err) == (2, "", "error: Hope vertices of the order-2 graph are not pairwise adjacent\n")
+
+    def test_structure_violation_is_a_domain_error_in_a_fresh_process(self):
+        # `recursion` loads only when the command runs, and its structure
+        # check fails on a doctored build (K3 labelled as identity-built).
+        code = (
+            "import sys\n"
+            "from jaco_gutman import IDENTITY, jaco\n"
+            "doctored = jaco.jaco_from_arcs(IDENTITY, 3, [(1, 2), (1, 3), (2, 3)])\n"
+            "jaco.build_jaco = lambda f, n: doctored\n"
+            "assert 'jaco_gutman.recursion' not in sys.modules\n"
+            "sys.argv = ['jaco', 'recursion-check', '--n-max', '2']\n"
+            f"{_ENTRY['module']}\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: prime index disagreement at n=2: ") and proc.stderr.count("\n") == 1
+
+    # A reader that closes stdout early, like `| head -1`, cuts the output
+    # short: exit 1, with neither a usage error nor a traceback at teardown.
+    def test_reader_closing_stdout_early_exits_1_silently(self):
+        argv = [sys.executable, "-m", "jaco_gutman", "build", "--n", "3000", "--format", "csv"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"tail,head\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (1, b"")
+
+    @pytest.mark.parametrize("argv", [["gutman", "--n", "5"], ["build", "--n", "600", "--format", "csv"]])
+    def test_stdout_closed_before_the_first_write_exits_1_silently(self, argv):
+        # "58\n" stays buffered until the entry point flushes it; the export
+        # fails inside the command.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "jaco_gutman", *argv], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def _fresh(code, blas_threads=None):
@@ -549,6 +597,44 @@ class TestEntryPoints:
     def test_library_imports_set_no_blas_threads(self):
         code = "import os, jaco_gutman.cli, jaco_gutman.__main__; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
         assert _fresh(code) == ["None"]
+
+    def test_library_imports_and_main_leave_the_collector_alone(self):
+        code = (
+            "import gc, jaco_gutman, jaco_gutman.cli, jaco_gutman.__main__\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+            "jaco_gutman.cli.main(['gutman', '--n', '5'])\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+        )
+        assert _fresh(code) == ["True 0", "58", "True 0"]
+
+    # Each subcommand imports only the layers it runs, and no stdlib module
+    # it does not use; site may have loaded `random` before the entry runs.
+    @pytest.mark.parametrize(
+        "argv, layers, unused",
+        [
+            pytest.param(["gutman", "--n", "5"], [], ["json", "random"], id="gutman"),
+            pytest.param(["wiener", "--n", "5"], [], ["json", "random"], id="wiener"),
+            pytest.param(["build", "--n", "5"], ["serialize"], ["random"], id="build"),
+            pytest.param(
+                ["erratum", "--n-max", "4", "--m-max", "3"], ["edge_joint", "recursion", "serialize"], [], id="erratum"
+            ),
+        ],
+    )
+    def test_entry_imports_only_the_subcommands_layers_and_keeps_the_collector_on(self, argv, layers, unused):
+        code = (
+            "import gc, sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.argv = ['jaco', *{argv!r}]\n"
+            "try:\n"
+            f"    {_ENTRY['module']}\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0, stop.code\n"
+            f"print(sorted(set({unused!r}) & (set(sys.modules) - before)))\n"
+            "print(sorted(name for name in sys.modules if name.startswith('jaco_gutman.')))\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        loaded = sorted(f"jaco_gutman.{name}" for name in ["cli", "graph_core", "jaco", *layers])
+        assert _fresh(code)[-3:] == ["[]", str(loaded), "True True"]
 
     @pytest.mark.parametrize("entry", sorted(_ENTRY))
     @pytest.mark.parametrize("blas_threads, seen", [(None, "1"), ("2", "2")])
