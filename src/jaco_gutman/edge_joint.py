@@ -48,6 +48,7 @@ from .graph_core import (
     _INT64_SAFE,
     SimpleGraph,
     _connectivity_error,
+    _halve,
     _require_at_least,
     _require_vertex,
     _segment_dots,
@@ -242,10 +243,7 @@ def _interval_gutman(specs: list[JointSpec]) -> list[int]:
         cuts = np.flatnonzero(np.diff(k, prepend=-1))
         for i, part in zip(k[cuts].tolist(), _segment_dots(weight, sums, cuts)):
             twice[i] += part
-    odd = [t for t in twice if t % 2]
-    if odd:
-        raise ArithmeticError(f"ordered pair total {odd[0]} is odd; the distances are not symmetric")
-    return [t // 2 for t in twice]
+    return [_halve(t) for t in twice]
 
 
 def _direct_gutman(specs: list[JointSpec]) -> list[int]:

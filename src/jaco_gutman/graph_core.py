@@ -557,6 +557,14 @@ def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
     else:
         w = w.astype(object)
         total = int(w @ (dist.astype(object) @ w))
+    return _halve(total)
+
+
+def _halve(total: int) -> int:
+    """Half of an ordered-pair total, which counts every unordered pair twice.
+
+    An odd total raises ArithmeticError: the distances are not symmetric.
+    """
     if total % 2:
         raise ArithmeticError(f"ordered pair total {total} is odd; the distances are not symmetric")
     return total // 2

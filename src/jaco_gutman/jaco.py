@@ -341,33 +341,6 @@ def component_structure(j: JacoGraph) -> list[int]:
     return sorted(_component_sizes(j.underlying).tolist(), reverse=True)
 
 
-def _audited_jaco(f: LinearFunction, n: int) -> JacoGraph:
-    """The order-n Jaco graph, audited so that every lower order is a prefix.
-
-    The order-k graph is the order-n graph with v_{k+1}..v_n deleted.  The
-    audit checks that every in-set is the interval [q - d-(q), q - 1] (for a
-    built graph, by the nondecreasing hi its construction checked) and that
-    its lowest member q - d-(q) never decreases in q, so that every out-set
-    is the interval v + 1..v + d+(v) as well.  Every closed neighbourhood is
-    then an index interval, with v + d+(v) as the reach of v, and deleting
-    the later vertices changes no distance among the earlier ones.  A failed
-    check raises ValueError naming the first bad head.  Every order sweep
-    gets its graph from this one place.
-    """
-    j = build_jaco(f, n)
-    problem = _in_neighbors_contiguous(j).counterexample
-    lowest = np.arange(1, n + 1) - j.in_degree_array
-    drops = np.flatnonzero(lowest[1:] < lowest[:-1])
-    if problem is None and drops.size:
-        q = int(drops[0]) + 2
-        problem = f"out-neighbors of v_{int(lowest[q - 1])} reach v_{q} but not v_{q - 1}"
-    if problem is not None:
-        raise ValueError(
-            f"arc table failed the contiguity audit ({problem}); lower orders cannot be read as its prefixes"
-        )
-    return j
-
-
 # The per-order tables of `sequences`, named here so that the command line
 # can list them without importing that module.
 SEQUENCE_NAMES = ("edges", "gutman", "jaconian_cardinality", "v1_vn_distance")
@@ -397,14 +370,15 @@ def prefix_scan(f: LinearFunction, n_max: int) -> list[PrefixFacts]:
     Relies on two facts about the construction: the order-n graph is the
     order-(n+1) graph with v_{n+1} and its arcs deleted (the rule for vertex
     i only ever consults in-degree contributed by heads <= i), and
-    in-neighborhoods are contiguous intervals (audited by `_audited_jaco`).
+    in-neighborhoods are contiguous intervals (the built graph's reach is
+    nondecreasing, which `SimpleGraph.from_reach` checks).
     """
     _require_at_least(n_max, 1, "n_max")
-    return _prefix_facts(_audited_jaco(f, n_max + 1))
+    return _prefix_facts(build_jaco(f, n_max + 1))
 
 
 def _prefix_facts(full: JacoGraph) -> list[PrefixFacts]:
-    """`prefix_scan`'s facts for orders 1..full.n - 1 of an audited graph."""
+    """`prefix_scan`'s facts for orders 1..full.n - 1 of a built graph."""
     n_max = full.n - 1
     indeg = full.in_degree_array
     # lowest in-neighbor of each head q, with s_q = q when q has no in-arcs

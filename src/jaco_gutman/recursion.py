@@ -14,17 +14,19 @@ shrink, and the new Gutman index decomposes over pair classes:
   new_hope   pairs (t in Hope, v_{n+1}): (d(v_t) + 1) * (n-i) * 1; split as
              (n-i) * sum d(v_t) here plus (n-i)^2 in `constants`
 
-Two evaluators share this grouping.  The verbatim one reproduces a published
-right-hand side exactly as printed: it measures the new vertex's distance to
-low vertices through v_n alone, and its standalone constants are (n-i-1) and
-i*(n-i).  The exact one carries the corrected terms.  With the shared
+Two evaluators share this grouping, and one pass (`_evaluate`) yields both.
+The verbatim one reproduces a published right-hand side exactly as printed:
+it measures the new vertex's distance to low vertices through v_n alone, and
+its standalone constants are (n-i-1) and i*(n-i).  The exact one carries the
+corrected terms.  They differ only in new_low and constants.  With the shared
 grouping, per-term deltas between the two always sum to the total difference,
 and the exact total is checked against a direct recomputation.
 
-Every order comes from one audited build (`jaco._audited_jaco`) of J_{N+1},
-whose reach is v + d+(v): order k is its prefix reach min(hi(v), k) for
-v <= k, and each prefix gets its own run of the distance kernel, so the
-direct value is recomputed independently.
+Every order of the report comes from one build of J_{N+1}, whose closed
+neighbourhoods are [lo(v), hi(v)] with lo(v) = v - d-(v) and
+hi(v) = v + d+(v): order k is its prefix reach min(hi(v), k) for v <= k,
+with degrees min(hi(v), k) - lo(v), and each prefix gets its own run of the
+distance kernel, so the direct value is recomputed independently.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (
-    SimpleGraph,
     StructureAssumptionViolated,
     _pair_sum,
     _require_at_least,
@@ -41,7 +42,7 @@ from .graph_core import (
     all_pairs_distances,
     layered_distance_matrix,
 )
-from .jaco import IDENTITY, JacoGraph, _audited_jaco
+from .jaco import IDENTITY, JacoGraph, build_jaco
 
 
 @dataclass(frozen=True)
@@ -125,17 +126,20 @@ def _require_identity(jn: JacoGraph) -> None:
         raise ValueError("recursion formulas require order n >= 2")
 
 
-def _order_facts(g: SimpleGraph, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Degrees, distances and Gutman index of `g`, whose distances are `dist`."""
-    deg = g.degree_array()
+def _order_facts(deg: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Degrees, distances and Gutman index of the graph with degrees `deg` and distances `dist`."""
     dist = _require_connected(dist, _WHAT)
     return deg, dist, _pair_sum(deg, dist)
 
 
-def _prefix_order_facts(hi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """`_order_facts` of the order-k prefix of the graph with reach `hi`, by one kernel run."""
+def _prefix_order_facts(hi: np.ndarray, lo: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_order_facts` of the order-k prefix of the graph with closed neighbourhoods [lo(v), hi(v)].
+
+    The prefix reach min(hi(v), k) gives the distances, by one kernel run,
+    and min(hi(v), k) - lo(v) the degrees.
+    """
     prefix = np.minimum(hi[:k], k)
-    return _order_facts(SimpleGraph.from_reach(prefix), layered_distance_matrix(prefix))
+    return _order_facts(prefix - lo[:k], layered_distance_matrix(prefix))
 
 
 def _check_structure(deg: np.ndarray, dist: np.ndarray, i: int) -> None:
@@ -155,45 +159,42 @@ def _check_structure(deg: np.ndarray, dist: np.ndarray, i: int) -> None:
             )
 
 
-def _evaluate(deg: np.ndarray, dist: np.ndarray, base: int, i: int, *, verbatim: bool) -> RecursionTerms:
+def _evaluate(deg: np.ndarray, dist: np.ndarray, base: int, i: int) -> tuple[RecursionTerms, RecursionTerms]:
+    """The verbatim and the exact terms at order len(deg) with prime index i, in that order."""
     n = len(deg)
     h = n - i
     low = deg[:i]
-    hope = deg[i:]
-    cross = int((low[:, None] * dist[:i, i:].astype(np.int64)).sum())
-    hope_deg_sum = int(hope.sum())
-    hope_pairs = (h - 1) * hope_deg_sum
+    cross = int(low @ dist[:i, i:].sum(axis=1, dtype=np.int64))
+    hope_deg_sum = int(deg[i:].sum())
+    shared = (n, i, base, cross, (h - 1) * hope_deg_sum)
     new_hope = h * hope_deg_sum
-    low_deg_sum = int(low.sum())
-    if verbatim:
-        # Distance to the new vertex measured through v_n, as printed.
-        new_low = h * int((low * dist[:i, n - 1].astype(np.int64)).sum())
-        constants = (n - i - 1) + i * h
-    else:
-        nearest_hope = dist[:i, i:].min(axis=1).astype(np.int64) if i else np.zeros(0, np.int64)
-        new_low = h * int((low * nearest_hope).sum())
-        constants = h * (h - 1) // 2 + h * low_deg_sum + h * h
-    return RecursionTerms(n, i, base, cross, hope_pairs, new_low, new_hope, constants)
+    # Distance to the new vertex measured through v_n, as printed.
+    paper_new_low = h * int(low @ dist[:i, n - 1])
+    exact_new_low = h * int(low @ dist[:i, i:].min(axis=1))
+    return (
+        RecursionTerms(*shared, paper_new_low, new_hope, (n - i - 1) + i * h),
+        RecursionTerms(*shared, exact_new_low, new_hope, h * (h - 1) // 2 + h * int(low.sum()) + h * h),
+    )
 
 
-def _terms(jn: JacoGraph, *, verbatim: bool) -> RecursionTerms:
+def _identity_facts(jn: JacoGraph) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """`_order_facts` of jn's underlying graph and the prime index i read from J_{n+1}."""
     _require_identity(jn)
     n = jn.n
-    i = n - int(_audited_jaco(IDENTITY, n + 1).in_degree_array[n])
-    deg, dist, base = _order_facts(jn.underlying, all_pairs_distances(jn.underlying))
-    if not verbatim:
-        _check_structure(deg, dist, i)
-    return _evaluate(deg, dist, base, i, verbatim=verbatim)
+    i = n - int(build_jaco(IDENTITY, n + 1).in_degree_array[n])
+    return (*_order_facts(jn.underlying.degree_array(), all_pairs_distances(jn.underlying)), i)
 
 
 def recursion_paper_terms(jn: JacoGraph) -> RecursionTerms:
     """Term breakdown of the published right-hand side, exactly as printed."""
-    return _terms(jn, verbatim=True)
+    return _evaluate(*_identity_facts(jn))[0]
 
 
 def recursion_exact_terms(jn: JacoGraph) -> RecursionTerms:
     """Term breakdown of the corrected decomposition, preconditions enforced."""
-    return _terms(jn, verbatim=False)
+    deg, dist, base, i = _identity_facts(jn)
+    _check_structure(deg, dist, i)
+    return _evaluate(deg, dist, base, i)[1]
 
 
 def recursion_paper_rhs(jn: JacoGraph) -> int:
@@ -210,24 +211,25 @@ def recursion_delta_report(n_max: int) -> list[RecursionDelta]:
     """Audit rows for every order 2..n_max.
 
     Each row carries both term breakdowns plus a direct recomputation of the
-    order-(n+1) index from its own distance matrix.  One audited build of
-    order n_max + 1 serves every order: order k is its prefix reach
-    min(hi(v), k) for v <= k, and the prime index i of order n is read from
+    order-(n+1) index from its own distance matrix.  One build of order
+    n_max + 1 serves every order, and no order builds a graph of its own:
+    order k is the prefix reach min(hi(v), k) for v <= k, with degrees
+    min(hi(v), k) - lo(v), and the prime index i of order n is read from
     the in-degree of v_{n+1}.  Each order runs the distance kernel once, on
-    its own prefix reach, with no adjacency matrix, and its direct index is
-    the next row's base.
+    its own prefix reach, with no adjacency, and its direct index is the
+    next row's base.
     """
     _require_at_least(n_max, 2, "n_max")
-    full = _audited_jaco(IDENTITY, n_max + 1)
+    full = build_jaco(IDENTITY, n_max + 1)
     indeg = full.in_degree_array
-    hi = np.arange(1, n_max + 2) + full.out_degree_array
+    v = np.arange(1, n_max + 2)
+    hi, lo = v + full.out_degree_array, v - indeg
     rows = []
-    deg, dist, gut = _prefix_order_facts(hi, 2)
+    deg, dist, gut = _prefix_order_facts(hi, lo, 2)
     for n in range(2, n_max + 1):
         i = n - int(indeg[n])
         _check_structure(deg, dist, i)
-        paper = _evaluate(deg, dist, gut, i, verbatim=True)
-        exact = _evaluate(deg, dist, gut, i, verbatim=False)
-        deg, dist, gut = _prefix_order_facts(hi, n + 1)
+        paper, exact = _evaluate(deg, dist, gut, i)
+        deg, dist, gut = _prefix_order_facts(hi, lo, n + 1)
         rows.append(RecursionDelta(paper=paper, exact=exact, direct=gut))
     return rows

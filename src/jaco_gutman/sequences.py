@@ -8,12 +8,14 @@ Four sequences are supported, each tabulated for every order 1..n_max:
   v1_vn_distance        distance between the first and last vertex
 
 The order-n graph is the order-n_max graph with the tail vertices deleted, so
-one build serves all orders.  Every closed neighbourhood of that graph is an
-index interval, so order n is reach-backed by the prefix reach min(hi(v), n)
-for v <= n and keeps every distance among its vertices.  Its Gutman index is
-the jump-forest sum of that prefix, and dist(v_1, v_n) counts the members of
-vertex 1's greedy hi chain below n, so no table forms a distance matrix.
-Out-sets are intervals by construction; in-sets are audited first.
+one build serves all orders, and no table builds a graph per order.  Every
+closed neighbourhood of that graph is an index interval [lo(v), hi(v)], so
+order n is reach-backed by the prefix reach p(v) = min(hi(v), n) for v <= n,
+has degrees p(v) - lo(v) and keeps every distance among its vertices.  Its
+Gutman index is the jump-forest sum of that prefix, and dist(v_1, v_n) counts
+the members of vertex 1's greedy hi chain below n, so no table forms a
+distance matrix.  Both are defined up to the end e of vertex 1's component,
+the first fixed point of hi: order e + 1 is the first disconnected one.
 """
 from __future__ import annotations
 
@@ -22,8 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import SimpleGraph, _connectivity_error, _index, _require_at_least
-from .jaco import SEQUENCE_NAMES, LinearFunction, _audited_jaco, _prefix_facts
+from .graph_core import _connectivity_error, _forest_pair_sum, _require_at_least
+from .jaco import SEQUENCE_NAMES, LinearFunction, _prefix_facts, build_jaco
+
+# What each table that needs connectivity names when it has none.
+_CONNECTED_TABLES = {"gutman": "the Gutman index sequence", "v1_vn_distance": "the distance sequence"}
 
 
 @dataclass(frozen=True)
@@ -43,30 +48,36 @@ def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
 def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list[SequenceTable]:
     """Tabulate the named sequences for orders 1..n_max, in the order named.
 
-    One audited build serves them all: J_{n_max+1} when a count table is
-    asked for, whose prefix facts the count tables read, else J_{n_max}.
-    The first table that cannot be tabulated raises.
+    One build serves them all: J_{n_max+1} when a count table is asked for,
+    whose prefix facts the count tables read, else J_{n_max}.  The first
+    table that cannot be tabulated raises, a distance table before it sums
+    anything.
     """
     unknown = [name for name in names if name not in SEQUENCE_NAMES]
     if unknown:
         raise ValueError(f"unknown sequence {unknown[0]!r}; choose from {SEQUENCE_NAMES}")
     _require_at_least(n_max, 1, "n_max")
     scanned = any(name in ("edges", "jaconian_cardinality") for name in names)
-    j = _audited_jaco(f, n_max + 1 if scanned else n_max)
+    j = build_jaco(f, n_max + 1 if scanned else n_max)
     facts = _prefix_facts(j) if scanned else []
+    hi = j.underlying.reach
+    end = int(np.argmax(hi == np.arange(1, j.n + 1))) + 1
     tables = []
     for name in names:
+        if name in _CONNECTED_TABLES and end < n_max:
+            raise _connectivity_error(f"{_CONNECTED_TABLES[name]} at order {end + 1}", end + 1)
         if name == "edges":
             values = [fact.edge_count for fact in facts]
         elif name == "jaconian_cardinality":
             values = [fact.jaconian_count for fact in facts]
         elif name == "gutman":
+            lo = np.arange(1, j.n + 1) - j.in_degree_array
             values = []
             for n in range(1, n_max + 1):
-                prefix = SimpleGraph.from_reach(np.minimum(j.underlying.reach[:n], n))
-                values.append(_index(prefix, prefix.degree_array(), f"the Gutman index sequence at order {n}"))
+                p = np.minimum(hi[:n], n)
+                values.append(_forest_pair_sum(p, p - lo[:n]))
         else:
-            values = _first_vertex_distances(j.underlying.reach, n_max)
+            values = _first_vertex_distances(hi, n_max)
         tables.append(SequenceTable(name, f, tuple(zip(range(1, n_max + 1), values))))
     return tables
 
@@ -74,12 +85,9 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
 def _first_vertex_distances(hi: np.ndarray, n_max: int) -> list[int]:
     """dist(v_1, v_n) for n = 1..n_max, from the chain 1, hi(1), hi(hi(1)), ...
 
-    The chain stops at e, the last vertex of vertex 1's component, so an e
-    below n_max disconnects order e + 1.
+    Vertex 1's component reaches n_max, so the chain climbs until it does.
     """
     chain = [1]
-    while hi[chain[-1] - 1] > chain[-1]:
+    while chain[-1] < n_max:
         chain.append(int(hi[chain[-1] - 1]))
-    if chain[-1] < n_max:
-        raise _connectivity_error(f"the distance sequence at order {chain[-1] + 1}", chain[-1] + 1)
     return np.searchsorted(chain, np.arange(1, n_max + 1)).tolist()

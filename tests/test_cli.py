@@ -500,8 +500,9 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", "error: Hope vertices of the order-2 graph are not pairwise adjacent\n")
 
     def test_structure_violation_is_a_domain_error_in_a_fresh_process(self):
-        # `recursion` loads only when the command runs, and its structure
-        # check fails on a doctored build (K3 labelled as identity-built).
+        # `recursion` loads only when the command runs, so it imports the
+        # doctored `build_jaco` (K3 labelled as identity-built), on which
+        # its structure check fails.
         code = (
             "import sys\n"
             "from jaco_gutman import IDENTITY, jaco\n"

@@ -1,6 +1,4 @@
 """Construction rule, structural validators, and the degree landscape."""
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +6,7 @@ from hypothesis import strategies as st
 from jaco_gutman import (
     IDENTITY,
     LinearFunction,
+    SimpleGraph,
     all_pairs_distances,
     build_jaco,
     component_structure,
@@ -16,12 +15,10 @@ from jaco_gutman import (
     jaconian_info,
     prefix_scan,
     recursion_delta_report,
-    recursion_exact_terms,
     sequence_table,
     verify_definition_fixed_point,
     verify_fundamental_properties,
 )
-from jaco_gutman import jaco
 from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
 from bruteforce import slow_jaco_arcs
@@ -308,33 +305,26 @@ class TestPrefixes:
             prefix_scan(IDENTITY, 0)
 
 
-# Each order sweep builds the graph of order 5 and reads lower orders as its
-# prefixes; recursion_exact_terms of J_4 audits J_5 for the prime index.
+# Each sweep reads every lower order from its one build, J_31, and builds no
+# graph per order.
 SWEEPS = {
-    "prefix_scan": lambda: prefix_scan(IDENTITY, 4),
-    "gutman table": lambda: sequence_table("gutman", IDENTITY, 5),
-    "v1_vn_distance table": lambda: sequence_table("v1_vn_distance", IDENTITY, 5),
-    "recursion_delta_report": lambda: recursion_delta_report(4),
-    "recursion_exact_terms": lambda j4=build_jaco(IDENTITY, 4): recursion_exact_terms(j4),
+    "gutman table": lambda: sequence_table("gutman", IDENTITY, 31),
+    "recursion_delta_report": lambda: recursion_delta_report(30),
 }
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)
-def test_failed_contiguity_audit_stops_every_sweep(sweep, monkeypatch):
-    # v_5's only in-neighbour is v_1, so its in-set is not [4, 4]
-    monkeypatch.setattr(jaco, "build_jaco", lambda f, n: jaco_from_arcs(f, n, [(1, n)]))
-    with pytest.raises(ValueError, match="contiguity audit .*in-neighbors of v_5"):
-        SWEEPS[sweep]()
+def test_sweep_creates_one_graph(sweep, monkeypatch):
+    orders = []
+    real = SimpleGraph.from_reach.__func__
 
+    def counting(cls, hi):
+        orders.append(len(hi))
+        return real(cls, hi)
 
-@pytest.mark.parametrize("sweep", SWEEPS)
-def test_out_set_gap_fails_the_contiguity_audit(sweep, monkeypatch):
-    # every in-set is an interval, but v_1 sends arcs to v_2 and v_4 and not
-    # to v_3, so v + d+(v) would not be v_1's reach
-    arcs = [(1, 2), (2, 3), (1, 4), (2, 4), (3, 4)]
-    monkeypatch.setattr(jaco, "build_jaco", lambda f, n: jaco_from_arcs(f, n, arcs + [(k, k + 1) for k in range(4, n)]))
-    with pytest.raises(ValueError, match=re.escape("contiguity audit (out-neighbors of v_1 reach v_4 but not v_3)")):
-        SWEEPS[sweep]()
+    monkeypatch.setattr(SimpleGraph, "from_reach", classmethod(counting))
+    SWEEPS[sweep]()
+    assert orders == [31]
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 40))

@@ -15,7 +15,7 @@ from jaco_gutman import (
     recursion_paper_rhs,
     recursion_paper_terms,
 )
-from jaco_gutman import jaco, recursion
+from jaco_gutman import recursion
 from jaco_gutman.recursion import TERM_NAMES
 
 from bruteforce import brute_gutman, slow_jaco_arcs
@@ -110,7 +110,7 @@ class TestExactness:
 
     def test_report_builds_once_and_runs_the_kernel_once_per_order(self, monkeypatch):
         builds, kernel_orders = [], []
-        real_build, real_kernel = jaco.build_jaco, recursion.layered_distance_matrix
+        real_build, real_kernel = recursion.build_jaco, recursion.layered_distance_matrix
 
         def counting_build(f, n):
             builds.append(n)
@@ -120,7 +120,7 @@ class TestExactness:
             kernel_orders.append(adj.shape[0])
             return real_kernel(adj)
 
-        monkeypatch.setattr(jaco, "build_jaco", counting_build)
+        monkeypatch.setattr(recursion, "build_jaco", counting_build)
         monkeypatch.setattr(recursion, "layered_distance_matrix", counting_kernel)
         recursion_delta_report(12)
         assert builds == [13]
@@ -160,10 +160,10 @@ class TestPreconditions:
             recursion_exact_terms(doctored)
 
     def test_report_structure_guard_fires_on_doctored_build(self, monkeypatch):
-        # K3 passes the contiguity audit, but order 2 has two max-degree
+        # K3's neighbourhoods are intervals, but order 2 has two max-degree
         # vertices while v_3 attaches to both, so i = 0 disagrees with 1
         doctored = jaco_from_arcs(IDENTITY, 3, [(1, 2), (1, 3), (2, 3)])
-        monkeypatch.setattr(jaco, "build_jaco", lambda f, n: doctored)
+        monkeypatch.setattr(recursion, "build_jaco", lambda f, n: doctored)
         with pytest.raises(StructureAssumptionViolated, match="prime index disagreement at n=2"):
             recursion_delta_report(2)
 

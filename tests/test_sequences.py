@@ -11,12 +11,11 @@ from jaco_gutman import (
     all_pairs_distances,
     build_jaco,
     gutman_index,
-    jaco_from_arcs,
     jaconian_info,
     sequence_table,
     sequence_tables,
 )
-from jaco_gutman import graph_core, jaco
+from jaco_gutman import graph_core, sequences
 from jaco_gutman.cli import main
 from jaco_gutman.serialize import sequence_to_csv
 
@@ -97,13 +96,6 @@ class TestErrors:
         table = sequence_table("edges", LinearFunction(0, 2), 7)
         assert table.rows[-1] == (7, 6)
 
-    def test_failed_contiguity_audit_raises(self, monkeypatch):
-        # v_5's only in-neighbour is v_1, so its in-set is not [4, 4]
-        monkeypatch.setattr(jaco, "build_jaco", lambda f, n: jaco_from_arcs(f, n, [(1, n)]))
-        for name in ("gutman", "v1_vn_distance"):
-            with pytest.raises(ValueError, match="contiguity audit .*in-neighbors of v_5"):
-                sequence_table(name, IDENTITY, 5)
-
 
 DISTANCE_TABLES = {"gutman": "the Gutman index sequence", "v1_vn_distance": "the distance sequence"}
 
@@ -161,15 +153,24 @@ def test_one_kernel_call_per_table(name, monkeypatch):
         sequence_table(name, LinearFunction(0, 2), 30)
 
 
+def test_a_disconnected_gutman_table_raises_before_any_sum(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("a forest sum ran")
+
+    monkeypatch.setattr(graph_core, "_forest_sums", no_sum)
+    with pytest.raises(DisconnectedGraphError, match="^the Gutman index sequence at order 4 "):
+        sequence_table("gutman", LinearFunction(0, 2), 30)
+
+
 def test_every_table_from_one_build_and_one_kernel_call(monkeypatch, capsys):
     builds = []
-    real_build = jaco.build_jaco
+    real_build = sequences.build_jaco
 
     def counting_build(f, n):
         builds.append(n)
         return real_build(f, n)
 
-    monkeypatch.setattr(jaco, "build_jaco", counting_build)
+    monkeypatch.setattr(sequences, "build_jaco", counting_build)
     monkeypatch.setattr(graph_core, "_jump_counts", _no_matrix)
     monkeypatch.setattr(graph_core, "_layered_bfs", _no_matrix)
     assert main(["sequences", "--n-max", "50"]) == 0
