@@ -48,10 +48,10 @@ from .graph_core import (
     _INT64_SAFE,
     SimpleGraph,
     _connectivity_error,
+    _exact_dot,
     _halve,
     _require_at_least,
     _require_vertex,
-    _segment_dots,
     degree_distance_sums,
     gutman_index,
     is_connected,
@@ -214,7 +214,8 @@ def _interval_gutman(specs: list[JointSpec]) -> list[int]:
     would.  The sources of all joints, G's vertices then H's for each joint
     in turn, grow their balls together (`_ball_sums`) in batches of at most
     _BATCH_SOURCES, and 2 * Gut is the sum of w(a) times a's distance sum
-    over a joint's sources, exact by `_segment_dots`.  An odd total raises
+    over a joint's sources: one exact dot product per joint's run of
+    sources in the batch (`_exact_dot` over segments).  An odd total raises
     ArithmeticError.
     """
     sides = list({id(g): g for spec in specs for g in (spec.g, spec.h)}.values())
@@ -241,7 +242,7 @@ def _interval_gutman(specs: list[JointSpec]) -> list[int]:
         longest = int(order[k[0] : k[-1] + 1].max())
         weight, sums = _ball_sums((lo, hi, pre), ball, v[k], u[k], total[k], longest)
         cuts = np.flatnonzero(np.diff(k, prepend=-1))
-        for i, part in zip(k[cuts].tolist(), _segment_dots(weight, sums, cuts)):
+        for i, part in zip(k[cuts].tolist(), _exact_dot(weight, sums, cuts)):
             twice[i] += part
     return [_halve(t) for t in twice]
 

@@ -34,9 +34,11 @@ reach-backed graph read no matrix at all.  The greedy jump count turns
 their sums into sums over the forest of hi (`_forest_sums`): O(n) numpy per
 pointer-doubling round, log2(diameter) rounds, O(n) memory: about 0.1 s
 for the index of J_1000000(x) on a 2-vCPU Xeon VM.
-Any other graph sums its all-pairs matrix.  Index sums run in int64 when an
-a-priori bound shows that is safe and otherwise fall back to
-arbitrary-precision Python integers.
+Any other graph multiplies its all-pairs matrix by the weights
+(`_row_sums`), in int64 when one checked bound allows it and in Python
+integers otherwise.  Every index total is then one exact dot product
+(`_exact_dot`), which cuts its int64 operand into limbs narrow enough that
+no limb's products overflow and adds the limb sums as Python integers.
 """
 from __future__ import annotations
 
@@ -271,12 +273,18 @@ class SimpleGraph:
         return self._degree_parts()[:2]
 
     def __eq__(self, other: object) -> bool:
+        """Same order and edges.  Two reach-backed graphs compare reaches, so neither builds its table."""
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.order == other.order and np.array_equal(self.edge_array, other.edge_array)
+        if self.order != other.order or self.size != other.size:
+            return False
+        if self._hi is not None and other._hi is not None:
+            return np.array_equal(self._hi, other._hi)
+        return np.array_equal(self.edge_array, other.edge_array)
 
     def __hash__(self) -> int:
-        return hash((self.order, self.edge_array.tobytes()))
+        # Equal graphs of either backing share order and size.
+        return hash((self.order, self.size))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(order={self.order}, size={self.size})"
@@ -542,22 +550,28 @@ def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
 _INT64_SAFE = 2**62
 
 
+def _row_sums(dist: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """dist @ w for a nonnegative (k, k) matrix and nonnegative int64 weights of length k.
+
+    Every sum is at most max(dist) * sum(w), so the sums run in int64,
+    without an int64 copy of `dist`, when that bound is below _INT64_SAFE,
+    and in Python integers (dtype object) otherwise.
+    """
+    if int(dist.max()) * int(w.sum()) < _INT64_SAFE:
+        return np.einsum("ij,j->i", dist, w, dtype=np.int64)
+    return dist.astype(object) @ w.astype(object)
+
+
 def _pair_sum(weights: np.ndarray, dist: np.ndarray) -> int:
     """Exact sum of w_a * w_b * d_ab over unordered pairs a < b of one graph.
 
-    `weights` has shape (k,) and `dist` (k, k).  The matrix is symmetric and nonnegative with a zero diagonal, so the
-    ordered-pair total w . (dist w) is twice the answer.  The total runs in
-    int64 when (sum |w|)^2 * max(dist) bounds it below _INT64_SAFE, without
-    an int64 copy of `dist`, and in Python integers otherwise.  An odd total
-    raises ArithmeticError.
+    `weights` has shape (k,) and `dist` (k, k).  The matrix is symmetric and
+    nonnegative with a zero diagonal, so the ordered-pair total
+    w . (dist w), `_exact_dot` of w and `_row_sums`, is twice the answer.
+    An odd total raises ArithmeticError.
     """
     w = np.asarray(weights, dtype=np.int64)
-    if int(np.abs(w).sum()) ** 2 * int(dist.max()) < _INT64_SAFE:
-        total = int(w @ np.einsum("ij,j->i", dist, w, dtype=np.int64))
-    else:
-        w = w.astype(object)
-        total = int(w @ (dist.astype(object) @ w))
-    return _halve(total)
+    return _halve(_exact_dot(w, _row_sums(dist, w)))
 
 
 def _halve(total: int) -> int:
@@ -570,37 +584,30 @@ def _halve(total: int) -> int:
     return total // 2
 
 
-def _exact_dot(w: np.ndarray, c: np.ndarray) -> int:
+def _exact_dot(w: np.ndarray, c: np.ndarray, starts: np.ndarray | None = None) -> int | list[int]:
     """Exact dot product of a nonnegative int64 vector w and a nonnegative vector c of one length.
 
-    c is int64, or Python integers (dtype object), whose product runs in
+    Without `starts` it returns the product over the whole length.  With
+    `starts`, which rises from 0, it returns one product per consecutive
+    segment, each running from its start to the next start or the end.
+
+    c is int64, or Python integers (dtype object), whose products run in
     Python integers.  An int64 c is cut into limbs of b bits, the most for
-    which len(w) * max(w) * 2^b stays within _INT64_SAFE, so the dot product
-    of w with one limb is exact in int64, and the shifted limb products add
-    up as Python integers.  A product under that bound takes one limb; with
-    no room for a single bit, the product runs in Python integers.
+    which len(w) * max(w) * 2^b stays within _INT64_SAFE, so the products of
+    w with one limb sum exactly in int64 over any segment, by one
+    `np.add.reduceat` per limb, and the shifted limb sums add up as Python
+    integers.  A c under that bound takes one limb; with no room for a
+    single bit, the products run in Python integers.
     """
+    cuts = [0] if starts is None else starts
     bits = _INT64_SAFE.bit_length() - 1 - (len(w) * int(w.max())).bit_length()
     if bits < 1 or c.dtype == object:
-        return int(w.astype(object) @ c.astype(object))
-    total = 0
-    for shift in range(0, int(c.max()).bit_length(), bits):
-        total += int(w @ ((c >> shift) & ((1 << bits) - 1))) << shift
-    return total
-
-
-def _segment_dots(w: np.ndarray, c: np.ndarray, starts: np.ndarray) -> list[int]:
-    """Exact dot products of w and c over the consecutive segments that begin at `starts`.
-
-    `starts` rises from 0, and each segment runs to the next start or the
-    end.  w and c are as in `_exact_dot`.  The products are summed in int64
-    by one `np.add.reduceat` when len(w) * max(w) * max(c) is below
-    _INT64_SAFE, and otherwise by `_exact_dot` segment by segment.
-    """
-    if c.dtype != object and len(w) * int(w.max()) * int(c.max()) < _INT64_SAFE:
-        return np.add.reduceat(w * c, starts).tolist()
-    bounds = [*starts.tolist(), len(w)]
-    return [_exact_dot(w[a:b], c[a:b]) for a, b in zip(bounds, bounds[1:])]
+        dots = np.add.reduceat(w.astype(object) * c.astype(object), cuts)
+    else:
+        dots = np.zeros(len(cuts), dtype=object)
+        for shift in range(0, int(c.max()).bit_length(), bits):
+            dots += np.add.reduceat(w * ((c >> shift) & ((1 << bits) - 1)), cuts).astype(object) << shift
+    return int(dots[0]) if starts is None else dots.tolist()
 
 
 def _forest_sums(hi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -639,23 +646,13 @@ def _forest_sums(hi: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _forest_pair_sum(hi: np.ndarray, w: np.ndarray) -> int:
-    """Exact sum of w_a * w_b * dist(a, b) over pairs a < b of a connected reach-backed graph.
-
-    The sum is w . C with C from `_forest_sums`, whose arguments and
-    preconditions it takes.  The dot product, whose value can outgrow int64
-    when C does not, is `_exact_dot`.
-    """
-    return _exact_dot(w, _forest_sums(hi, w))
-
-
 def _index(g: SimpleGraph, w: np.ndarray, what: str) -> int:
     """Exact sum of w_u * w_v * dist(u, v) over the unordered vertex pairs of a connected graph.
 
     A reach-backed graph tests connectivity from the fixed points of its
-    reach (`_component_sizes`) and sums over its jump forest
-    (`_forest_pair_sum`) in O(n) memory, without its distance matrix.  Any
-    other graph sums its all-pairs matrix with `_pair_sum`.  The empty graph
+    reach (`_component_sizes`) and takes the `_exact_dot` of w and its
+    `_forest_sums` in O(n) memory, without its distance matrix.  Any other
+    graph sums its all-pairs matrix with `_pair_sum`.  The empty graph
     raises ValueError and a disconnected one DisconnectedGraphError, each
     naming `what`.
     """
@@ -663,7 +660,7 @@ def _index(g: SimpleGraph, w: np.ndarray, what: str) -> int:
         return _pair_sum(w, _require_connected(all_pairs_distances(g), what))
     if len(_component_sizes(g)) != 1:
         raise _connectivity_error(what, g.order)
-    return _forest_pair_sum(g.reach, w)
+    return _exact_dot(w, _forest_sums(g.reach, w))
 
 
 def gutman_index(g: SimpleGraph) -> int:
@@ -686,17 +683,15 @@ def degree_distance_sums(g: SimpleGraph) -> np.ndarray:
     over x > v is `_forest_sums` of its reach, and the part over x < v is
     the same sum over the graph read backwards, whose reach at position p is
     n + 1 - lo(n + 1 - p).  Any other graph multiplies its all-pairs matrix
-    by its degrees.  T is int64, or Python integers where `_forest_sums`
-    outgrows int64.  The empty graph raises ValueError and a disconnected
+    by its degrees (`_row_sums`).  T is int64, or Python integers where the
+    sums outgrow int64.  The empty graph raises ValueError and a disconnected
     one DisconnectedGraphError.
     """
     if g._degree_distances is None:
         what = "the degree-distance sums"
         w = g.degree_array()
         if g.reach is None:
-            # An entry is at most n * max(deg) * diameter < n^3, inside int64
-            # for any order whose matrix fits in memory.
-            t = np.einsum("ij,j->i", _require_connected(all_pairs_distances(g), what), w, dtype=np.int64)
+            t = _row_sums(_require_connected(all_pairs_distances(g), what), w)
         elif len(_component_sizes(g)) != 1:
             raise _connectivity_error(what, g.order)
         else:

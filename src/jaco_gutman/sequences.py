@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import _connectivity_error, _forest_pair_sum, _require_at_least
+from .graph_core import _connectivity_error, _exact_dot, _forest_sums, _require_at_least
 from .jaco import SEQUENCE_NAMES, LinearFunction, _prefix_facts, build_jaco
 
 # What each table that needs connectivity names when it has none.
@@ -75,7 +75,8 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
             values = []
             for n in range(1, n_max + 1):
                 p = np.minimum(hi[:n], n)
-                values.append(_forest_pair_sum(p, p - lo[:n]))
+                w = p - lo[:n]
+                values.append(_exact_dot(w, _forest_sums(p, w)))
         else:
             values = _first_vertex_distances(hi, n_max)
         tables.append(SequenceTable(name, f, tuple(zip(range(1, n_max + 1), values))))

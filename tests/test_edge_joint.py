@@ -502,6 +502,29 @@ def test_degree_distance_sums_match_bruteforce(source):
     assert not t.flags.writeable and graph_core.degree_distance_sums(g) is t
 
 
+ROW_SUM_GRAPHS = {
+    **{f"random {seed}": random_connected_graph(random.Random(seed), max_order=12) for seed in range(4)},
+    "J_40(2x+1) as a table": (40, build_jaco(LinearFunction(2, 1), 40).underlying.edge_list()),
+}
+
+
+@pytest.mark.parametrize("order, edges", ROW_SUM_GRAPHS.values(), ids=ROW_SUM_GRAPHS)
+def test_table_sums_agree_on_both_sides_of_the_row_sum_bound(order, edges, monkeypatch):
+    # Every row of dist @ deg is at most max(dist) * sum(deg): a limit of
+    # exactly that value sends the row sums to Python integers, and one more
+    # keeps them in int64.  Each limit gets a fresh graph, so no memoized
+    # sum carries over.
+    g = from_edges(order, edges)
+    bound = int(all_pairs_distances(g).max()) * int(g.degree_array().sum())
+    expected = (_brute_degree_distance_sums(order, edges), brute_gutman(order, edges))
+    for safe, dtype in ((bound, object), (bound + 1, np.int64)):
+        monkeypatch.setattr(graph_core, "_INT64_SAFE", safe)
+        fresh = from_edges(order, edges)
+        t = graph_core.degree_distance_sums(fresh)
+        assert t.dtype == dtype
+        assert (t.tolist(), gutman_index(fresh)) == expected
+
+
 @pytest.mark.parametrize(
     "graph",
     [build_jaco(LinearFunction(0, 2), 7).underlying, from_edges(4, [(1, 2), (3, 4)]), from_edges(0, [])],

@@ -88,6 +88,17 @@ def test_table_semantics_kept_for_explicit_arcs():
     assert JacoGraph(IDENTITY, 3, arcs).arc_array is arcs
 
 
+def test_comparing_and_hashing_built_graphs_reads_no_table():
+    a, b = build_jaco(IDENTITY, 6000), build_jaco(IDENTITY, 6000)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_jaco(IDENTITY, 5999)
+    # same order and size, other edges: 1-2, 2-3, 2-4, 3-4 against 1-2, 1-3, 2-3, 3-4
+    g, h = (SimpleGraph.from_reach(np.array(hi, dtype=np.int64)) for hi in ([2, 4, 4, 4], [3, 3, 4, 4]))
+    assert g.size == h.size and g != h
+    for graph in (a.underlying, b.underlying, g, h):
+        assert graph._edges is None
+
+
 @pytest.mark.parametrize(
     "hi, message",
     [
@@ -283,17 +294,30 @@ def test_forest_sums_agree_on_both_sides_of_the_int64_bound(make, monkeypatch):
 @given(
     st.lists(st.tuples(st.integers(0, 2**31), st.integers(0, 2**63 - 1)), min_size=1, max_size=40),
     st.sampled_from([0, 1, 2**20, 2**40, 2**62]),
+    st.sets(st.integers(1, 39)),
+    st.booleans(),
 )
-@example([(2**31, 2**63 - 1)] * 40, 2**62)  # the largest weights and values: 25-bit limbs
-@example([(3, 15)], 2**7)  # 1 * 3 takes 2 bits, so the limbs are 4 bits wide: c is one full limb
-@example([(3, 15)], 2**7 - 1)  # ... and the same below a power of two
-@example([(3, 15)], 2**6)  # ... and two 3-bit limbs one bit lower
+@example([(2**31, 2**63 - 1)] * 40, 2**62, set(), False)  # the largest weights and values: 25-bit limbs
+@example([(2**31, 2**63 - 1)] * 40, 2**62, set(range(1, 40)), False)  # ... in one-element segments
+@example([(3, 15)], 2**7, set(), False)  # 1 * 3 takes 2 bits, so the limbs are 4 bits wide: c is one full limb
+@example([(3, 15)], 2**7 - 1, set(), False)  # ... and the same below a power of two
+@example([(3, 15)], 2**6, set(), False)  # ... and two 3-bit limbs one bit lower
+@example([(1, 0), (2, 2**63 - 1), (0, 5)], 0, {1, 2}, True)  # no int64 at all, c past int64
 @settings(max_examples=100, deadline=None)
-def test_exact_dot_matches_python_integers(pairs, safe):
-    w, c = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+def test_exact_dot_matches_python_integers(pairs, safe, cuts, wide):
+    # With `wide`, c holds Python integers, some past int64.  The segments
+    # start at 0 and at each drawn cut inside the vector.
+    if wide:
+        pairs = [(a, b << 8) for a, b in pairs]
+    w = np.array([a for a, _ in pairs], dtype=np.int64)
+    c = np.array([b for _, b in pairs], dtype=object if wide else np.int64)
+    starts = np.array(sorted({0} | {k for k in cuts if k < len(pairs)}), dtype=np.int64)
+    bounds = [*starts.tolist(), len(pairs)]
+    expected = [sum(a * b for a, b in pairs[s:e]) for s, e in zip(bounds, bounds[1:])]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph_core, "_INT64_SAFE", safe)
-        assert graph_core._exact_dot(w, c) == sum(a * b for a, b in pairs)
+        assert graph_core._exact_dot(w, c) == sum(expected)
+        assert graph_core._exact_dot(w, c, starts) == expected
 
 
 def test_reach_backed_indices_form_no_distances(monkeypatch):

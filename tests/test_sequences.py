@@ -157,7 +157,7 @@ def test_a_disconnected_gutman_table_raises_before_any_sum(monkeypatch):
     def no_sum(*args):
         raise AssertionError("a forest sum ran")
 
-    monkeypatch.setattr(graph_core, "_forest_sums", no_sum)
+    monkeypatch.setattr(sequences, "_forest_sums", no_sum)
     with pytest.raises(DisconnectedGraphError, match="^the Gutman index sequence at order 4 "):
         sequence_table("gutman", LinearFunction(0, 2), 30)
 
