@@ -16,8 +16,9 @@ reach-backed (`SimpleGraph.from_reach`), sizes, degrees and components come
 from hi in O(n), and so do its exports and its Hope graph.  The arc table,
 O(arc count), is materialized only when something reads it (the validators,
 `arc_array`, `arcs`).
-`prefix_scan` relies on the same structure to analyze every prefix order in
-one pass.
+The same structure gives every prefix order's degree facts at once:
+`prefix_scan` and the count tables of `sequences` read them from one build
+by whole-array formulas over hi and lo, with no pass per order.
 """
 from __future__ import annotations
 
@@ -365,51 +366,53 @@ class PrefixFacts:
 
 
 def prefix_scan(f: LinearFunction, n_max: int) -> list[PrefixFacts]:
-    """Analyze every prefix order 1..n_max in a single pass.
+    """Analyze every prefix order 1..n_max from one build of J_{n_max+1}.
 
-    Relies on two facts about the construction: the order-n graph is the
-    order-(n+1) graph with v_{n+1} and its arcs deleted (the rule for vertex
-    i only ever consults in-degree contributed by heads <= i), and
-    in-neighborhoods are contiguous intervals (the built graph's reach is
-    nondecreasing, which `SimpleGraph.from_reach` checks).
+    The order-n graph is the order-(n+1) graph with v_{n+1} and its arcs
+    deleted (the rule for vertex i only ever consults in-degree contributed
+    by heads <= i), so `_prefix_facts` gives every order's degree facts.
+    The bottom lo(v) of each closed neighbourhood never decreases, and
+    lo(n) <= n, so the Hope vertices (prime, n] are pairwise adjacent exactly
+    when lo(n) <= prime + 1, and the in-neighbours of v_{n+1} are exactly
+    (prime, n] when lo(n + 1) = prime + 1.
     """
     _require_at_least(n_max, 1, "n_max")
-    return _prefix_facts(build_jaco(f, n_max + 1))
+    full = build_jaco(f, n_max + 1)
+    lo = np.arange(1, n_max + 2) - full.in_degree_array
+    edges, max_degree, count, prime = (column[:n_max] for column in _prefix_facts(full))
+    columns = (edges, max_degree, count, prime, lo[:-1] <= prime + 1, lo[1:] == prime + 1)
+    return [PrefixFacts(n, *row) for n, row in enumerate(zip(*(column.tolist() for column in columns)), 1)]
 
 
-def _prefix_facts(full: JacoGraph) -> list[PrefixFacts]:
-    """`prefix_scan`'s facts for orders 1..full.n - 1 of a built graph."""
-    n_max = full.n - 1
-    indeg = full.in_degree_array
-    # lowest in-neighbor of each head q, with s_q = q when q has no in-arcs
-    s = np.arange(1, n_max + 2, dtype=np.int64) - indeg
-    deg = np.zeros(n_max, dtype=np.int64)
-    facts = []
-    edge_count = 0
-    for n in range(1, n_max + 1):
-        if n >= 2:
-            lo = int(s[n - 1])
-            deg[lo - 1 : n - 1] += 1
-            deg[n - 1] = indeg[n - 1]
-            edge_count += int(indeg[n - 1])
-        view = deg[:n]
-        max_degree = int(view.max())
-        prime = int(view.argmax()) + 1
-        jaconian_count = int((view == max_degree).sum())
-        if n - prime <= 1:
-            hope_complete = True
-        else:
-            hope_complete = bool((s[prime + 1 : n] <= prime + 1).all())
-        extension_matches = int(s[n]) == prime + 1
-        facts.append(
-            PrefixFacts(
-                n=n,
-                edge_count=edge_count,
-                max_degree=max_degree,
-                jaconian_count=jaconian_count,
-                prime_index=prime,
-                hope_complete=hope_complete,
-                extension_matches_hope=extension_matches,
-            )
-        )
-    return facts
+def _prefix_facts(j: JacoGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge count, maximum degree, Jaconian count and prime index of each order 1..j.n.
+
+    Order n keeps the vertices v <= n of j with their in-degrees, so its edge
+    count sums them, and its closed neighbourhoods are [lo(v), min(hi(v), n)]
+    with lo and hi nondecreasing.  The vertices with hi(v) <= n are settled:
+    they form a prefix 1..c(n) and keep their degree D(v) = hi(v) - lo(v) in
+    j.  The others, c(n) + 1..n, are open, with degree n - lo(v), which never
+    increases with v: their maximum n - lo(c + 1) is first taken at c + 1 and
+    tied exactly by the open v with lo(v) = lo(c + 1).  A vertex whose reach
+    j cuts at j.n is settled at order j.n, where both degrees agree.  So one
+    running maximum of D gives every order's settled maximum, the vertex
+    where it is first taken and its ties, and since settled vertices come
+    first, the prime index is the settled one whenever its maximum is at
+    least the open one.  An empty side counts as maximum -1.
+    """
+    order = np.arange(1, j.n + 1)
+    lo = order - j.in_degree_array
+    degree = j.underlying.degree_array()
+    peak = np.maximum.accumulate(degree)
+    ties = np.cumsum(degree == peak)
+    settled = np.searchsorted(j.underlying.reach, order, side="right")
+    last, first_open = np.maximum(settled - 1, 0), np.minimum(settled, j.n - 1)
+    start = np.searchsorted(peak, peak[last])
+    settled_max = np.where(settled > 0, peak[last], -1)
+    open_max = np.where(settled < order, order - lo[first_open], -1)
+    max_degree = np.maximum(settled_max, open_max)
+    prime = np.where(settled_max >= open_max, start + 1, settled + 1)
+    open_ties = np.minimum(np.searchsorted(lo, lo[first_open], side="right"), order) - settled
+    count = np.where(settled_max == max_degree, ties[last] - ties[start] + 1, 0)
+    count += np.where(open_max == max_degree, open_ties, 0)
+    return np.cumsum(j.in_degree_array), max_degree, count, prime

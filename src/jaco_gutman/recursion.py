@@ -220,8 +220,7 @@ def recursion_delta_report(n_max: int) -> list[RecursionDelta]:
     _require_at_least(n_max, 2, "n_max")
     full = build_jaco(IDENTITY, n_max + 1)
     indeg = full.in_degree_array
-    v = np.arange(1, n_max + 2)
-    hi, lo = v + full.out_degree_array, v - indeg
+    hi, lo = full.underlying.reach, np.arange(1, n_max + 2) - indeg
     rows = []
     deg, dist, gut = _prefix_order_facts(hi, lo, 2)
     for n in range(2, n_max + 1):

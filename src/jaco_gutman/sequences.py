@@ -15,7 +15,8 @@ has degrees p(v) - lo(v) and keeps every distance among its vertices.  Its
 Gutman index is the jump-forest sum of that prefix, and dist(v_1, v_n) counts
 the members of vertex 1's greedy hi chain below n, so no table forms a
 distance matrix.  Both are defined up to the end e of vertex 1's component,
-the first fixed point of hi: order e + 1 is the first disconnected one.
+the first fixed point of hi: order e + 1 is the first disconnected one.  The
+count tables read every order's degree facts from `jaco._prefix_facts`.
 """
 from __future__ import annotations
 
@@ -48,28 +49,24 @@ def sequence_table(name: str, f: LinearFunction, n_max: int) -> SequenceTable:
 def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list[SequenceTable]:
     """Tabulate the named sequences for orders 1..n_max, in the order named.
 
-    One build serves them all: J_{n_max+1} when a count table is asked for,
-    whose prefix facts the count tables read, else J_{n_max}.  The first
-    table that cannot be tabulated raises, a distance table before it sums
-    anything.
+    One build of J_{n_max} serves them all; the count tables read its prefix
+    facts.  The first table that cannot be tabulated raises, a distance
+    table before it sums anything.
     """
     unknown = [name for name in names if name not in SEQUENCE_NAMES]
     if unknown:
         raise ValueError(f"unknown sequence {unknown[0]!r}; choose from {SEQUENCE_NAMES}")
     _require_at_least(n_max, 1, "n_max")
-    scanned = any(name in ("edges", "jaconian_cardinality") for name in names)
-    j = build_jaco(f, n_max + 1 if scanned else n_max)
-    facts = _prefix_facts(j) if scanned else []
+    j = build_jaco(f, n_max)
     hi = j.underlying.reach
     end = int(np.argmax(hi == np.arange(1, j.n + 1))) + 1
     tables = []
     for name in names:
         if name in _CONNECTED_TABLES and end < n_max:
             raise _connectivity_error(f"{_CONNECTED_TABLES[name]} at order {end + 1}", end + 1)
-        if name == "edges":
-            values = [fact.edge_count for fact in facts]
-        elif name == "jaconian_cardinality":
-            values = [fact.jaconian_count for fact in facts]
+        if name in ("edges", "jaconian_cardinality"):
+            edges, _, count, _ = _prefix_facts(j)
+            values = (edges if name == "edges" else count).tolist()
         elif name == "gutman":
             lo = np.arange(1, j.n + 1) - j.in_degree_array
             values = []

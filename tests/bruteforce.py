@@ -94,6 +94,30 @@ def slow_jaco_arcs(m: int, c: int, n: int) -> list[tuple[int, int]]:
     return arcs
 
 
+def slow_prefix_facts(m: int, c: int, n_max: int) -> list[tuple]:
+    """The fields of `PrefixFacts` for orders 1..n_max, each order built by the rule on its own.
+
+    A row holds n, the arc count, the maximum degree, the number of vertices
+    of that degree, the first of them (the prime index), whether the Hope
+    vertices (prime, n] are pairwise adjacent, and whether the in-neighbours
+    of v_{n+1} in the order-(n+1) graph are exactly (prime, n].
+    """
+    rows = []
+    arcs = slow_jaco_arcs(m, c, 1)
+    for n in range(1, n_max + 1):
+        following = slow_jaco_arcs(m, c, n + 1)
+        adj = adjacency_from_edges(n, arcs)
+        degrees = [len(adj[v]) for v in range(1, n + 1)]
+        top = max(degrees)
+        prime = degrees.index(top) + 1
+        hope = list(range(prime + 1, n + 1))
+        complete = all(b in adj[a] for a in hope for b in hope if a < b)
+        attached = sorted(a for a, b in following if b == n + 1) == hope
+        rows.append((n, len(arcs), top, degrees.count(top), prime, complete, attached))
+        arcs = following
+    return rows
+
+
 def random_connected_graph(rng: random.Random, max_order: int = 12) -> tuple[int, list[tuple[int, int]]]:
     """Random spanning tree plus extra edges; always connected."""
     order = rng.randint(2, max_order)

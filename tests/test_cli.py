@@ -501,12 +501,12 @@ class TestExitCodes:
 
     def test_structure_violation_is_a_domain_error_in_a_fresh_process(self):
         # `recursion` loads only when the command runs, so it imports the
-        # doctored `build_jaco` (K3 labelled as identity-built), on which
-        # its structure check fails.
+        # doctored `build_jaco` (K3, built as the order-3 graph of 2x), on
+        # which its structure check fails.
         code = (
             "import sys\n"
-            "from jaco_gutman import IDENTITY, jaco\n"
-            "doctored = jaco.jaco_from_arcs(IDENTITY, 3, [(1, 2), (1, 3), (2, 3)])\n"
+            "from jaco_gutman import LinearFunction, jaco\n"
+            "doctored = jaco.build_jaco(LinearFunction(2, 0), 3)\n"
             "jaco.build_jaco = lambda f, n: doctored\n"
             "assert 'jaco_gutman.recursion' not in sys.modules\n"
             "sys.argv = ['jaco', 'recursion-check', '--n-max', '2']\n"

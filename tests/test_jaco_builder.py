@@ -1,6 +1,8 @@
 """Construction rule, structural validators, and the degree landscape."""
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jaco_gutman import (
@@ -16,12 +18,13 @@ from jaco_gutman import (
     prefix_scan,
     recursion_delta_report,
     sequence_table,
+    sequence_tables,
     verify_definition_fixed_point,
     verify_fundamental_properties,
 )
 from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
-from bruteforce import slow_jaco_arcs
+from bruteforce import slow_jaco_arcs, slow_prefix_facts
 
 J5_ARCS = ((1, 2), (2, 3), (3, 4), (3, 5), (4, 5))
 J7_ARCS = (
@@ -305,10 +308,27 @@ class TestPrefixes:
             prefix_scan(IDENTITY, 0)
 
 
+@given(st.integers(0, 6), st.integers(0, 12), st.integers(1, 80))
+@example(0, 0, 6)  # no arcs: every vertex settled at degree 0 from order 1
+@example(0, 3, 14)  # cliques of four, and a smaller one at the end
+@example(1, 0, 1)
+@settings(max_examples=150, deadline=None)
+def test_prefix_facts_and_count_tables_match_oracle(m, c, n_max):
+    f = LinearFunction(m, c)
+    expected = slow_prefix_facts(m, c, n_max)
+    facts = [astuple(fact) for fact in prefix_scan(f, n_max)]
+    assert facts == expected
+    assert {type(value) for row in facts for value in row} <= {int, bool}
+    edges, counts = sequence_tables(["edges", "jaconian_cardinality"], f, n_max)
+    assert edges.rows == tuple((row[0], row[1]) for row in expected)
+    assert counts.rows == tuple((row[0], row[3]) for row in expected)
+
+
 # Each sweep reads every lower order from its one build, J_31, and builds no
 # graph per order.
 SWEEPS = {
     "gutman table": lambda: sequence_table("gutman", IDENTITY, 31),
+    "count tables": lambda: sequence_tables(["edges", "jaconian_cardinality", "gutman"], IDENTITY, 31),
     "recursion_delta_report": lambda: recursion_delta_report(30),
 }
 

@@ -161,8 +161,11 @@ class TestPreconditions:
 
     def test_report_structure_guard_fires_on_doctored_build(self, monkeypatch):
         # K3's neighbourhoods are intervals, but order 2 has two max-degree
-        # vertices while v_3 attaches to both, so i = 0 disagrees with 1
-        doctored = jaco_from_arcs(IDENTITY, 3, [(1, 2), (1, 3), (2, 3)])
+        # vertices while v_3 attaches to both, so i = 0 disagrees with 1.
+        # It is built, as the order-3 graph of 2x, because the report reads
+        # the reach a build holds.
+        doctored = build_jaco(LinearFunction(2, 0), 3)
+        assert doctored.arcs == ((1, 2), (1, 3), (2, 3))
         monkeypatch.setattr(recursion, "build_jaco", lambda f, n: doctored)
         with pytest.raises(StructureAssumptionViolated, match="prime index disagreement at n=2"):
             recursion_delta_report(2)

@@ -1,4 +1,6 @@
 """Per-order sequence tables."""
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from jaco_gutman import (
     build_jaco,
     gutman_index,
     jaconian_info,
+    prefix_scan,
     sequence_table,
     sequence_tables,
 )
@@ -175,8 +178,8 @@ def test_every_table_from_one_build_and_one_kernel_call(monkeypatch, capsys):
     monkeypatch.setattr(graph_core, "_layered_bfs", _no_matrix)
     assert main(["sequences", "--n-max", "50"]) == 0
     out = capsys.readouterr().out
-    # J_51 serves the counts of orders 1..50 and, as prefix reaches, their distance tables.
-    assert builds == [51]
+    # J_50 serves the counts of orders 1..50 and, as prefix reaches, their distance tables.
+    assert builds == [50]
     expected = "\n".join(f"# {name}\n{sequence_to_csv(sequence_table(name, IDENTITY, 50))}" for name in SEQUENCE_NAMES)
     assert out == expected
 
@@ -190,3 +193,19 @@ def test_tables_come_in_the_order_named_and_the_first_failure_raises():
         sequence_tables(["edges", "v1_vn_distance", "gutman"], LinearFunction(0, 2), 7)
     with pytest.raises(ValueError, match="unknown sequence 'girth'"):
         sequence_tables(["edges", "girth"], f, 5)
+
+
+# The count tables and `prefix_scan` are O(N): each takes well under a second
+# at N = 10^5 on a 2-vCPU VM, where one pass per order takes 7-9 s.
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        pytest.param(lambda: sequence_tables(["edges", "jaconian_cardinality"], IDENTITY, 100_000), id="count tables"),
+        pytest.param(lambda: prefix_scan(IDENTITY, 100_000), id="prefix_scan"),
+    ],
+)
+def test_order_sweep_is_linear_time(sweep):
+    start = time.monotonic()
+    sweep()
+    elapsed = time.monotonic() - start
+    assert elapsed < 3, f"{elapsed:.1f} s"
