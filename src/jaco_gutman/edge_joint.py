@@ -30,12 +30,15 @@ composed graph itself, found by breadth-first search of that graph.  It
 uses neither the cross-distance law nor either side's index or T, so the
 closed form is never checked against itself.  Each side of a Jaco joint is
 a proper interval graph in index order (Looges and Olariu 1993) and the
-bridge is the only edge between the sides, so every BFS ball of the composed
-graph is one index interval per side, whatever the anchors.  The search
-grows those intervals for every vertex of every joint at once, with no
-adjacency and no distance matrix (`_interval_gutman`), in O(k * diameter)
-per joint of order k.  A joint with a table-backed side takes the dense BFS
-of `edge_joint_graph`.
+bridge is the only edge between the sides.  A joint is searched as two
+half-joints, each one side's vertices against the other side.  A source's
+BFS ball is then its ball in its own side, one index interval, plus one
+index interval of the other side, which stays empty until the ball holds
+the source's own anchor and from then on holds the other anchor.  The
+search grows those intervals for every vertex of every joint at once, with
+no adjacency and no distance matrix (`_interval_gutman`), in
+O(k * diameter) per joint of order k.  A joint with a table-backed side
+takes the dense BFS of `edge_joint_graph`.
 """
 from __future__ import annotations
 
@@ -102,36 +105,18 @@ def _side_tables(sides: list[SimpleGraph]) -> tuple[np.ndarray, np.ndarray, np.n
 
     Side k of order n takes the n + 2 positions o_k..o_k + n + 1, vertex x at
     o_k + x, and every lo and hi entry is itself a position:
-    lo[o + x] = o + lo(x), with lo(x) = x - below(x), and hi[o + x] = o + hi(x).
+    lo[o + x] = o + lo(x) and hi[o + x] = o + hi(x).
     The two padding positions hold the empty interval [o + n + 1, o]:
     lo[o + n + 1] = o + n + 1 and hi[o] = o, so it grows to itself.  pre[p]
     is the degree total of the positions up to p, the padding weighing 0.
     """
-    offsets, lo, hi, deg = [], [], [], []
-    base = 0
-    for g in sides:
-        n = g.order
-        below, _ = g.split_degree_arrays()
-        offsets.append(base)
-        lo.append(base + np.concatenate(([0], np.arange(1, n + 1) - below, [n + 1])))
-        hi.append(base + np.concatenate(([0], g.reach, [n + 1])))
-        deg.append(np.concatenate(([0], g.degree_array(), [0])))
-        base += n + 2
-    return np.array(offsets), np.concatenate(lo), np.concatenate(hi), np.cumsum(np.concatenate(deg))
-
-
-def _first_balls(
-    og: np.ndarray, oh: np.ndarray, n: np.ndarray, m: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(gl, gr, hl, hr) of each source's ball of radius 0, the source alone.
-
-    Per source: og and oh are its sides' offsets in `_side_tables`, n and m
-    their orders, and p its place in its joint, G's vertices 0..n - 1 first,
-    then H's.  The part on the other side is the empty interval.
-    """
-    in_g = p < n
-    a = np.where(in_g, og + 1 + p, oh + 1 + p - n)
-    return np.where(in_g, a, og + n + 1), np.where(in_g, a, og), np.where(in_g, oh + m + 1, a), np.where(in_g, oh, a)
+    sizes = np.array([g.order + 2 for g in sides])
+    offsets = np.cumsum(sizes) - sizes
+    shift = np.repeat(offsets, sizes)
+    lo = np.concatenate([x for g in sides for x in ([0], g.lo, [g.order + 1])]) + shift
+    hi = np.concatenate([x for g in sides for x in ([0], g.reach, [g.order + 1])]) + shift
+    pre = np.cumsum(np.concatenate([x for g in sides for x in ([0], g.degree_array(), [0])]))
+    return offsets, lo, hi, pre
 
 
 def _ball_sums(
@@ -144,33 +129,34 @@ def _ball_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weight w(a) and sum of w(x) * dist(a, x) over x, for every source a, by growing its balls.
 
-    `tables` is (lo, hi, pre) from `_side_tables`.  Source a's ball of
-    radius r, B_r(a), is stored as its index interval [gl, gr] in G and
-    [hl, hr] in H, as positions of those tables, and `ball` holds
-    (gl, gr, hl, hr) at r = 0.  v, u and total give each source's anchors, as
-    positions, and the joint's degree total W, and `longest` is the largest
-    order of the batch's joints.  A vertex weighs its degree in the joint:
-    its side's degree, plus one at an anchor.  Both sides must be connected,
-    or the balls never fill.
+    Every source a lies in its own side G of its half-joint, and H is the
+    other side.  `tables` is (lo, hi, pre) from `_side_tables`.  Source a's
+    ball of radius r, B_r(a), is stored as its index interval [gl, gr] in G
+    and [hl, hr] in H, as positions of those tables, and `ball` holds
+    (gl, gr, hl, hr) at r = 0: [a, a] and H's empty interval.  v is a's own
+    anchor, in G, and u the other anchor, in H, both as positions; total is
+    the joint's degree total W, and `longest` the largest order of the
+    batch's joints.  A vertex weighs its degree in the joint: its side's
+    degree, plus one at an anchor.  Both sides must be connected, or the
+    balls never fill.
 
-    Each part of a ball is an interval.  A side is a proper interval graph in
-    index order: the closed neighbourhood of x is [lo(x), hi(x)], and lo and
-    hi never decrease.  So the neighbourhood of an interval [l, r] is
-    [lo(l), hi(r)]: every [lo(x), hi(x)] with l <= x <= r lies in it and
-    holds x, so their union has no gap and runs from lo(l) to hi(r).  The
-    bridge vu is the only other edge, so B_{r+1} takes u into its H part
-    exactly when B_r holds v, and v into its G part when B_r holds u; min
-    and max with that anchor extend the grown interval.
+    A side is a proper interval graph in index order: the closed
+    neighbourhood of x is [lo(x), hi(x)], and lo and hi never decrease.  So
+    the neighbourhood of an interval [l, r] is [lo(l), hi(r)]: every
+    [lo(x), hi(x)] with l <= x <= r lies in it and holds x, so their union
+    has no gap and runs from lo(l) to hi(r).  The bridge vu is the only edge
+    between the sides, so a shortest path from a to a G-vertex never
+    crosses it: it would have to cross back.  The G part is therefore a's
+    ball in G, which grows to [lo(gl), hi(gr)] and is never empty.
 
-    That extension is exact because the anchor is already in the grown
-    interval whenever that interval is not empty.  Say B_r holds v and
-    some H vertex y.  Every path between the sides crosses the bridge, so if
-    a is in G, the shortest path from a to y runs through u before it ends
-    at y, and if a is in H, the shortest path from a to v ends with u, v.
-    Either way dist(a, u) <= r, so u is in B_r's H part and in its grown
-    interval; the same holds for v with the sides swapped.  When the part is
-    empty, [n + 1, 0] in side coordinates, min and max with the anchor make
-    it [u, u] (or [v, v]).
+    Every path from a to an H-vertex y runs through v and then u, so
+    dist(a, u) <= dist(a, y).  The H part thus stays empty until the ball
+    holds v, takes u in the next round, and once not empty always holds u.
+    It grows to [lo(hl), hi(hr)], extended by min and max with u when B_r
+    holds v: that turns the empty part, [m + 1, 0] in the coordinates of H
+    of order m, into [u, u], and leaves a part that already holds u as it
+    is.  The anchors in the ball are v when the G part holds it, and u when
+    the H part is not empty.
 
     A vertex x is missed by the balls of radius 0..dist(a, x) - 1 and by no
     larger one, so sum_x w(x) * dist(a, x) = sum over r >= 0 of
@@ -187,11 +173,10 @@ def _ball_sums(
     weight = None
     for _ in range(longest):
         has_v = (gl <= v) & (v <= gr)
-        has_u = (hl <= u) & (u <= hr)
-        # An empty part reads pre[o] - pre[o + n] <= 0, which the clip makes 0.
-        inside = np.maximum(pre[gr] - pre[gl - 1], 0) + np.maximum(pre[hr] - pre[hl - 1], 0)
+        # An empty H part reads pre[o] - pre[o + m] <= 0, which the clip makes 0.
+        inside = pre[gr] - pre[gl - 1] + np.maximum(pre[hr] - pre[hl - 1], 0)
         inside += has_v
-        inside += has_u
+        inside += hl <= hr
         if weight is None:
             weight = inside
         missed = total - inside
@@ -199,8 +184,6 @@ def _ball_sums(
             return weight, sums
         sums += missed
         gl, gr, hl, hr = lo[gl], hi[gr], lo[hl], hi[hr]
-        np.minimum(gl, v, out=gl, where=has_u)
-        np.maximum(gr, v, out=gr, where=has_u)
         np.minimum(hl, u, out=hl, where=has_v)
         np.maximum(hr, u, out=hr, where=has_v)
     raise RuntimeError(f"a ball has not filled its joint after {longest} rounds, more than the joint's order allows")
@@ -211,8 +194,11 @@ def _interval_gutman(specs: list[JointSpec]) -> list[int]:
 
     Every distinct side is checked for connectivity first; a disconnected
     one raises DisconnectedGraphError, as the composed graph's own index
-    would.  The sources of all joints, G's vertices then H's for each joint
-    in turn, grow their balls together (`_ball_sums`) in batches of at most
+    would.  Joint i is listed as two half-joints, each one side's vertices
+    against the other side: 2i is its G against its H, and 2i + 1 its H
+    against its G.  So every source lies in its own side, and joint i's
+    sources run G's vertices, then H's.  The sources of all half-joints
+    grow their balls together (`_ball_sums`) in batches of at most
     _BATCH_SOURCES, and 2 * Gut is the sum of w(a) times a's distance sum
     over a joint's sources: one exact dot product per joint's run of
     sources in the batch (`_exact_dot` over segments).  An odd total raises
@@ -224,25 +210,24 @@ def _interval_gutman(specs: list[JointSpec]) -> list[int]:
             raise _connectivity_error("the Gutman index", g.order)
     offset, lo, hi, pre = _side_tables(sides)
     where = {id(g): int(o) for g, o in zip(sides, offset)}
-    og, oh, n, m, v, u = (
-        np.array(column, dtype=np.int64)
-        for column in zip(*((where[id(s.g)], where[id(s.h)], s.g.order, s.h.order, s.v, s.u) for s in specs))
-    )
-    v += og
-    u += oh
-    total = pre[og + n] - pre[og] + pre[oh + m] - pre[oh] + 2
-    order = n + m
+    halves = ((where[id(g)], g.order, a) for s in specs for g, a in ((s.g, s.v), (s.h, s.u)))
+    own, order, anchor = np.fromiter(halves, dtype=(np.int64, 3), count=2 * len(specs)).T
+    anchor += own
+    total = (pre[own + order] - pre[own]).reshape(-1, 2).sum(axis=1) + 2
+    joint_order = order.reshape(-1, 2).sum(axis=1)
     first = np.cumsum(order) - order
     twice = [0] * len(specs)
-    end = int(first[-1] + order[-1])
+    end = int(order.sum())
     for start in range(0, end, _BATCH_SOURCES):
         source = np.arange(start, min(start + _BATCH_SOURCES, end))
         k = np.searchsorted(first, source, side="right") - 1
-        ball = _first_balls(og[k], oh[k], n[k], m[k], source - first[k])
-        longest = int(order[k[0] : k[-1] + 1].max())
-        weight, sums = _ball_sums((lo, hi, pre), ball, v[k], u[k], total[k], longest)
-        cuts = np.flatnonzero(np.diff(k, prepend=-1))
-        for i, part in zip(k[cuts].tolist(), _exact_dot(weight, sums, cuts)):
+        other, joint = k ^ 1, k // 2
+        a = own[k] + 1 + source - first[k]
+        ball = (a, a, own[other] + order[other] + 1, own[other])
+        longest = int(joint_order[joint[0] : joint[-1] + 1].max())
+        weight, sums = _ball_sums((lo, hi, pre), ball, anchor[k], anchor[other], total[joint], longest)
+        cuts = np.flatnonzero(np.diff(joint, prepend=-1))
+        for i, part in zip(joint[cuts].tolist(), _exact_dot(weight, sums, cuts)):
             twice[i] += part
     return [_halve(t) for t in twice]
 

@@ -190,13 +190,14 @@ class SimpleGraph:
     sums are computed once, on first use, and kept read-only.
     """
 
-    __slots__ = ("order", "_edges", "_hi", "_degrees", "_dist", "_gutman", "_degree_distances")
+    __slots__ = ("order", "_edges", "_hi", "_lo", "_degrees", "_dist", "_gutman", "_degree_distances")
 
     def __init__(self, order: int, edge_array: np.ndarray):
         if not _is_int(order) or order < 0:
             raise ValueError(f"order must be a nonnegative integer, got {order!r}")
         self._edges: np.ndarray | None = _check_table(order, edge_array)
         self._hi: np.ndarray | None = None
+        self._lo: np.ndarray | None = None
         self.order = int(order)
         self._degrees: np.ndarray | None = None
         self._dist: np.ndarray | None = None
@@ -216,7 +217,7 @@ class SimpleGraph:
         hi.setflags(write=False)
         g = cls.__new__(cls)
         g._hi = hi
-        g._edges = None
+        g._edges = g._lo = None
         g.order = len(hi)
         g._degrees = g._dist = g._gutman = g._degree_distances = None
         return g
@@ -226,9 +227,14 @@ class SimpleGraph:
         """hi(v) for v = 1..order when the graph is reach-backed, else None."""
         return self._hi
 
-    def _lo(self) -> np.ndarray:
-        """lo(v) for v = 1..order of a reach-backed graph: the first u with hi(u) >= v."""
-        return np.searchsorted(self._hi, np.arange(1, self.order + 1)) + 1
+    @property
+    def lo(self) -> np.ndarray | None:
+        """lo(v), the first u with hi(u) >= v, for v = 1..order when the graph is reach-backed, else None."""
+        if self._lo is None and self._hi is not None:
+            # u is lo(v) for the hi(u) - hi(u - 1) vertices v in (hi(u - 1), hi(u)].
+            self._lo = np.repeat(np.arange(1, self.order + 1), np.diff(self._hi, prepend=0))
+            self._lo.setflags(write=False)
+        return self._lo
 
     @property
     def size(self) -> int:
@@ -256,7 +262,7 @@ class SimpleGraph:
         if self._degrees is None:
             if self._hi is not None:
                 v = np.arange(1, self.order + 1)
-                below, above = v - self._lo(), self._hi - v
+                below, above = v - self.lo, self._hi - v
             else:
                 below, above = (np.bincount(self._edges[:, k], minlength=self.order + 1)[1:] for k in (1, 0))
             degree = below + above
@@ -695,7 +701,7 @@ def degree_distance_sums(g: SimpleGraph) -> np.ndarray:
         elif len(_component_sizes(g)) != 1:
             raise _connectivity_error(what, g.order)
         else:
-            backwards = (g.order + 1 - g._lo())[::-1]
+            backwards = (g.order + 1 - g.lo)[::-1]
             t = _forest_sums(g.reach, w) + _forest_sums(backwards, w[::-1])[::-1]
         t.setflags(write=False)
         g._degree_distances = t

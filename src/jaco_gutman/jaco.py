@@ -378,7 +378,7 @@ def prefix_scan(f: LinearFunction, n_max: int) -> list[PrefixFacts]:
     """
     _require_at_least(n_max, 1, "n_max")
     full = build_jaco(f, n_max + 1)
-    lo = np.arange(1, n_max + 2) - full.in_degree_array
+    lo = full.underlying.lo
     edges, max_degree, count, prime = (column[:n_max] for column in _prefix_facts(full))
     columns = (edges, max_degree, count, prime, lo[:-1] <= prime + 1, lo[1:] == prime + 1)
     return [PrefixFacts(n, *row) for n, row in enumerate(zip(*(column.tolist() for column in columns)), 1)]
@@ -401,7 +401,7 @@ def _prefix_facts(j: JacoGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     least the open one.  An empty side counts as maximum -1.
     """
     order = np.arange(1, j.n + 1)
-    lo = order - j.in_degree_array
+    lo = j.underlying.lo
     degree = j.underlying.degree_array()
     peak = np.maximum.accumulate(degree)
     ties = np.cumsum(degree == peak)

@@ -68,7 +68,7 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
             edges, _, count, _ = _prefix_facts(j)
             values = (edges if name == "edges" else count).tolist()
         elif name == "gutman":
-            lo = np.arange(1, j.n + 1) - j.in_degree_array
+            lo = j.underlying.lo
             values = []
             for n in range(1, n_max + 1):
                 p = np.minimum(hi[:n], n)

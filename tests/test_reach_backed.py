@@ -70,6 +70,10 @@ def test_reach_backed_graph_matches_its_table(m, c, n):
     assert np.array_equal(all_pairs_distances(g), all_pairs_distances(h))
     for index in (gutman_index, wiener_index):
         assert _index_or_disconnected(index, g) == _index_or_disconnected(index, h)
+    # lo(v), the first u with hi(u) >= v, is kept on a reach-backed graph only
+    hi = g.reach.tolist()
+    assert g.lo.tolist() == [next(u for u in range(1, n + 1) if hi[u - 1] >= v) for v in range(1, n + 1)]
+    assert g.lo is g.lo and not g.lo.flags.writeable and h.lo is None
     assert g._edges is None  # nothing above read the table
     # the adjacency of either backing is scattered from its edge table
     adj = dense_adjacency(g)
