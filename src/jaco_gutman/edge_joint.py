@@ -36,9 +36,10 @@ BFS ball is then its ball in its own side, one index interval, plus one
 index interval of the other side, which stays empty until the ball holds
 the source's own anchor and from then on holds the other anchor.  The
 search grows those intervals for every vertex of every joint at once, with
-no adjacency and no distance matrix (`_interval_gutman`), in
-O(k * diameter) per joint of order k.  A joint with a table-backed side
-takes the dense BFS of `edge_joint_graph`.
+no adjacency and no distance matrix (`_direct_gutman`), in
+O(k * diameter) per joint of order k.  Every side the audits build is
+reach-backed, and the search takes no other; the index of any joint is
+`gutman_index(edge_joint_graph(spec))`.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ import numpy as np
 from .graph_core import (
     _INT64_SAFE,
     SimpleGraph,
+    StructureAssumptionViolated,
     _connectivity_error,
     _exact_dot,
     _halve,
@@ -94,7 +96,7 @@ def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
     return SimpleGraph(shift + spec.h.order, edges)
 
 
-# Sources per batch of the interval-ball BFS in `_interval_gutman`.  A source
+# Sources per batch of the interval-ball BFS in `_direct_gutman`.  A source
 # holds about twenty int64 entries at a time, so a batch stays near 0.6 MB;
 # a joint whose sources span two batches is summed across them.
 _BATCH_SOURCES = 1 << 12
@@ -163,8 +165,9 @@ def _ball_sums(
     W - w(B_r(a)), and w(B_r(a)) is two prefix-sum differences plus the
     anchors it holds.  The rounds run until every ball of the batch is the
     whole joint.  An eccentricity is below its joint's order, so a ball that
-    has not filled after `longest` rounds raises RuntimeError.  Each term is
-    below W, which bounds the sums by longest * W: they run in int64 when
+    has not filled after `longest` rounds raises StructureAssumptionViolated:
+    a side is not the proper interval graph its reach describes.  Each term
+    is below W, which bounds the sums by longest * W: they run in int64 when
     that is below _INT64_SAFE, else in Python integers.
     """
     lo, hi, pre = tables
@@ -186,26 +189,31 @@ def _ball_sums(
         gl, gr, hl, hr = lo[gl], hi[gr], lo[hl], hi[hr]
         np.minimum(hl, u, out=hl, where=has_v)
         np.maximum(hr, u, out=hr, where=has_v)
-    raise RuntimeError(f"a ball has not filled its joint after {longest} rounds, more than the joint's order allows")
+    raise StructureAssumptionViolated(
+        f"a ball has not filled its joint after {longest} rounds, more than the joint's order allows"
+    )
 
 
-def _interval_gutman(specs: list[JointSpec]) -> list[int]:
-    """Gutman index of each joint of reach-backed sides, by BFS of the composed graph.
+def _direct_gutman(specs: list[JointSpec]) -> list[int]:
+    """Gutman index of each joint of reach-backed sides, by BFS of the composed graph, in spec order.
 
-    Every distinct side is checked for connectivity first; a disconnected
-    one raises DisconnectedGraphError, as the composed graph's own index
-    would.  Joint i is listed as two half-joints, each one side's vertices
-    against the other side: 2i is its G against its H, and 2i + 1 its H
-    against its G.  So every source lies in its own side, and joint i's
-    sources run G's vertices, then H's.  The sources of all half-joints
-    grow their balls together (`_ball_sums`) in batches of at most
-    _BATCH_SOURCES, and 2 * Gut is the sum of w(a) times a's distance sum
-    over a joint's sources: one exact dot product per joint's run of
-    sources in the batch (`_exact_dot` over segments).  An odd total raises
-    ArithmeticError.
+    Every distinct side is checked before any ball grows.  A table-backed
+    one raises ValueError, as the balls read its reach; such a joint's index
+    is `gutman_index(edge_joint_graph(spec))`.  A disconnected one raises
+    DisconnectedGraphError, as the composed graph's own index would.  Joint
+    i is listed as two half-joints, each one side's vertices against the
+    other side: 2i is its G against its H, and 2i + 1 its H against its G.
+    So every source lies in its own side, and joint i's sources run G's
+    vertices, then H's.  The sources of all half-joints grow their balls
+    together (`_ball_sums`) in batches of at most _BATCH_SOURCES, and
+    2 * Gut is the sum of w(a) times a's distance sum over a joint's
+    sources: one exact dot product per joint's run of sources in the batch
+    (`_exact_dot` over segments).  An odd total raises ArithmeticError.
     """
     sides = list({id(g): g for spec in specs for g in (spec.g, spec.h)}.values())
     for g in sides:
+        if g.reach is None:
+            raise ValueError("the interval balls need reach-backed sides; use gutman_index(edge_joint_graph(spec))")
         if not is_connected(g):
             raise _connectivity_error("the Gutman index", g.order)
     offset, lo, hi, pre = _side_tables(sides)
@@ -230,26 +238,6 @@ def _interval_gutman(specs: list[JointSpec]) -> list[int]:
         for i, part in zip(joint[cuts].tolist(), _exact_dot(weight, sums, cuts)):
             twice[i] += part
     return [_halve(t) for t in twice]
-
-
-def _direct_gutman(specs: list[JointSpec]) -> list[int]:
-    """Gutman index of each spec's composed graph, by BFS of that graph, in spec order.
-
-    Joints whose sides are both reach-backed, every joint the commands
-    build, share `_interval_gutman`.  Any other joint takes the dense BFS of
-    `edge_joint_graph(spec)` through `gutman_index`.
-    """
-    values = [0] * len(specs)
-    interval = []
-    for i, spec in enumerate(specs):
-        if spec.g.reach is None or spec.h.reach is None:
-            values[i] = gutman_index(edge_joint_graph(spec))
-        else:
-            interval.append(i)
-    if interval:
-        for i, value in zip(interval, _interval_gutman([specs[i] for i in interval])):
-            values[i] = value
-    return values
 
 
 def _index_parts(g: SimpleGraph) -> tuple[int, np.ndarray, int]:

@@ -52,7 +52,7 @@ class DisconnectedGraphError(ValueError):
 
 
 class StructureAssumptionViolated(RuntimeError):
-    """The structural hypotheses behind the recursion's exact decomposition do not hold."""
+    """A structural assumption that an exact fast path relies on does not hold."""
 
 
 def _is_int(value: object) -> bool:
@@ -187,7 +187,8 @@ class SimpleGraph:
 
     `edge_list` materializes plain tuples for small-scale inspection.
     Degrees, the distance matrix, the Gutman index and the degree-distance
-    sums are computed once, on first use, and kept read-only.
+    sums are computed once, on first use, and kept read-only; the counts of
+    neighbours below and above are derived per call.
     """
 
     __slots__ = ("order", "_edges", "_hi", "_lo", "_degrees", "_dist", "_gutman", "_degree_distances")
@@ -199,7 +200,7 @@ class SimpleGraph:
         self._hi: np.ndarray | None = None
         self._lo: np.ndarray | None = None
         self.order = int(order)
-        self._degrees: np.ndarray | None = None
+        self._degrees: tuple[np.ndarray, int] | None = None
         self._dist: np.ndarray | None = None
         self._gutman: int | None = None
         self._degree_distances: np.ndarray | None = None
@@ -240,7 +241,8 @@ class SimpleGraph:
     def size(self) -> int:
         """Edge count: the table's row count, or half the kept degree total of a reach-backed graph."""
         if self._hi is not None:
-            return self._degree_parts()[3] // 2
+            self.degree_array()
+            return self._degrees[1] // 2
         return int(self._edges.shape[0])
 
     @property
@@ -252,31 +254,28 @@ class SimpleGraph:
     def edge_list(self) -> list[tuple[int, int]]:
         return list(zip(*self.edge_array.T.tolist()))
 
-    def _degree_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """(below, above, degree) per vertex and the degree total, computed once and kept read-only.
+    def degree_array(self) -> np.ndarray:
+        """deg(v) for v = 1..order, kept read-only with its total: hi(v) - lo(v), or a bincount of the table."""
+        if self._degrees is None:
+            if self._hi is not None:
+                degree = self._hi - self.lo
+            else:
+                degree = np.bincount(self._edges.ravel(), minlength=self.order + 1)[1:]
+            degree.setflags(write=False)
+            self._degrees = (degree, int(degree.sum()))
+        return self._degrees[0]
+
+    def split_degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex counts of the neighbours below and above each vertex, derived on each call.
 
         below(v) counts the neighbours u < v and above(v) those u > v:
         v - lo(v) and hi(v) - v from reach, else a bincount of each table
         column.
         """
-        if self._degrees is None:
-            if self._hi is not None:
-                v = np.arange(1, self.order + 1)
-                below, above = v - self.lo, self._hi - v
-            else:
-                below, above = (np.bincount(self._edges[:, k], minlength=self.order + 1)[1:] for k in (1, 0))
-            degree = below + above
-            for counts in (below, above, degree):
-                counts.setflags(write=False)
-            self._degrees = (below, above, degree, int(degree.sum()))
-        return self._degrees
-
-    def degree_array(self) -> np.ndarray:
-        return self._degree_parts()[2]
-
-    def split_degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex counts of the neighbours below and above each vertex."""
-        return self._degree_parts()[:2]
+        if self._hi is not None:
+            v = np.arange(1, self.order + 1)
+            return v - self.lo, self._hi - v
+        return tuple(np.bincount(self._edges[:, k], minlength=self.order + 1)[1:] for k in (1, 0))
 
     def __eq__(self, other: object) -> bool:
         """Same order and edges.  Two reach-backed graphs compare reaches, so neither builds its table."""

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jaco_gutman import IDENTITY, StructureAssumptionViolated, build_jaco
@@ -225,6 +226,20 @@ class TestJoint:
         )
         # The row itself still prints, and shows the corrupted value.
         assert out == clean.replace("122,122", "123,122")
+
+    def test_ball_that_never_fills_is_domain_error(self, capsys, monkeypatch):
+        # lo and hi frozen at each vertex: no side is the interval graph its
+        # reach describes, so the direct value's balls never fill
+        real = edge_joint._side_tables
+
+        def frozen(sides):
+            offset, lo, _, pre = real(sides)
+            return offset, np.arange(len(lo)), np.arange(len(lo)), pre
+
+        monkeypatch.setattr(edge_joint, "_side_tables", frozen)
+        code, out, err = run(capsys, "joint", "--n", "5", "--m", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: a ball has not filled its joint after 9 rounds, more than the joint's order allows\n"
 
     def test_anchor_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "joint", "--n", "3", "--m", "2", "--vi", "9")

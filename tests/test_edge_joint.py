@@ -360,23 +360,17 @@ REACH_FUNCTIONS = [IDENTITY, LinearFunction(2, 1), LinearFunction(3, 0), LinearF
 
 @st.composite
 def joint_specs(draw):
-    """Joints of sides of orders 1-12, anchored at an end as often as anywhere.
+    """Joints of reach-backed Jaco sides of orders 1-12, anchored at an end as often as anywhere.
 
-    Most sides are reach-backed Jaco graphs, and a table-backed tree, whose
-    joints take the dense BFS, comes now and then.  A side is drawn again
-    from the specs before it now and then, so that some joints share a side
-    and some join a graph to itself.
+    A side is drawn again from the specs before it now and then, so that
+    some joints share a side and some join a graph to itself.
     """
     specs, sides = [], []
 
     def side():
         if sides and draw(st.booleans()):
             return draw(st.sampled_from(sides))
-        order = draw(st.integers(1, 12))
-        if draw(st.integers(0, 5)) == 0:
-            g = from_edges(order, [(draw(st.integers(1, v - 1)), v) for v in range(2, order + 1)])
-        else:
-            g = build_jaco(draw(st.sampled_from(REACH_FUNCTIONS)), order).underlying
+        g = build_jaco(draw(st.sampled_from(REACH_FUNCTIONS)), draw(st.integers(1, 12))).underlying
         sides.append(g)
         return g
 
@@ -390,11 +384,11 @@ def joint_specs(draw):
 @given(joint_specs(), st.sampled_from([1, 2, 7, 1 << 12]))
 @settings(max_examples=80, deadline=None)
 def test_audit_stacks_are_the_composed_graphs(specs, sources):
-    # the interval balls give every joint of reach-backed sides the Gutman
-    # index of the composed graph's edge table, by its dense BFS and by the
-    # pure-Python oracle, however the batches split the joints' sources; the
-    # mirrored joint, H against G, is the same graph, so its two half-joints
-    # sum to the same index even where a batch boundary splits them
+    # the interval balls give every joint the Gutman index of the composed
+    # graph's edge table, by its dense BFS and by the pure-Python oracle,
+    # however the batches split the joints' sources; the mirrored joint, H
+    # against G, is the same graph, so its two half-joints sum to the same
+    # index even where a batch boundary splits them
     with mock.patch.object(edge_joint, "_BATCH_SOURCES", sources):
         values = edge_joint._direct_gutman(specs)
         assert edge_joint._direct_gutman([JointSpec(s.h, s.g, s.u, s.v) for s in specs]) == values
@@ -422,11 +416,24 @@ def test_disconnected_side_in_a_stack_raises(monkeypatch):
     monkeypatch.setattr(edge_joint, "_ball_sums", no_balls)
     with pytest.raises(DisconnectedGraphError, match=message):
         edge_joint._direct_gutman(specs)
-    # the composed graph's own index, which a table-backed side takes, says the same
+    # the composed graph's own index says the same
     with pytest.raises(DisconnectedGraphError, match=message):
         gutman_index(edge_joint_graph(specs[1]))
-    with pytest.raises(DisconnectedGraphError, match=message):
-        edge_joint._direct_gutman([JointSpec(from_edges(3, [(1, 2)]), k2(), 3, 2)])
+
+
+def test_table_backed_side_in_a_stack_raises(monkeypatch):
+    # the interval balls read a side's reach, so a table-backed side is
+    # refused before any ball grows, even among reach-backed joints
+    jk3, jk2 = build_jaco(IDENTITY, 3).underlying, build_jaco(IDENTITY, 2).underlying
+    table = from_edges(3, [(1, 2), (2, 3)])
+    specs = [JointSpec(jk3, jk2, 1, 1), JointSpec(jk2, table, 2, 3), JointSpec(jk3, jk3, 3, 1)]
+
+    def no_balls(*args):
+        raise AssertionError("a ball grew before the backing check")
+
+    monkeypatch.setattr(edge_joint, "_ball_sums", no_balls)
+    with pytest.raises(ValueError, match=r"reach-backed sides; use gutman_index\(edge_joint_graph\(spec\)\)$"):
+        edge_joint._direct_gutman(specs)
 
 
 # The acc and the per-joint sums run in int64, or, with both modules' bound
