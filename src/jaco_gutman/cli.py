@@ -236,9 +236,13 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     if len(tables) == 1:
         _emit(render(tables[0]), args.out)
         return 0
-    # several tables on one stream: comment-labeled sections
-    parts = [f"# {table.name}\n{render(table)}" for table in tables]
-    _emit("\n".join(parts), args.out)
+    # several tables on stdout: comment-labeled sections a blank line apart,
+    # each written as soon as it is rendered
+    gap = ""
+    for table in tables:
+        sys.stdout.write(f"{gap}# {table.name}\n")
+        _write_slices(sys.stdout, render(table))
+        gap = "\n"
     return 0
 
 

@@ -266,16 +266,28 @@ class SimpleGraph:
         return self._degrees[0]
 
     def split_degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex counts of the neighbours below and above each vertex, derived on each call.
+        """Per-vertex counts of the neighbours below and above each vertex, derived on each call."""
+        return self.half_degree_array(above=False), self.half_degree_array(above=True)
 
-        below(v) counts the neighbours u < v and above(v) those u > v:
-        v - lo(v) and hi(v) - v from reach, else a bincount of each table
-        column.
+    def half_degree_array(self, above: bool) -> np.ndarray:
+        """Per-vertex counts of the neighbours u > v if `above`, else of those u < v, derived on each call.
+
+        hi(v) - v or v - lo(v) from reach, computed in one array of n
+        entries, else a bincount of one table column.
         """
         if self._hi is not None:
-            v = np.arange(1, self.order + 1)
-            return v - self.lo, self._hi - v
-        return tuple(np.bincount(self._edges[:, k], minlength=self.order + 1)[1:] for k in (1, 0))
+            counts = np.arange(1, self.order + 1)
+            if above:
+                return np.subtract(self._hi, counts, out=counts)
+            counts -= self.lo
+            return counts
+        return np.bincount(self._edges[:, 0 if above else 1], minlength=self.order + 1)[1:]
+
+    def half_degree(self, v: int, above: bool) -> int:
+        """The count of v's neighbours u > v if `above`, else of those u < v: one entry of a reach."""
+        if self._hi is not None:
+            return int(self._hi[v - 1]) - int(v) if above else int(v) - int(self.lo[v - 1])
+        return int(np.count_nonzero(self._edges[:, 0 if above else 1] == v))
 
     def __eq__(self, other: object) -> bool:
         """Same order and edges.  Two reach-backed graphs compare reaches, so neither builds its table."""

@@ -77,7 +77,7 @@ class JacoGraph:
     `arc_array`; every arc of a Jaco graph runs from the lower index, so each
     tail v sends arcs to v + 1..hi(v).  For the same reason the in- and
     out-degrees of v are the underlying graph's counts of neighbours below
-    and above v (`SimpleGraph.split_degree_arrays`).
+    and above v (`SimpleGraph.half_degree_array` and `half_degree`).
     """
 
     __slots__ = ("f", "n", "_underlying", "_tuples")
@@ -117,11 +117,11 @@ class JacoGraph:
 
     def in_degree(self, v: int) -> int:
         _require_vertex(v, self.n)
-        return int(self.in_degree_array[v - 1])
+        return self._underlying.half_degree(v, above=False)
 
     def out_degree(self, v: int) -> int:
         _require_vertex(v, self.n)
-        return int(self.out_degree_array[v - 1])
+        return self._underlying.half_degree(v, above=True)
 
     def degree(self, v: int) -> int:
         _require_vertex(v, self.n)
@@ -129,11 +129,11 @@ class JacoGraph:
 
     @property
     def in_degree_array(self) -> np.ndarray:
-        return self._underlying.split_degree_arrays()[0]
+        return self._underlying.half_degree_array(above=False)
 
     @property
     def out_degree_array(self) -> np.ndarray:
-        return self._underlying.split_degree_arrays()[1]
+        return self._underlying.half_degree_array(above=True)
 
     @property
     def underlying(self) -> SimpleGraph:

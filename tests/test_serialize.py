@@ -7,14 +7,16 @@ arc from `bruteforce.slow_jaco_arcs`, with the standard library's JSON
 encoder for the JSON format.
 """
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, build_jaco, graph_core
-from jaco_gutman.serialize import jaco_from_json, jaco_to_csv, jaco_to_dot, jaco_to_json
+from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, build_jaco, graph_core, sequence_table
+from jaco_gutman.serialize import jaco_from_json, jaco_to_csv, jaco_to_dot, jaco_to_json, sequence_to_csv
 
 from bruteforce import slow_jaco_arcs
 
@@ -109,3 +111,45 @@ def test_tuple_views_hold_python_ints(m, c, n):
     assert j.underlying.edge_list() == expected
     assert all(type(x) is int for arc in j.arcs for x in arc)
     assert all(type(x) is int for edge in j.underlying.edge_list() for x in edge)
+
+
+def _traced_peak_per_char(render):
+    tracemalloc.start()
+    try:
+        text = render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(text)
+
+
+@pytest.mark.parametrize("render", [jaco_to_json, jaco_to_csv, jaco_to_dot], ids=lambda render: render.__name__)
+def test_graph_exports_hold_their_text_once(render):
+    # The text grows in place from its run pieces, so the peak is the text
+    # and one batch of pieces, about 1.02 times the text; holding every piece
+    # until one join reads 2.02.
+    j = build_jaco(LinearFunction(2, 1), 2000)
+    ratio = _traced_peak_per_char(lambda: render(j))
+    assert ratio <= 1.25, f"{render.__name__} of J_2000(2x + 1) peaked at {ratio:.2f} B a character"
+
+
+def test_sequence_csv_holds_its_text_once():
+    # About 1.04 times the text for 10^5 short lines; a list of every line
+    # and its join read 7.4.
+    table = sequence_table("edges", IDENTITY, 10**5)
+    ratio = _traced_peak_per_char(lambda: sequence_to_csv(table))
+    assert ratio <= 1.25, f"sequence_to_csv of 10^5 rows peaked at {ratio:.2f} B a character"
+
+
+def test_exports_under_a_profiler_match():
+    # A profiler turns off the in-place growth, so the text is joined at once.
+    j = build_jaco(LinearFunction(2, 1), 40)
+    table = sequence_table("edges", IDENTITY, 40)
+    renders = [jaco_to_json, jaco_to_csv, jaco_to_dot, lambda _: sequence_to_csv(table)]
+    plain = [render(j) for render in renders]
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        profiled = [render(j) for render in renders]
+    finally:
+        sys.setprofile(None)
+    assert profiled == plain
