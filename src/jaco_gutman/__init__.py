@@ -13,6 +13,7 @@ _PUBLIC = {
         "JointDelta",
         "JointSpec",
         "anchor_audit",
+        "anchor_checks",
         "closed_form_joint_gutman",
         "edge_joint_graph",
         "joint_check",

@@ -35,15 +35,21 @@ half-joints, each one side's vertices against the other side.  A source's
 BFS ball is then its ball in its own side, one index interval, plus one
 index interval of the other side, which stays empty until the ball holds
 the source's own anchor and from then on holds the other anchor.  The
-search grows those intervals for every vertex of every joint at once, with
-no adjacency and no distance matrix (`_direct_gutman`), in
-O(k * diameter) per joint of order k.  Every side the audits build is
-reach-backed, and the search takes no other; the index of any joint is
-`gutman_index(edge_joint_graph(spec))`.
+search grows those intervals with no adjacency and no distance matrix, in
+O(k * diameter) per joint of order k.  It is a stream (`_direct_stream`):
+it checks the sides and lays out their tables once, then reads the joints
+only as far as it needs to fill a batch of sources, grows the batch's
+balls together whatever joints they belong to, and yields each joint's
+index once its last source is summed.  So it holds O(batch) joints, and
+`anchor_checks` makes the anchor audit's checks one at a time from it.
+Every side the audits build is reach-backed, and the search takes no
+other; the index of any joint is `gutman_index(edge_joint_graph(spec))`.
 """
 from __future__ import annotations
 
+import itertools
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +102,7 @@ def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
     return SimpleGraph(shift + spec.h.order, edges)
 
 
-# Sources per batch of the interval-ball BFS in `_direct_gutman`.  A source
+# Sources per batch of the interval-ball BFS in `_direct_stream`.  A source
 # holds about twenty int64 entries at a time, so a batch stays near 0.6 MB;
 # a joint whose sources span two batches is summed across them.
 _BATCH_SOURCES = 1 << 12
@@ -194,23 +200,33 @@ def _ball_sums(
     )
 
 
-def _direct_gutman(specs: list[JointSpec]) -> list[int]:
-    """Gutman index of each joint of reach-backed sides, by BFS of the composed graph, in spec order.
+def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> Iterator[int]:
+    """Gutman index of each joint of reach-backed sides, by BFS of the composed graph, as the specs are read.
 
-    Every distinct side is checked before any ball grows.  A table-backed
-    one raises ValueError, as the balls read its reach; such a joint's index
-    is `gutman_index(edge_joint_graph(spec))`.  A disconnected one raises
-    DisconnectedGraphError, as the composed graph's own index would.  Joint
-    i is listed as two half-joints, each one side's vertices against the
-    other side: 2i is its G against its H, and 2i + 1 its H against its G.
-    So every source lies in its own side, and joint i's sources run G's
-    vertices, then H's.  The sources of all half-joints grow their balls
-    together (`_ball_sums`) in batches of at most _BATCH_SOURCES, and
-    2 * Gut is the sum of w(a) times a's distance sum over a joint's
-    sources: one exact dot product per joint's run of sources in the batch
-    (`_exact_dot` over segments).  An odd total raises ArithmeticError.
+    `sides` lists every graph that a spec joins (a spec joining any other
+    raises KeyError).  When the first index is asked for, each distinct
+    side is checked, and the tables of all of them built once
+    (`_side_tables`), before a spec is read or any ball grows.  A
+    table-backed side raises ValueError, as the balls read its reach; such
+    a joint's index is `gutman_index(edge_joint_graph(spec))`.  A
+    disconnected one raises DisconnectedGraphError, as the composed graph's
+    own index would.
+
+    Joint i is taken as two half-joints, each one side's vertices against
+    the other side: its G against its H, then its H against its G.  So
+    every source lies in its own side, and joint i's sources run G's
+    vertices, then H's.  The specs are read only until their sources, past
+    those already summed, fill a batch of _BATCH_SOURCES, and the sources
+    of one batch grow their balls together (`_ball_sums`), whatever joints
+    they belong to: a batch may end inside a joint and the next one go on
+    with it.  2 * Gut is the sum of w(a) times a's distance sum over a
+    joint's sources, one exact dot product per joint's run of sources in
+    the batch (`_exact_dot` over segments).  A joint's index is yielded, in
+    spec order, once the batch holding its last source is summed, so the
+    stream holds O(batch) joints at a time.  An odd total raises
+    ArithmeticError.
     """
-    sides = list({id(g): g for spec in specs for g in (spec.g, spec.h)}.values())
+    sides = list({id(g): g for g in sides}.values())
     for g in sides:
         if g.reach is None:
             raise ValueError("the interval balls need reach-backed sides; use gutman_index(edge_joint_graph(spec))")
@@ -218,16 +234,27 @@ def _direct_gutman(specs: list[JointSpec]) -> list[int]:
             raise _connectivity_error("the Gutman index", g.order)
     offset, lo, hi, pre = _side_tables(sides)
     where = {id(g): int(o) for g, o in zip(sides, offset)}
-    halves = ((where[id(g)], g.order, a) for s in specs for g, a in ((s.g, s.v), (s.h, s.u)))
-    own, order, anchor = np.fromiter(halves, dtype=(np.int64, 3), count=2 * len(specs)).T
-    anchor += own
-    total = (pre[own + order] - pre[own]).reshape(-1, 2).sum(axis=1) + 2
-    joint_order = order.reshape(-1, 2).sum(axis=1)
-    first = np.cumsum(order) - order
-    twice = [0] * len(specs)
-    end = int(order.sum())
-    for start in range(0, end, _BATCH_SOURCES):
-        source = np.arange(start, min(start + _BATCH_SOURCES, end))
+    specs = iter(specs)
+    # Per pending joint, the (position, order, anchor position) of its two
+    # halves and its ordered-pair total so far; `done` of their `ahead`
+    # sources are summed.
+    halves: list[tuple[int, int, int]] = []
+    twice: list[int] = []
+    done = ahead = 0
+    while True:
+        while ahead - done < _BATCH_SOURCES and (spec := next(specs, None)) is not None:
+            for g, a in ((spec.g, spec.v), (spec.h, spec.u)):
+                halves.append((where[id(g)], g.order, where[id(g)] + a))
+            twice.append(0)
+            ahead += spec.g.order + spec.h.order
+        if done == ahead:
+            return
+        own, order, anchor = np.array(halves, dtype=np.int64).T
+        total = (pre[own + order] - pre[own]).reshape(-1, 2).sum(axis=1) + 2
+        joint_order = order.reshape(-1, 2).sum(axis=1)
+        first = np.cumsum(order) - order
+        end = min(done + _BATCH_SOURCES, ahead)
+        source = np.arange(done, end)
         k = np.searchsorted(first, source, side="right") - 1
         other, joint = k ^ 1, k // 2
         a = own[k] + 1 + source - first[k]
@@ -237,7 +264,19 @@ def _direct_gutman(specs: list[JointSpec]) -> list[int]:
         cuts = np.flatnonzero(np.diff(joint, prepend=-1))
         for i, part in zip(joint[cuts].tolist(), _exact_dot(weight, sums, cuts)):
             twice[i] += part
-    return [_halve(t) for t in twice]
+        # the joints that end in this batch are whole
+        ends = np.cumsum(joint_order)
+        finished = int(np.searchsorted(ends, end, side="right"))
+        for t in twice[:finished]:
+            yield _halve(t)
+        summed = int(ends[finished - 1]) if finished else 0
+        del twice[:finished], halves[: 2 * finished]
+        done, ahead = end - summed, ahead - summed
+
+
+def _direct_gutman(specs: list[JointSpec]) -> list[int]:
+    """Gutman index of each joint of reach-backed sides, in spec order: the whole of `_direct_stream`."""
+    return list(_direct_stream((g for spec in specs for g in (spec.g, spec.h)), specs))
 
 
 def _index_parts(g: SimpleGraph) -> tuple[int, np.ndarray, int]:
@@ -405,25 +444,38 @@ class AnchorCheck:
         return self.closed_form == self.direct
 
 
-def anchor_audit(
-    n_max: int, m_max: int, per_pair: int = 5, seed: int = 0
-) -> list[AnchorCheck]:
-    """Seeded non-trivial anchor checks across the same (n, m) grid."""
-    _require_at_least(n_max, 2, "n_max")
-    _require_at_least(m_max, 2, "m_max")
-    _require_at_least(per_pair, 0, "per_pair")
+def _anchor_specs(
+    graphs: dict[int, SimpleGraph], m_max: int, per_pair: int, seed: int
+) -> Iterator[JointSpec]:
+    """The anchor audit's joints: per (n, m) point, in order, per_pair seeded anchor pairs other than (1, 1).
+
+    `graphs` holds the identity Jaco graphs of orders 2..n_max by order.
+    """
     rng = random.Random(seed)
-    graphs = {k: j.underlying for k, j in _identity_jacos(n_max).items()}
-    specs = []
-    for n in range(2, n_max + 1):
+    for n, g in graphs.items():
         for m in range(2, min(n, m_max) + 1):
             for _ in range(per_pair):
                 vi, uj = 1, 1
                 while vi == 1 and uj == 1:
                     vi = rng.randint(1, n)
                     uj = rng.randint(1, m)
-                specs.append(JointSpec(graphs[n], graphs[m], vi, uj))
-    return [
+                yield JointSpec(g, graphs[m], vi, uj)
+
+
+def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> Iterator[AnchorCheck]:
+    """Seeded non-trivial anchor checks across the same (n, m) grid, made as they are read.
+
+    The arguments are checked and the graphs built on the call; each check
+    is made when it is read, with its direct value from `_direct_stream`,
+    so the grid's joints are never held at once.
+    """
+    _require_at_least(n_max, 2, "n_max")
+    _require_at_least(m_max, 2, "m_max")
+    _require_at_least(per_pair, 0, "per_pair")
+    graphs = {k: j.underlying for k, j in _identity_jacos(n_max).items()}
+    # the stream reads a batch of specs ahead; tee keeps those not yet checked
+    specs, ahead = itertools.tee(_anchor_specs(graphs, m_max, per_pair, seed))
+    return (
         AnchorCheck(
             n=spec.g.order,
             m=spec.h.order,
@@ -432,5 +484,10 @@ def anchor_audit(
             closed_form=closed_form_joint_gutman(spec),
             direct=direct,
         )
-        for spec, direct in zip(specs, _direct_gutman(specs))
-    ]
+        for spec, direct in zip(specs, _direct_stream(graphs.values(), ahead))
+    )
+
+
+def anchor_audit(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> list[AnchorCheck]:
+    """Seeded non-trivial anchor checks across the same (n, m) grid: the whole of `anchor_checks`."""
+    return list(anchor_checks(n_max, m_max, per_pair, seed))

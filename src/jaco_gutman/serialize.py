@@ -8,9 +8,9 @@ rendering (no floats anywhere).  The JSON graph schema is
 with 1-based indices and the arc list sorted lexicographically, and it
 round-trips: parsing a serialized graph reproduces the identical arc set.
 
-Every renderer returns one string.  The graph exports and the csv tables
-grow it in place from generated pieces (`_concat`), so the text is held
-once and no list of its pieces is kept beside it.  A built graph's arcs come
+Every renderer returns one string.  The graph exports and the sequence and
+csv tables grow it in place from generated pieces (`_concat`), so the text
+is held once and no list of its pieces is kept beside it.  A built graph's arcs come
 from its reach, one piece per run of equal tails (`_arc_runs`), so
 exporting it never builds its arc table.
 """
@@ -155,13 +155,9 @@ def sequence_to_csv(table: SequenceTable) -> str:
 
 
 def sequence_to_json(table: SequenceTable) -> str:
-    payload = {
-        "name": table.name,
-        "m": table.f.m,
-        "c": table.f.c,
-        "rows": [[n, value] for n, value in table.rows],
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    head = f'{{"name":{json.dumps(table.name)},"m":{table.f.m},"c":{table.f.c},"rows":['
+    rows = (f"[{n},{value}]" for n, value in table.rows)
+    return _concat(chain([head, next(rows, "")], ("," + row for row in rows), ["]}\n"]))
 
 
 def _recursion_row_values(row: RecursionDelta) -> list[int]:

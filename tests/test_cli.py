@@ -353,7 +353,7 @@ class TestErratumNamesTheFirstFailure:
     def test_joint_point(self, capsys, monkeypatch):
         code, clean, _ = run(capsys, *self.ARGV)
         self._patch(monkeypatch, edge_joint, "joint_delta_report", {2, 4}, _off_by_one_joint)
-        self._patch(monkeypatch, edge_joint, "anchor_audit", {0}, _off_by_one_joint)
+        self._patch(monkeypatch, edge_joint, "anchor_checks", {0}, _off_by_one_joint)
         code, out, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (
@@ -367,7 +367,7 @@ class TestErratumNamesTheFirstFailure:
         code, clean, _ = run(capsys, *self.ARGV)
         checks = edge_joint.anchor_audit(6, 4, per_pair=5, seed=0)
         bad = checks[7]
-        self._patch(monkeypatch, edge_joint, "anchor_audit", {7}, _off_by_one_joint)
+        self._patch(monkeypatch, edge_joint, "anchor_checks", {7}, _off_by_one_joint)
         code, out, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (
@@ -608,7 +608,7 @@ class TestEntryPoints:
             "assert not hasattr(jaco_gutman, 'no_such_name')\n"
             "print(len(jaco_gutman.__all__), cli.__name__)"
         )
-        assert _fresh(code) == ["45 jaco_gutman.cli"]
+        assert _fresh(code) == ["46 jaco_gutman.cli"]
 
     def test_library_imports_set_no_blas_threads(self):
         code = "import os, jaco_gutman.cli, jaco_gutman.__main__; print(os.environ.get('OPENBLAS_NUM_THREADS'))"

@@ -436,6 +436,59 @@ def test_table_backed_side_in_a_stack_raises(monkeypatch):
         edge_joint._direct_gutman(specs)
 
 
+def _read_log(specs, log):
+    """The specs one at a time, each added to `log` as it is read."""
+    for spec in specs:
+        log.append(spec)
+        yield spec
+
+
+# One source per batch splits every joint across batches, 7 splits most of
+# them, and 64 holds several whole joints in one batch.
+@pytest.mark.parametrize("sources", [1, 7, 64])
+def test_direct_stream_reads_a_batch_ahead(sources, monkeypatch):
+    monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
+    sides = [build_jaco(f, k).underlying for f in (IDENTITY, LinearFunction(2, 1)) for k in range(1, 10)]
+    rng = random.Random(sources)
+    pairs = [(g, h) for g in sides for h in sides][::7]
+    specs = [JointSpec(g, h, rng.randint(1, g.order), rng.randint(1, h.order)) for g, h in pairs]
+    longest = max(spec.g.order + spec.h.order for spec in specs)
+    read = []
+    values = []
+    for value in edge_joint._direct_stream(sides, _read_log(specs, read)):
+        values.append(value)
+        # the stream has read past the joints it yielded by at most the
+        # batch being summed, one joint that ends in it and one read ahead
+        unyielded = sum(spec.g.order + spec.h.order for spec in read[len(values) :])
+        assert unyielded < sources + 2 * longest
+    assert len(read) == len(specs) > 20
+    assert values == list(edge_joint._direct_stream(sides, specs)) == edge_joint._direct_gutman(specs)
+    assert values == [gutman_index(edge_joint_graph(spec)) for spec in specs]
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (from_edges(3, [(1, 2), (2, 3)]), ValueError, "reach-backed sides"),
+        (build_jaco(LinearFunction(0, 1), 3).underlying, DisconnectedGraphError, "connected graphs only"),
+    ],
+    ids=["table-backed", "disconnected"],
+)
+def test_direct_stream_checks_every_side_before_reading_a_spec(bad, error, message, monkeypatch):
+    # the side that fails is used only by the last spec, yet the stream
+    # refuses it before it reads a spec or grows a ball
+    def no_balls(*args):
+        raise AssertionError("a ball grew before the sides were checked")
+
+    monkeypatch.setattr(edge_joint, "_ball_sums", no_balls)
+    jk3, jk2 = build_jaco(IDENTITY, 3).underlying, build_jaco(IDENTITY, 2).underlying
+    specs = [JointSpec(jk3, jk2, v, 1) for v in (1, 2, 3)] * 5 + [JointSpec(jk3, bad, 1, 2)]
+    read = []
+    with pytest.raises(error, match=message):
+        next(edge_joint._direct_stream([jk3, jk2, bad], _read_log(specs, read)))
+    assert read == []
+
+
 # The acc and the per-joint sums run in int64, or, with both modules' bound
 # at 0, in Python integers; either way each joint gets its own graph's sum.
 @pytest.mark.parametrize("object_sums", [False, True], ids=["int64 slices", "object slices"])

@@ -18,6 +18,7 @@ from jaco_gutman import (
     SimpleGraph,
     all_pairs_distances,
     anchor_audit,
+    anchor_checks,
     build_jaco,
     degree,
     from_edges,
@@ -203,6 +204,8 @@ def test_non_integer_argument_rejected(call):
         pytest.param(lambda: anchor_audit(1, 3), 1, id="anchor_audit n_max 1"),
         pytest.param(lambda: anchor_audit(4, 3, per_pair=2.0), 2.0, id="anchor_audit per_pair float"),
         pytest.param(lambda: anchor_audit(4, 3, per_pair=-1), -1, id="anchor_audit per_pair negative"),
+        # the generator checks its arguments when called, before any check is read
+        pytest.param(lambda: anchor_checks(4, 3.5), 3.5, id="anchor_checks m_max float"),
         pytest.param(lambda: prefix_scan(IDENTITY, True), True, id="prefix_scan bool"),
         pytest.param(lambda: prefix_scan(IDENTITY, 2.5), 2.5, id="prefix_scan float"),
         pytest.param(lambda: sequence_table("edges", IDENTITY, True), True, id="sequence_table bool"),

@@ -455,10 +455,20 @@ def test_export_2000_peak_memory():
 def test_erratum_40_peak_memory():
     # The edge-joint audits grow their BFS balls in batches of at most
     # edge_joint._BATCH_SOURCES sources (2^12, about 0.6 MB of int64 arrays),
-    # about 2 MB above the floor in all; one batch of all the audits' sources
-    # would not fit.
+    # and the anchor audit's checks are made and counted as they are read,
+    # about 2 MB above the floor in all; holding all 3 900 anchor checks
+    # and their joints read 3.4 MB.
     grown_mb = _peak_growth_mb("erratum --n-max 40 --m-max 40")
-    assert grown_mb < 5, f"erratum --n-max 40 --m-max 40 peaked {grown_mb:.1f} MB above gutman --n 2"
+    assert grown_mb < 3, f"erratum --n-max 40 --m-max 40 peaked {grown_mb:.1f} MB above gutman --n 2"
+
+
+def test_erratum_100_peak_memory():
+    # The anchor audit streams its 24 750 joints a batch at a time: about
+    # 4.3 MB above the floor in all, for the audit modules, the 4 950 rows
+    # of the edge-joint report (1.5 MB traced) and one batch.  Holding every
+    # anchor check and joint at once read 12.5 MB.
+    grown_mb = _peak_growth_mb("erratum --n-max 100 --m-max 100")
+    assert grown_mb < 7, f"erratum --n-max 100 --m-max 100 peaked {grown_mb:.1f} MB above gutman --n 2"
 
 
 def test_joint_100000_peak_memory(tmp_path):

@@ -15,8 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, build_jaco, graph_core, sequence_table
-from jaco_gutman.serialize import jaco_from_json, jaco_to_csv, jaco_to_dot, jaco_to_json, sequence_to_csv
+from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, SequenceTable, build_jaco, graph_core, sequence_table
+from jaco_gutman.serialize import (
+    jaco_from_json,
+    jaco_to_csv,
+    jaco_to_dot,
+    jaco_to_json,
+    sequence_to_csv,
+    sequence_to_json,
+)
 
 from bruteforce import slow_jaco_arcs
 
@@ -133,19 +140,35 @@ def test_graph_exports_hold_their_text_once(render):
     assert ratio <= 1.25, f"{render.__name__} of J_2000(2x + 1) peaked at {ratio:.2f} B a character"
 
 
-def test_sequence_csv_holds_its_text_once():
-    # About 1.04 times the text for 10^5 short lines; a list of every line
-    # and its join read 7.4.
+@pytest.mark.parametrize("render", [sequence_to_csv, sequence_to_json], ids=lambda render: render.__name__)
+def test_sequence_tables_hold_their_text_once(render):
+    # About 1.04 times the text for 10^5 short rows; a list of every csv line
+    # and its join read 7.4, and a list of [n, value] lists given to
+    # json.dumps 7.0.
     table = sequence_table("edges", IDENTITY, 10**5)
-    ratio = _traced_peak_per_char(lambda: sequence_to_csv(table))
-    assert ratio <= 1.25, f"sequence_to_csv of 10^5 rows peaked at {ratio:.2f} B a character"
+    ratio = _traced_peak_per_char(lambda: render(table))
+    assert ratio <= 1.25, f"{render.__name__} of 10^5 rows peaked at {ratio:.2f} B a character"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        *(sequence_table(name, LinearFunction(2, 1), 30) for name in ("edges", "gutman", "v1_vn_distance")),
+        SequenceTable("one row", IDENTITY, ((1, 0),)),
+        SequenceTable('no "rows" \u00e9', LinearFunction(0, 3), ()),
+    ],
+    ids=lambda table: f"{table.name}, {len(table.rows)} rows",
+)
+def test_sequence_json_is_the_standard_encoding(table):
+    payload = {"name": table.name, "m": table.f.m, "c": table.f.c, "rows": [[n, value] for n, value in table.rows]}
+    assert sequence_to_json(table) == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def test_exports_under_a_profiler_match():
     # A profiler turns off the in-place growth, so the text is joined at once.
     j = build_jaco(LinearFunction(2, 1), 40)
     table = sequence_table("edges", IDENTITY, 40)
-    renders = [jaco_to_json, jaco_to_csv, jaco_to_dot, lambda _: sequence_to_csv(table)]
+    renders = [jaco_to_json, jaco_to_csv, jaco_to_dot, lambda _: sequence_to_csv(table), lambda _: sequence_to_json(table)]
     plain = [render(j) for render in renders]
     sys.setprofile(lambda frame, event, arg: None)
     try:
