@@ -231,7 +231,7 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     if args.out is not None and len(tables) > 1:
         args.out.mkdir(parents=True, exist_ok=True)
         for table in tables:
-            (args.out / f"{table.name}{suffix}").write_text(render(table))
+            _emit(render(table), args.out / f"{table.name}{suffix}")
         return 0
     if len(tables) == 1:
         _emit(render(tables[0]), args.out)

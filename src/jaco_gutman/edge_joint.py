@@ -40,14 +40,14 @@ O(k * diameter) per joint of order k.  It is a stream (`_direct_stream`):
 it checks the sides and lays out their tables once, then reads the joints
 only as far as it needs to fill a batch of sources, grows the batch's
 balls together whatever joints they belong to, and yields each joint's
-index once its last source is summed.  So it holds O(batch) joints, and
-`anchor_checks` makes the anchor audit's checks one at a time from it.
+spec with its index once its last source is summed.  So it holds O(batch)
+joints, and `joint_delta_report` and `anchor_checks` make their rows and
+checks one at a time from it, reading their grids lazily.
 Every side the audits build is reach-backed, and the search takes no
 other; the index of any joint is `gutman_index(edge_joint_graph(spec))`.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -58,14 +58,13 @@ from .graph_core import (
     _INT64_SAFE,
     SimpleGraph,
     StructureAssumptionViolated,
-    _connectivity_error,
     _exact_dot,
     _halve,
     _require_at_least,
+    _require_connected,
     _require_vertex,
     degree_distance_sums,
     gutman_index,
-    is_connected,
 )
 from .jaco import IDENTITY, JacoGraph, build_jaco
 
@@ -200,17 +199,17 @@ def _ball_sums(
     )
 
 
-def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> Iterator[int]:
-    """Gutman index of each joint of reach-backed sides, by BFS of the composed graph, as the specs are read.
+def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> Iterator[tuple[JointSpec, int]]:
+    """Each spec with its joint's Gutman index, by BFS of the composed graph, as the specs are read.
 
     `sides` lists every graph that a spec joins (a spec joining any other
-    raises KeyError).  When the first index is asked for, each distinct
+    raises KeyError).  When the first pair is asked for, each distinct
     side is checked, and the tables of all of them built once
     (`_side_tables`), before a spec is read or any ball grows.  A
     table-backed side raises ValueError, as the balls read its reach; such
     a joint's index is `gutman_index(edge_joint_graph(spec))`.  A
-    disconnected one raises DisconnectedGraphError, as the composed graph's
-    own index would.
+    disconnected one fails the connectivity gate (`_require_connected`)
+    with DisconnectedGraphError, as the composed graph's own index would.
 
     Joint i is taken as two half-joints, each one side's vertices against
     the other side: its G against its H, then its H against its G.  So
@@ -221,23 +220,23 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
     they belong to: a batch may end inside a joint and the next one go on
     with it.  2 * Gut is the sum of w(a) times a's distance sum over a
     joint's sources, one exact dot product per joint's run of sources in
-    the batch (`_exact_dot` over segments).  A joint's index is yielded, in
-    spec order, once the batch holding its last source is summed, so the
-    stream holds O(batch) joints at a time.  An odd total raises
-    ArithmeticError.
+    the batch (`_exact_dot` over segments).  A joint's spec and index are
+    yielded, in spec order, once the batch holding its last source is
+    summed, so the stream holds O(batch) joints at a time.  An odd total
+    raises ArithmeticError.
     """
     sides = list({id(g): g for g in sides}.values())
     for g in sides:
         if g.reach is None:
             raise ValueError("the interval balls need reach-backed sides; use gutman_index(edge_joint_graph(spec))")
-        if not is_connected(g):
-            raise _connectivity_error("the Gutman index", g.order)
+        _require_connected(g, "the Gutman index")
     offset, lo, hi, pre = _side_tables(sides)
     where = {id(g): int(o) for g, o in zip(sides, offset)}
     specs = iter(specs)
-    # Per pending joint, the (position, order, anchor position) of its two
-    # halves and its ordered-pair total so far; `done` of their `ahead`
-    # sources are summed.
+    # Per pending joint, its spec, the (position, order, anchor position) of
+    # its two halves and its ordered-pair total so far; `done` of their
+    # `ahead` sources are summed.
+    pending: list[JointSpec] = []
     halves: list[tuple[int, int, int]] = []
     twice: list[int] = []
     done = ahead = 0
@@ -245,6 +244,7 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
         while ahead - done < _BATCH_SOURCES and (spec := next(specs, None)) is not None:
             for g, a in ((spec.g, spec.v), (spec.h, spec.u)):
                 halves.append((where[id(g)], g.order, where[id(g)] + a))
+            pending.append(spec)
             twice.append(0)
             ahead += spec.g.order + spec.h.order
         if done == ahead:
@@ -267,16 +267,16 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
         # the joints that end in this batch are whole
         ends = np.cumsum(joint_order)
         finished = int(np.searchsorted(ends, end, side="right"))
-        for t in twice[:finished]:
-            yield _halve(t)
+        for spec, t in zip(pending[:finished], twice[:finished]):
+            yield spec, _halve(t)
         summed = int(ends[finished - 1]) if finished else 0
-        del twice[:finished], halves[: 2 * finished]
+        del pending[:finished], twice[:finished], halves[: 2 * finished]
         done, ahead = end - summed, ahead - summed
 
 
 def _direct_gutman(specs: list[JointSpec]) -> list[int]:
-    """Gutman index of each joint of reach-backed sides, in spec order: the whole of `_direct_stream`."""
-    return list(_direct_stream((g for spec in specs for g in (spec.g, spec.h)), specs))
+    """Gutman index of each joint of reach-backed sides, in spec order: the indices of `_direct_stream`."""
+    return [index for _, index in _direct_stream((g for spec in specs for g in (spec.g, spec.h)), specs)]
 
 
 def _index_parts(g: SimpleGraph) -> tuple[int, np.ndarray, int]:
@@ -413,19 +413,16 @@ def joint_delta_report(n_max: int, m_max: int) -> list[JointDelta]:
     _require_at_least(n_max, 2, "n_max")
     _require_at_least(m_max, 2, "m_max")
     jacos = _identity_jacos(n_max)
-    grid = [(n, m) for n in range(2, n_max + 1) for m in range(2, min(n, m_max) + 1)]
-    specs = [JointSpec(jacos[n].underlying, jacos[m].underlying, 1, 1) for n, m in grid]
-    return [
-        JointDelta(
-            n=n,
-            m=m,
-            paper_rhs=joint_paper_rhs(jacos[n], jacos[m]),
-            closed_form=closed_form_joint_gutman(spec),
-            direct=direct,
-            missing_block=missing_anchor_block(jacos[n], jacos[m]),
-        )
-        for (n, m), spec, direct in zip(grid, specs, _direct_gutman(specs))
-    ]
+    # the grid is read as the stream sums it, never held whole
+    specs = (
+        JointSpec(jacos[n].underlying, jacos[m].underlying, 1, 1) for n in jacos for m in range(2, min(n, m_max) + 1)
+    )
+    rows = []
+    for spec, direct in _direct_stream((j.underlying for j in jacos.values()), specs):
+        jn, jm = jacos[spec.g.order], jacos[spec.h.order]
+        paper, missing = joint_paper_rhs(jn, jm), missing_anchor_block(jn, jm)
+        rows.append(JointDelta(jn.n, jm.n, paper, closed_form_joint_gutman(spec), direct, missing))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -473,8 +470,6 @@ def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> I
     _require_at_least(m_max, 2, "m_max")
     _require_at_least(per_pair, 0, "per_pair")
     graphs = {k: j.underlying for k, j in _identity_jacos(n_max).items()}
-    # the stream reads a batch of specs ahead; tee keeps those not yet checked
-    specs, ahead = itertools.tee(_anchor_specs(graphs, m_max, per_pair, seed))
     return (
         AnchorCheck(
             n=spec.g.order,
@@ -484,7 +479,7 @@ def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> I
             closed_form=closed_form_joint_gutman(spec),
             direct=direct,
         )
-        for spec, direct in zip(specs, _direct_stream(graphs.values(), ahead))
+        for spec, direct in _direct_stream(graphs.values(), _anchor_specs(graphs, m_max, per_pair, seed))
     )
 
 

@@ -29,6 +29,13 @@ bool adjacency.  A graph's all-pairs matrix, its Gutman index and its
 degree-distance sums (`degree_distance_sums`) are computed once and kept
 on the graph.
 
+Connectivity has one gate, `_require_connected(g, what)`.  It reads the
+component sizes (`_component_sizes`), O(n) from a reach and O(n + m) per
+hooking round from an edge table, and forms no distance.  Every index,
+audit and table that needs a connected graph asks it once, before any
+distance kernel runs: the empty graph fails with ValueError and a
+disconnected graph with DisconnectedGraphError, each naming what was asked.
+
 The Gutman and Wiener indices and the degree-distance sums of a
 reach-backed graph read no matrix at all.  The greedy jump count turns
 their sums into sums over the forest of hi (`_forest_sums`): O(n) numpy per
@@ -553,15 +560,15 @@ def _connectivity_error(what: str, order: int) -> ValueError:
     return DisconnectedGraphError(f"{what} is defined for connected graphs only and this graph is disconnected")
 
 
-def _require_connected(dist: np.ndarray, what: str) -> np.ndarray:
-    """Return `dist` if every entry is reachable, else raise naming `what`.
+def _require_connected(g: SimpleGraph, what: str) -> None:
+    """The one connectivity gate: raise naming `what` unless `g` is connected.
 
-    An empty matrix (the order-0 graph) raises ValueError; an unreachable
-    entry raises DisconnectedGraphError.
+    It reads `_component_sizes`, which forms no distance, so every caller
+    asks it before any distance kernel runs.  The empty graph raises
+    ValueError and a disconnected one DisconnectedGraphError.
     """
-    if dist.size == 0 or dist.min() < 0:
-        raise _connectivity_error(what, dist.size)
-    return dist
+    if len(_component_sizes(g)) != 1:
+        raise _connectivity_error(what, g.order)
 
 
 _INT64_SAFE = 2**62
@@ -666,17 +673,16 @@ def _forest_sums(hi: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _index(g: SimpleGraph, w: np.ndarray, what: str) -> int:
     """Exact sum of w_u * w_v * dist(u, v) over the unordered vertex pairs of a connected graph.
 
-    A reach-backed graph tests connectivity from the fixed points of its
-    reach (`_component_sizes`) and takes the `_exact_dot` of w and its
-    `_forest_sums` in O(n) memory, without its distance matrix.  Any other
-    graph sums its all-pairs matrix with `_pair_sum`.  The empty graph
-    raises ValueError and a disconnected one DisconnectedGraphError, each
-    naming `what`.
+    The gate (`_require_connected`) runs first, so the empty graph raises
+    ValueError and a disconnected one DisconnectedGraphError, each naming
+    `what`, before any distance is formed.  A reach-backed graph then takes
+    the `_exact_dot` of w and its `_forest_sums` in O(n) memory, without its
+    distance matrix, and any other graph sums its all-pairs matrix with
+    `_pair_sum`.
     """
+    _require_connected(g, what)
     if g.reach is None:
-        return _pair_sum(w, _require_connected(all_pairs_distances(g), what))
-    if len(_component_sizes(g)) != 1:
-        raise _connectivity_error(what, g.order)
+        return _pair_sum(w, all_pairs_distances(g))
     return _exact_dot(w, _forest_sums(g.reach, w))
 
 
@@ -701,16 +707,15 @@ def degree_distance_sums(g: SimpleGraph) -> np.ndarray:
     the same sum over the graph read backwards, whose reach at position p is
     n + 1 - lo(n + 1 - p).  Any other graph multiplies its all-pairs matrix
     by its degrees (`_row_sums`).  T is int64, or Python integers where the
-    sums outgrow int64.  The empty graph raises ValueError and a disconnected
-    one DisconnectedGraphError.
+    sums outgrow int64.  The gate (`_require_connected`) runs first: the
+    empty graph raises ValueError and a disconnected one
+    DisconnectedGraphError, before any distance is formed.
     """
     if g._degree_distances is None:
-        what = "the degree-distance sums"
+        _require_connected(g, "the degree-distance sums")
         w = g.degree_array()
         if g.reach is None:
-            t = _row_sums(_require_connected(all_pairs_distances(g), what), w)
-        elif len(_component_sizes(g)) != 1:
-            raise _connectivity_error(what, g.order)
+            t = _row_sums(all_pairs_distances(g), w)
         else:
             backwards = (g.order + 1 - g.lo)[::-1]
             t = _forest_sums(g.reach, w) + _forest_sums(backwards, w[::-1])[::-1]

@@ -26,7 +26,13 @@ Every order of the report comes from one build of J_{N+1}, whose closed
 neighbourhoods are [lo(v), hi(v)] with lo(v) = v - d-(v) and
 hi(v) = v + d+(v): order k is its prefix reach min(hi(v), k) for v <= k,
 with degrees min(hi(v), k) - lo(v), and each prefix gets its own run of the
-distance kernel, so the direct value is recomputed independently.
+distance kernel, so the direct value is recomputed independently.  The prime
+index of order n is i = lo(n + 1) - 1, the last vertex that v_{n+1} misses.
+
+Connectivity is asked of the one gate, `graph_core._require_connected`, before
+any distance kernel runs: the report asks it once of its build, whose every
+prefix is then connected, and the per-order functions ask it of jn's
+underlying graph before they read its matrix.
 """
 from __future__ import annotations
 
@@ -126,20 +132,15 @@ def _require_identity(jn: JacoGraph) -> None:
         raise ValueError("recursion formulas require order n >= 2")
 
 
-def _order_facts(deg: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Degrees, distances and Gutman index of the graph with degrees `deg` and distances `dist`."""
-    dist = _require_connected(dist, _WHAT)
-    return deg, dist, _pair_sum(deg, dist)
-
-
 def _prefix_order_facts(hi: np.ndarray, lo: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """`_order_facts` of the order-k prefix of the graph with closed neighbourhoods [lo(v), hi(v)].
+    """Degrees, distances and Gutman index of the order-k prefix of the graph with neighbourhoods [lo(v), hi(v)].
 
     The prefix reach min(hi(v), k) gives the distances, by one kernel run,
-    and min(hi(v), k) - lo(v) the degrees.
+    and min(hi(v), k) - lo(v) the degrees.  The prefix must be connected.
     """
     prefix = np.minimum(hi[:k], k)
-    return _order_facts(prefix - lo[:k], layered_distance_matrix(prefix))
+    deg, dist = prefix - lo[:k], layered_distance_matrix(prefix)
+    return deg, dist, _pair_sum(deg, dist)
 
 
 def _check_structure(deg: np.ndarray, dist: np.ndarray, i: int) -> None:
@@ -176,11 +177,15 @@ def _evaluate(deg: np.ndarray, dist: np.ndarray, base: int, i: int) -> tuple[Rec
 
 
 def _identity_facts(jn: JacoGraph) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """`_order_facts` of jn's underlying graph and the prime index i read from J_{n+1}."""
+    """Degrees, distances and Gutman index of jn's underlying graph, and its prime index i.
+
+    The gate checks the underlying graph before its matrix is read, and i is
+    lo(n + 1) - 1 in J_{n+1}.
+    """
     _require_identity(jn)
-    n = jn.n
-    i = n - int(build_jaco(IDENTITY, n + 1).in_degree_array[n])
-    return (*_order_facts(jn.underlying.degree_array(), all_pairs_distances(jn.underlying)), i)
+    _require_connected(jn.underlying, _WHAT)
+    deg, dist = jn.underlying.degree_array(), all_pairs_distances(jn.underlying)
+    return deg, dist, _pair_sum(deg, dist), int(build_jaco(IDENTITY, jn.n + 1).underlying.lo[jn.n]) - 1
 
 
 def recursion_paper_terms(jn: JacoGraph) -> RecursionTerms:
@@ -212,19 +217,21 @@ def recursion_delta_report(n_max: int) -> list[RecursionDelta]:
     order-(n+1) index from its own distance matrix.  One build of order
     n_max + 1 serves every order, and no order builds a graph of its own:
     order k is the prefix reach min(hi(v), k) for v <= k, with degrees
-    min(hi(v), k) - lo(v), and the prime index i of order n is read from
-    the in-degree of v_{n+1}.  Each order runs the distance kernel once, on
-    its own prefix reach, with no adjacency, and its direct index is the
-    next row's base.
+    min(hi(v), k) - lo(v), and the prime index of order n is
+    i = lo(n + 1) - 1.  The connectivity gate (`_require_connected`) checks
+    the build once, before any order: a prefix is connected exactly when hi
+    has no fixed point below its order, so a connected build has connected
+    prefixes.  Each order runs the distance kernel once, on its own prefix
+    reach, with no adjacency, and its direct index is the next row's base.
     """
     _require_at_least(n_max, 2, "n_max")
-    full = build_jaco(IDENTITY, n_max + 1)
-    indeg = full.in_degree_array
-    hi, lo = full.underlying.reach, full.underlying.lo
+    full = build_jaco(IDENTITY, n_max + 1).underlying
+    _require_connected(full, _WHAT)
+    hi, lo = full.reach, full.lo
     rows = []
     deg, dist, gut = _prefix_order_facts(hi, lo, 2)
     for n in range(2, n_max + 1):
-        i = n - int(indeg[n])
+        i = int(lo[n]) - 1
         _check_structure(deg, dist, i)
         paper, exact = _evaluate(deg, dist, gut, i)
         deg, dist, gut = _prefix_order_facts(hi, lo, n + 1)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import _connectivity_error, _exact_dot, _forest_sums, _require_at_least
+from .graph_core import _component_sizes, _connectivity_error, _exact_dot, _forest_sums, _require_at_least
 from .jaco import SEQUENCE_NAMES, LinearFunction, _prefix_facts, build_jaco
 
 # What each table that needs connectivity names when it has none.
@@ -50,8 +50,11 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
     """Tabulate the named sequences for orders 1..n_max, in the order named.
 
     One build of J_{n_max} serves them all; the count tables read its prefix
-    facts.  The first table that cannot be tabulated raises, a distance
-    table before it sums anything.
+    facts.  The end e of vertex 1's component is the first of the component
+    sizes that the connectivity gate (`graph_core._require_connected`)
+    reads, so no table searches hi for it.  The first table that cannot be
+    tabulated raises, a distance table before it sums anything, naming
+    order e + 1, the first disconnected one.
     """
     unknown = [name for name in names if name not in SEQUENCE_NAMES]
     if unknown:
@@ -59,7 +62,7 @@ def sequence_tables(names: Sequence[str], f: LinearFunction, n_max: int) -> list
     _require_at_least(n_max, 1, "n_max")
     j = build_jaco(f, n_max)
     hi = j.underlying.reach
-    end = int(np.argmax(hi == np.arange(1, j.n + 1))) + 1
+    end = int(_component_sizes(j.underlying)[0])
     tables = []
     for name in names:
         if name in _CONNECTED_TABLES and end < n_max:

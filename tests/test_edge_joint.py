@@ -455,14 +455,17 @@ def test_direct_stream_reads_a_batch_ahead(sources, monkeypatch):
     longest = max(spec.g.order + spec.h.order for spec in specs)
     read = []
     values = []
-    for value in edge_joint._direct_stream(sides, _read_log(specs, read)):
+    for spec, value in edge_joint._direct_stream(sides, _read_log(specs, read)):
+        # each joint comes back with its own spec, the next one read
+        assert spec is read[len(values)]
         values.append(value)
         # the stream has read past the joints it yielded by at most the
         # batch being summed, one joint that ends in it and one read ahead
         unyielded = sum(spec.g.order + spec.h.order for spec in read[len(values) :])
         assert unyielded < sources + 2 * longest
     assert len(read) == len(specs) > 20
-    assert values == list(edge_joint._direct_stream(sides, specs)) == edge_joint._direct_gutman(specs)
+    assert list(edge_joint._direct_stream(sides, specs)) == list(zip(specs, values))
+    assert values == edge_joint._direct_gutman(specs)
     assert values == [gutman_index(edge_joint_graph(spec)) for spec in specs]
 
 

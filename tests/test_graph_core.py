@@ -273,6 +273,20 @@ class TestIndices:
         with pytest.raises(DisconnectedGraphError, match="disconnected"):
             wiener_index(g)
 
+    @pytest.mark.parametrize("index", [gutman_index, wiener_index, graph_core.degree_distance_sums])
+    def test_disconnected_table_graph_fails_before_any_distance(self, index, monkeypatch):
+        # the connectivity gate reads the edge table's components, so a
+        # disconnected table-backed graph is refused before the BFS runs
+        def no_bfs(adj):
+            raise AssertionError("the BFS ran before the connectivity gate")
+
+        monkeypatch.setattr(graph_core, "_layered_bfs", no_bfs)
+        g = from_edges(200, [(v, v + 1) for v in range(1, 200) if v != 120])
+        with pytest.raises(DisconnectedGraphError, match="connected graphs only"):
+            index(g)
+        with pytest.raises(ValueError, match="empty graph"):
+            index(from_edges(0, []))
+
     def test_empty_graph_raises(self):
         with pytest.raises(ValueError):
             gutman_index(from_edges(0, []))

@@ -3,6 +3,7 @@ import pytest
 
 from jaco_gutman import (
     IDENTITY,
+    DisconnectedGraphError,
     LinearFunction,
     StructureAssumptionViolated,
     all_pairs_distances,
@@ -169,6 +170,31 @@ class TestPreconditions:
         monkeypatch.setattr(recursion, "build_jaco", lambda f, n: doctored)
         with pytest.raises(StructureAssumptionViolated, match="prime index disagreement at n=2"):
             recursion_delta_report(2)
+
+    def test_report_gate_refuses_a_disconnected_build_before_any_kernel(self, monkeypatch):
+        # f(x) = 1 joins only the pairs (2k - 1, 2k): the gate checks the one
+        # build before the first order, so no prefix reaches the kernel
+        real_build = recursion.build_jaco
+        monkeypatch.setattr(recursion, "build_jaco", lambda f, n: real_build(LinearFunction(0, 1), n))
+
+        def no_kernel(adj):
+            raise AssertionError("the distance kernel ran before the connectivity gate")
+
+        monkeypatch.setattr(recursion, "layered_distance_matrix", no_kernel)
+        with pytest.raises(DisconnectedGraphError, match="^the recursion formulas is defined for connected graphs only"):
+            recursion_delta_report(6)
+
+    def test_per_order_functions_check_the_graph_before_its_matrix(self, monkeypatch):
+        # a doctored identity graph without the arc (3, 4) is disconnected
+        doctored = jaco_from_arcs(IDENTITY, 4, [(1, 2), (2, 3)])
+
+        def no_matrix(g):
+            raise AssertionError("the matrix was read before the connectivity gate")
+
+        monkeypatch.setattr(recursion, "all_pairs_distances", no_matrix)
+        for evaluator in (recursion_paper_terms, recursion_exact_terms, recursion_paper_rhs, recursion_exact_rhs):
+            with pytest.raises(DisconnectedGraphError, match="^the recursion formulas "):
+                evaluator(doctored)
 
     def test_paper_evaluator_skips_structure_guard(self):
         # the verbatim evaluator reproduces the printed value regardless
