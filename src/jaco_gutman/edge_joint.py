@@ -36,7 +36,10 @@ BFS ball is then its ball in its own side, one index interval, plus one
 index interval of the other side, which stays empty until the ball holds
 the source's own anchor and from then on holds the other anchor.  The
 search grows those intervals with no adjacency and no distance matrix, in
-O(k * diameter) per joint of order k.  It is a stream (`_direct_stream`):
+O(k * diameter) per joint of order k.  The empty interval is one that the
+growth maps to itself, and one scatter opens it; a ball that holds its
+whole joint is done, and once half of a batch's balls are, the batch goes
+on with the rest alone.  It is a stream (`_direct_stream`):
 it checks the sides and lays out their tables once, then reads the joints
 only as far as it needs to fill a batch of sources, grows the batch's
 balls together whatever joints they belong to, and yields each joint's
@@ -102,9 +105,15 @@ def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
 
 
 # Sources per batch of the interval-ball BFS in `_direct_stream`.  A source
-# holds about twenty int64 entries at a time, so a batch stays near 0.6 MB;
-# a joint whose sources span two batches is summed across them.
+# holds about twenty int64 entries at a time, so a batch stays near 0.6 MB,
+# and compacting it copies at most half of that; a joint whose sources span
+# two batches is summed across them.
 _BATCH_SOURCES = 1 << 12
+
+# Fewest sources `_ball_sums` compacts a batch to.  numpy keeps freed buffers
+# under 1 KB for reuse, per size, so compacting to every small size left up
+# to 2 MB of them behind on `erratum --n-max 200 --m-max 100`.
+_COMPACT_FLOOR = 1 << 10
 
 
 def _side_tables(sides: list[SimpleGraph]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -113,9 +122,9 @@ def _side_tables(sides: list[SimpleGraph]) -> tuple[np.ndarray, np.ndarray, np.n
     Side k of order n takes the n + 2 positions o_k..o_k + n + 1, vertex x at
     o_k + x, and every lo and hi entry is itself a position:
     lo[o + x] = o + lo(x) and hi[o + x] = o + hi(x).
-    The two padding positions hold the empty interval [o + n + 1, o]:
-    lo[o + n + 1] = o + n + 1 and hi[o] = o, so it grows to itself.  pre[p]
-    is the degree total of the positions up to p, the padding weighing 0.
+    The padding positions o and o + n + 1 map to themselves, and as
+    lo(1) = 1 the empty interval [o + 1, o] grows to itself.  pre[p] is the
+    degree total of the positions up to p, the padding weighing 0.
     """
     sizes = np.array([g.order + 2 for g in sides])
     offsets = np.cumsum(sizes) - sizes
@@ -140,12 +149,12 @@ def _ball_sums(
     other side.  `tables` is (lo, hi, pre) from `_side_tables`.  Source a's
     ball of radius r, B_r(a), is stored as its index interval [gl, gr] in G
     and [hl, hr] in H, as positions of those tables, and `ball` holds
-    (gl, gr, hl, hr) at r = 0: [a, a] and H's empty interval.  v is a's own
-    anchor, in G, and u the other anchor, in H, both as positions; total is
-    the joint's degree total W, and `longest` the largest order of the
-    batch's joints.  A vertex weighs its degree in the joint: its side's
-    degree, plus one at an anchor.  Both sides must be connected, or the
-    balls never fill.
+    (gl, gr, hl, hr) at r = 0: [a, a] and an empty H part whose hr is H's
+    offset o.  v is a's own anchor, in G, and u the other anchor, in H, both
+    as positions; total is the joint's degree total W, and `longest` the
+    largest order of the batch's joints.  A vertex weighs its degree in the
+    joint: its side's degree, plus one at an anchor.  Both sides must be
+    connected, or the balls never fill.
 
     A side is a proper interval graph in index order: the closed
     neighbourhood of x is [lo(x), hi(x)], and lo and hi never decrease.  So
@@ -158,42 +167,64 @@ def _ball_sums(
 
     Every path from a to an H-vertex y runs through v and then u, so
     dist(a, u) <= dist(a, y).  The H part thus stays empty until the ball
-    holds v, takes u in the next round, and once not empty always holds u.
-    It grows to [lo(hl), hi(hr)], extended by min and max with u when B_r
-    holds v: that turns the empty part, [m + 1, 0] in the coordinates of H
-    of order m, into [u, u], and leaves a part that already holds u as it
-    is.  The anchors in the ball are v when the G part holds it, and u when
-    the H part is not empty.
+    holds v, takes u in the next round, and once not empty always holds u,
+    so it grows to [lo(hl), hi(hr)].  The empty part is held as [o + 1, o]:
+    lo(o + 1) = o + 1 and hi(o) = o, so the growth maps it to itself, and it
+    weighs pre[o] - pre[o] = 0.  In the round after B_r first holds v, one
+    scatter opens it to [u, u].  The anchors in the ball are v when the G
+    part holds it, and u when it held v a round earlier.
 
     A vertex x is missed by the balls of radius 0..dist(a, x) - 1 and by no
     larger one, so sum_x w(x) * dist(a, x) = sum over r >= 0 of
     W - w(B_r(a)), and w(B_r(a)) is two prefix-sum differences plus the
-    anchors it holds.  The rounds run until every ball of the batch is the
-    whole joint.  An eccentricity is below its joint's order, so a ball that
-    has not filled after `longest` rounds raises StructureAssumptionViolated:
-    a side is not the proper interval graph its reach describes.  Each term
-    is below W, which bounds the sums by longest * W: they run in int64 when
-    that is below _INT64_SAFE, else in Python integers.
+    anchors it holds.  A ball that weighs W has filled, and adds 0 from then
+    on.  Once at most half of the sources, and at least _COMPACT_FLOOR, still
+    miss weight, the batch is compacted to them: each filled source keeps
+    its sum, and the rest go on in arrays at most half as long, so no round
+    holds two whole copies of the batch.  The rounds run until every ball is the whole joint.  An
+    eccentricity is below its joint's order, so a ball that has not filled
+    after `longest` rounds raises StructureAssumptionViolated: a side is not
+    the proper interval graph its reach describes.  Each term is below W,
+    which bounds the sums by longest * W: they run in int64 when that is
+    below _INT64_SAFE, else in Python integers.
     """
     lo, hi, pre = tables
-    gl, gr, hl, hr = ball
+    gl, gr, _, hr = ball
+    hl = hr + 1
+    # before[p] = pre[p - 1]: no interval starts at position 0
+    before = np.roll(pre, 1)
     sums = np.zeros(len(gl), dtype=np.int64 if longest * int(total.max()) < _INT64_SAFE else object)
-    weight = None
+    # the growing sources' sums, and their places in `sums` once compacted
+    acc, live, weight = sums, None, None
+    opened = np.zeros(len(gl), dtype=bool)
     for _ in range(longest):
         has_v = (gl <= v) & (v <= gr)
-        # An empty H part reads pre[o] - pre[o + m] <= 0, which the clip makes 0.
-        inside = pre[gr] - pre[gl - 1] + np.maximum(pre[hr] - pre[hl - 1], 0)
+        inside = pre[gr] - before[gl] + pre[hr] - before[hl]
         inside += has_v
-        inside += hl <= hr
+        inside += opened
         if weight is None:
             weight = inside
         missed = total - inside
-        if not missed.any():
+        growing = np.count_nonzero(missed)
+        if not growing:
+            if live is not None:
+                sums[live] = acc
             return weight, sums
-        sums += missed
+        acc += missed
         gl, gr, hl, hr = lo[gl], hi[gr], lo[hl], hi[hr]
-        np.minimum(hl, u, out=hl, where=has_v)
-        np.maximum(hr, u, out=hr, where=has_v)
+        fresh = (has_v > opened).nonzero()[0]
+        if len(fresh):
+            hl[fresh] = hr[fresh] = u[fresh]
+        opened = has_v
+        if _COMPACT_FLOOR <= growing <= len(acc) // 2:
+            keep = np.flatnonzero(missed)
+            if live is None:
+                live = keep
+            else:
+                sums[live] = acc
+                live = live[keep]
+            acc, gl, gr, hl, hr = acc[keep], gl[keep], gr[keep], hl[keep], hr[keep]
+            v, u, total, opened = v[keep], u[keep], total[keep], opened[keep]
     raise StructureAssumptionViolated(
         f"a ball has not filled its joint after {longest} rounds, more than the joint's order allows"
     )
@@ -233,23 +264,22 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
     offset, lo, hi, pre = _side_tables(sides)
     where = {id(g): int(o) for g, o in zip(sides, offset)}
     specs = iter(specs)
-    # Per pending joint, its spec, the (position, order, anchor position) of
-    # its two halves and its ordered-pair total so far; `done` of their
-    # `ahead` sources are summed.
+    # Per pending joint, its spec and the (position, order, anchor position)
+    # of its two halves, laid flat; `done` of their `ahead` sources are
+    # summed, and `carry` is the first joint's ordered-pair total so far.
     pending: list[JointSpec] = []
-    halves: list[tuple[int, int, int]] = []
-    twice: list[int] = []
-    done = ahead = 0
+    halves: list[int] = []
+    done = ahead = carry = 0
     while True:
         while ahead - done < _BATCH_SOURCES and (spec := next(specs, None)) is not None:
-            for g, a in ((spec.g, spec.v), (spec.h, spec.u)):
-                halves.append((where[id(g)], g.order, where[id(g)] + a))
+            g, h = spec.g, spec.h
+            at_g, at_h = where[id(g)], where[id(h)]
+            halves += at_g, g.order, at_g + spec.v, at_h, h.order, at_h + spec.u
             pending.append(spec)
-            twice.append(0)
-            ahead += spec.g.order + spec.h.order
+            ahead += g.order + h.order
         if done == ahead:
             return
-        own, order, anchor = np.array(halves, dtype=np.int64).T
+        own, order, anchor = np.array(halves, dtype=np.int64).reshape(-1, 3).T
         total = (pre[own + order] - pre[own]).reshape(-1, 2).sum(axis=1) + 2
         joint_order = order.reshape(-1, 2).sum(axis=1)
         first = np.cumsum(order) - order
@@ -258,19 +288,20 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
         k = np.searchsorted(first, source, side="right") - 1
         other, joint = k ^ 1, k // 2
         a = own[k] + 1 + source - first[k]
-        ball = (a, a, own[other] + order[other] + 1, own[other])
-        longest = int(joint_order[joint[0] : joint[-1] + 1].max())
+        ball = (a, a, own[other] + 1, own[other])
+        longest = int(joint_order[: joint[-1] + 1].max())
         weight, sums = _ball_sums((lo, hi, pre), ball, anchor[k], anchor[other], total[joint], longest)
-        cuts = np.flatnonzero(np.diff(joint, prepend=-1))
-        for i, part in zip(joint[cuts].tolist(), _exact_dot(weight, sums, cuts)):
-            twice[i] += part
-        # the joints that end in this batch are whole
+        # one total per joint of the batch, which runs from the first pending
+        # one; all but the last end in it
+        twice = _exact_dot(weight, sums, np.flatnonzero(np.diff(joint, prepend=-1)))
+        twice[0] += carry
         ends = np.cumsum(joint_order)
         finished = int(np.searchsorted(ends, end, side="right"))
-        for spec, t in zip(pending[:finished], twice[:finished]):
+        for spec, t in zip(pending[:finished], twice):
             yield spec, _halve(t)
+        carry = twice[-1] if finished < len(twice) else 0
         summed = int(ends[finished - 1]) if finished else 0
-        del pending[:finished], twice[:finished], halves[: 2 * finished]
+        del pending[:finished], halves[: 6 * finished]
         done, ahead = end - summed, ahead - summed
 
 
@@ -279,29 +310,21 @@ def _direct_gutman(specs: list[JointSpec]) -> list[int]:
     return [index for _, index in _direct_stream((g for spec in specs for g in (spec.g, spec.h)), specs)]
 
 
-def _index_parts(g: SimpleGraph) -> tuple[int, np.ndarray, int]:
-    """Degree total, degree-distance sums T and Gutman index of a connected graph.
-
-    All three are kept on `g`, so a graph that many grid points share is
-    summed once and each point reads them in O(1).  `gutman_index` raises on
-    a disconnected graph and keeps only a connected one's index, so each
-    graph is checked once.  A reach-backed side takes both sums over its
-    jump forest and never fills its distance matrix.
-    """
-    gut = gutman_index(g)
-    return 2 * g.size, degree_distance_sums(g), gut
-
-
 def closed_form_joint_gutman(spec: JointSpec) -> int:
     """Gutman index of the edge joint, by the exact pair-class decomposition.
 
     Works for arbitrary anchors; both inputs must be connected.  O(1) once
-    each side's degree total, T and index are known.
+    each side's degree total, T and index are known: all three are kept on
+    the graph, so a side that many grid points share is summed once, and
+    each point reads them as Python integers.  `gutman_index` runs the
+    connectivity gate first, once per graph.  A reach-backed side takes
+    both sums over its jump forest and never fills its distance matrix.
     """
-    total_g, t_g, gut_g = _index_parts(spec.g)
-    total_h, t_h, gut_h = _index_parts(spec.h)
-    a_g, a_h = total_g + 1, total_h + 1
-    return gut_g + gut_h + a_g * a_h + int(t_g[spec.v - 1]) * (a_h + 1) + int(t_h[spec.u - 1]) * (a_g + 1)
+    g, h = spec.g, spec.h
+    gut = gutman_index(g) + gutman_index(h)
+    a_g, a_h = 2 * g.size + 1, 2 * h.size + 1
+    t_g, t_h = degree_distance_sums(g).item(spec.v - 1), degree_distance_sums(h).item(spec.u - 1)
+    return gut + a_g * a_h + t_g * (a_h + 1) + t_h * (a_g + 1)
 
 
 def _require_jaco_pair(jn: JacoGraph, jm: JacoGraph) -> None:
@@ -316,9 +339,10 @@ def _require_jaco_pair(jn: JacoGraph, jm: JacoGraph) -> None:
 
 def _first_vertex_parts(j: JacoGraph) -> tuple[int, int, int, int]:
     """Gut, d(v_1), S = sum over k >= 2 of d(v_k), and T(1) = sum over k >= 2 of d(v_k) * d(v_1, v_k)."""
-    total, t, gut = _index_parts(j.underlying)
-    first = int(j.underlying.degree_array()[0])
-    return gut, first, total - first, int(t[0])
+    g = j.underlying
+    gut = gutman_index(g)
+    first = g.degree_array().item(0)
+    return gut, first, 2 * g.size - first, degree_distance_sums(g).item(0)
 
 
 def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:

@@ -64,7 +64,7 @@ class StructureAssumptionViolated(RuntimeError):
 
 def _is_int(value: object) -> bool:
     """True for an int or a numpy integer; False for a bool and anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def _require_at_least(value: object, least: int, what: str) -> None:

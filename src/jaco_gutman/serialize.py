@@ -12,11 +12,11 @@ Every renderer returns one string.  The graph exports and the sequence and
 csv tables grow it in place from generated pieces (`_concat`), so the text
 is held once and no list of its pieces is kept beside it.  A built graph's arcs come
 from its reach, one piece per run of equal tails (`_arc_runs`), so
-exporting it never builds its arc table.
+exporting it never builds its arc table.  `json` is imported only by the
+functions that parse or dump with it, so `build` and `erratum` never load it.
 """
 from __future__ import annotations
 
-import json
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -115,6 +115,8 @@ def jaco_to_json(j: JacoGraph) -> str:
 
 
 def jaco_from_json(text: str) -> JacoGraph:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -155,6 +157,8 @@ def sequence_to_csv(table: SequenceTable) -> str:
 
 
 def sequence_to_json(table: SequenceTable) -> str:
+    import json
+
     head = f'{{"name":{json.dumps(table.name)},"m":{table.f.m},"c":{table.f.c},"rows":['
     rows = (f"[{n},{value}]" for n, value in table.rows)
     return _concat(chain([head, next(rows, "")], ("," + row for row in rows), ["]}\n"]))
@@ -182,6 +186,8 @@ def recursion_report_csv(rows: Iterable[RecursionDelta], per_term: bool = False)
 
 
 def recursion_report_json(rows: Iterable[RecursionDelta]) -> str:
+    import json
+
     payload = []
     for row in rows:
         entry = dict(zip(RECURSION_HEADER.split(","), _recursion_row_values(row)))
@@ -208,6 +214,8 @@ def joint_report_csv(rows: Iterable[JointDelta]) -> str:
 
 
 def joint_report_json(rows: Iterable[JointDelta]) -> str:
+    import json
+
     payload = [dict(zip(JOINT_HEADER.split(","), _joint_row_values(row))) for row in rows]
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
@@ -222,5 +230,7 @@ def joint_single_csv(row: Mapping[str, int | None]) -> str:
 
 
 def joint_single_json(row: Mapping[str, int | None]) -> str:
+    import json
+
     payload = {k: v for k, v in row.items() if v is not None}
     return json.dumps(payload, separators=(",", ":")) + "\n"

@@ -630,9 +630,12 @@ class TestEntryPoints:
         [
             pytest.param(["gutman", "--n", "5"], [], ["json", "random"], id="gutman"),
             pytest.param(["wiener", "--n", "5"], [], ["json", "random"], id="wiener"),
-            pytest.param(["build", "--n", "5"], ["serialize"], ["random"], id="build"),
+            pytest.param(["build", "--n", "5"], ["serialize"], ["json", "random"], id="build"),
             pytest.param(
-                ["erratum", "--n-max", "4", "--m-max", "3"], ["edge_joint", "recursion", "serialize"], [], id="erratum"
+                ["erratum", "--n-max", "4", "--m-max", "3"],
+                ["edge_joint", "recursion", "serialize"],
+                ["json"],
+                id="erratum",
             ),
         ],
     )

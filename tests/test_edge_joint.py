@@ -26,6 +26,7 @@ from jaco_gutman import (
     missing_anchor_block,
 )
 from jaco_gutman import cli, edge_joint, graph_core
+from jaco_gutman.graph_core import StructureAssumptionViolated
 
 from bruteforce import adjacency_from_edges, bfs_distances, brute_gutman, random_connected_graph
 
@@ -540,6 +541,65 @@ def test_a_ball_that_stops_growing_raises(monkeypatch):
     spec = JointSpec(build_jaco(IDENTITY, 3).underlying, build_jaco(IDENTITY, 2).underlying, 2, 1)
     with pytest.raises(RuntimeError, match="has not filled its joint after 5 rounds"):
         edge_joint._direct_gutman([spec])
+
+
+def _mixed_order_specs():
+    """Joints of orders 2 to 120 in no order, with anchors anywhere and at the ends."""
+    rng = random.Random(120)
+    specs = []
+    for order in (2, 2, 3, 4, 6, 9, 13, 20, 31, 47, 64, 80, 97, 111, 120, 120):
+        k = rng.randint(1, order - 1)
+        g, h = (build_jaco(rng.choice(REACH_FUNCTIONS), size).underlying for size in (k, order - k))
+        v, u = (rng.choice([1, side.order, rng.randint(1, side.order)]) for side in (g, h))
+        specs.append(JointSpec(g, h, v, u))
+    rng.shuffle(specs)
+    return specs
+
+
+MIXED_ORDER_SPECS = _mixed_order_specs()
+
+
+@pytest.fixture(scope="module")
+def mixed_order_indices():
+    return [gutman_index(edge_joint_graph(spec)) for spec in MIXED_ORDER_SPECS]
+
+
+# In one batch of 4 096 the small joints fill and retire long before the
+# largest, and the sources open the other side's part at any round; a batch
+# of one source is never compacted, and 5 and 64 split joints across
+# batches, each of which retires its filled balls on its own.  With the
+# default floor none of these batches is compacted; with a floor of one,
+# each is, as often as half of its balls fill.
+@pytest.mark.parametrize("floor", [None, 1], ids=["default floor", "floor 1"])
+@pytest.mark.parametrize("sources", [1, 5, 64, 4096])
+def test_retired_and_late_opening_balls_keep_their_sums(sources, floor, mixed_order_indices, monkeypatch):
+    monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
+    if floor is not None:
+        monkeypatch.setattr(edge_joint, "_COMPACT_FLOOR", floor)
+    assert edge_joint._direct_gutman(MIXED_ORDER_SPECS) == mixed_order_indices
+
+
+def test_a_ball_that_never_fills_among_retired_ones_raises(monkeypatch):
+    # lo and hi are frozen at each position of one side only, so its joint's
+    # balls grow only across the bridge and never fill, while the 48 joints
+    # of order 5 beside it in the batch fill within four rounds and are
+    # compacted away; the order-7 joint sets the batch's round limit
+    real = edge_joint._side_tables
+    jk3, jk2, bad = (build_jaco(IDENTITY, k).underlying for k in (3, 2, 5))
+
+    def doctored(sides):
+        offset, lo, hi, pre = real(sides)
+        own = offset[[g is bad for g in sides].index(True)]
+        span = np.arange(own, own + bad.order + 2)
+        lo[span] = hi[span] = span
+        return offset, lo, hi, pre
+
+    monkeypatch.setattr(edge_joint, "_side_tables", doctored)
+    monkeypatch.setattr(edge_joint, "_COMPACT_FLOOR", 1)
+    specs = [JointSpec(jk3, jk2, v, u) for v in (1, 2, 3) for u in (1, 2)] * 8 + [JointSpec(bad, jk2, 3, 1)]
+    message = "^a ball has not filled its joint after 7 rounds, more than the joint's order allows$"
+    with pytest.raises(StructureAssumptionViolated, match=message):
+        edge_joint._direct_gutman(specs)
 
 
 def _brute_degree_distance_sums(order, edges):

@@ -454,7 +454,8 @@ def test_export_2000_peak_memory():
 
 def test_erratum_40_peak_memory():
     # The edge-joint audits grow their BFS balls in batches of at most
-    # edge_joint._BATCH_SOURCES sources (2^12, about 0.6 MB of int64 arrays),
+    # edge_joint._BATCH_SOURCES sources (2^12, about 0.6 MB of int64 arrays;
+    # compacting to the balls still growing copies at most half of that),
     # and the anchor audit's checks are made and counted as they are read,
     # about 2 MB above the floor in all; holding all 3 900 anchor checks
     # and their joints read 3.4 MB.
