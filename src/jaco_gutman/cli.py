@@ -31,7 +31,7 @@ from .graph_core import StructureAssumptionViolated, gutman_index, wiener_index
 from .jaco import SEQUENCE_NAMES, LinearFunction, build_jaco
 
 if TYPE_CHECKING:
-    from .edge_joint import AnchorCheck, JointDelta
+    from .edge_joint import JointDelta
     from .recursion import RecursionDelta
 
 
@@ -186,7 +186,7 @@ def _cmd_recursion_check(args: argparse.Namespace) -> int:
     else:
         text = serialize.recursion_report_json(rows)
     _emit(text, args.out)
-    return _audit_exit(_first_audit_failure(rows, [], []))
+    return _audit_exit(_first_audit_failure(rows, [], None))
 
 
 def _cmd_joint(args: argparse.Namespace) -> int:
@@ -251,20 +251,21 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
         raise UsageError("--n-max must be at least 2")
     if args.m_max < 2:
         raise UsageError("--m-max must be at least 2")
-    from .edge_joint import anchor_checks, joint_delta_report
+    from .edge_joint import _joint_audits
     from .recursion import recursion_delta_report
     from . import serialize
 
     recursion_rows = recursion_delta_report(args.n_max)
-    joint_rows = joint_delta_report(args.n_max, args.m_max)
-    # each check is counted as it is made, and only the first failing one kept
-    checks = anchors_ok = 0
-    failed: list[AnchorCheck] = []
-    for check in anchor_checks(args.n_max, args.m_max, per_pair=5, seed=args.seed):
+    joint_rows, anchor_checks = _joint_audits(args.n_max, args.m_max, per_pair=5, seed=args.seed)
+    # each (n, m, vi, uj, closed form, direct) check is counted as it is
+    # made, and only the first failing one kept
+    checks, anchors_ok, failed = 0, 0, None
+    for check in anchor_checks:
         checks += 1
-        anchors_ok += check.ok
-        if not (check.ok or failed):
-            failed.append(check)
+        if check[4] == check[5]:
+            anchors_ok += 1
+        elif failed is None:
+            failed = check
     text = (
         "# recursion audit\n"
         + serialize.recursion_report_csv(recursion_rows, per_term=True)
@@ -278,21 +279,23 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
 
 
 def _first_audit_failure(
-    recursion_rows: list[RecursionDelta], joint_rows: list[JointDelta], anchors: list[AnchorCheck]
+    recursion_rows: list[RecursionDelta],
+    joint_rows: list[JointDelta],
+    anchor: tuple[int, int, int, int, int, int] | None,
 ) -> str | None:
-    """The first audited value that differs from its direct oracle, named, or None."""
+    """The first audited value that differs from its direct oracle, named, or None.
+
+    `anchor` is the first failed anchor check, as (n, m, vi, uj, closed
+    form, direct), or None.
+    """
     for row in recursion_rows:
         if not row.exact_matches_direct:
             return f"recursion row n={row.n}: exact {row.exact_rhs}, direct {row.direct}"
     for row in joint_rows:
         if not row.closed_matches_direct:
             return f"edge-joint point (n, m) = ({row.n}, {row.m}): closed form {row.closed_form}, direct {row.direct}"
-    for check in anchors:
-        if not check.ok:
-            return (
-                f"anchor check (n, m, vi, uj) = ({check.n}, {check.m}, {check.vi}, {check.uj}): "
-                f"closed form {check.closed_form}, direct {check.direct}"
-            )
+    if anchor is not None:
+        return "anchor check (n, m, vi, uj) = ({}, {}, {}, {}): closed form {}, direct {}".format(*anchor)
     return None
 
 

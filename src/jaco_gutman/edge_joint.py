@@ -42,18 +42,25 @@ whole joint is done, and once half of a batch's balls are, the batch goes
 on with the rest alone.  It is a stream (`_direct_stream`):
 it checks the sides and lays out their tables once, then reads the joints
 only as far as it needs to fill a batch of sources, grows the batch's
-balls together whatever joints they belong to, and yields each joint's
-spec with its index once its last source is summed.  So it holds O(batch)
-joints, and `joint_delta_report` and `anchor_checks` make their rows and
-checks one at a time from it, reading their grids lazily.
+balls together whatever joints they belong to, and yields each joint with
+its index once its last source is summed.  So it holds O(batch) joints.
 Every side the audits build is reach-backed, and the search takes no
 other; the index of any joint is `gutman_index(edge_joint_graph(spec))`.
+
+Both audits of `erratum` run through one such stream over one set of
+identity graphs J_2..J_n_max: the trivial grid first, then the seeded
+anchor grid, each read lazily (`_joint_audits`).  Inside the audits a
+joint is a plain (g, h, v, u) tuple, in range by construction, and a check
+a plain (n, m, vi, uj, closed form, direct) tuple, so they make no object
+per check; `joint_delta_report` and `anchor_checks` are views over the
+same checks.
 """
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -74,7 +81,10 @@ from .jaco import IDENTITY, JacoGraph, build_jaco
 
 @dataclass(frozen=True)
 class JointSpec:
-    """Composition request: graphs g and h joined by the bridge (v, u)."""
+    """Composition request: graphs g and h joined by the bridge (v, u).
+
+    It unpacks as (g, h, v, u), the plain tuple the audits use for a joint.
+    """
 
     g: SimpleGraph
     h: SimpleGraph
@@ -90,6 +100,9 @@ class JointSpec:
     @property
     def trivial(self) -> bool:
         return self.v == 1 and self.u == 1
+
+    def __iter__(self) -> Iterator[SimpleGraph | int]:
+        return iter((self.g, self.h, self.v, self.u))
 
 
 def edge_joint_graph(spec: JointSpec) -> SimpleGraph:
@@ -181,12 +194,13 @@ def _ball_sums(
     on.  Once at most half of the sources, and at least _COMPACT_FLOOR, still
     miss weight, the batch is compacted to them: each filled source keeps
     its sum, and the rest go on in arrays at most half as long, so no round
-    holds two whole copies of the batch.  The rounds run until every ball is the whole joint.  An
-    eccentricity is below its joint's order, so a ball that has not filled
-    after `longest` rounds raises StructureAssumptionViolated: a side is not
-    the proper interval graph its reach describes.  Each term is below W,
-    which bounds the sums by longest * W: they run in int64 when that is
-    below _INT64_SAFE, else in Python integers.
+    holds two whole copies of the batch.  The rounds run until every ball
+    is the whole joint.  An eccentricity is below its joint's order, so a
+    ball that has not filled after `longest` rounds raises
+    StructureAssumptionViolated: a side is not the proper interval graph
+    its reach describes.  Each term is below W, which bounds the sums by
+    longest * W: they run in int64 when that is below _INT64_SAFE, else in
+    Python integers.
     """
     lo, hi, pre = tables
     gl, gr, _, hr = ball
@@ -199,7 +213,10 @@ def _ball_sums(
     opened = np.zeros(len(gl), dtype=bool)
     for _ in range(longest):
         has_v = (gl <= v) & (v <= gr)
-        inside = pre[gr] - before[gl] + pre[hr] - before[hl]
+        inside = pre.take(gr)
+        inside -= before.take(gl)
+        inside += pre.take(hr)
+        inside -= before.take(hl)
         inside += has_v
         inside += opened
         if weight is None:
@@ -211,7 +228,7 @@ def _ball_sums(
                 sums[live] = acc
             return weight, sums
         acc += missed
-        gl, gr, hl, hr = lo[gl], hi[gr], lo[hl], hi[hr]
+        gl, gr, hl, hr = lo.take(gl), hi.take(gr), lo.take(hl), hi.take(hr)
         fresh = (has_v > opened).nonzero()[0]
         if len(fresh):
             hl[fresh] = hr[fresh] = u[fresh]
@@ -230,13 +247,15 @@ def _ball_sums(
     )
 
 
-def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> Iterator[tuple[JointSpec, int]]:
-    """Each spec with its joint's Gutman index, by BFS of the composed graph, as the specs are read.
+def _direct_stream(sides: Iterable[SimpleGraph], joints: Iterable[tuple]) -> Iterator[tuple[tuple, int]]:
+    """Each joint with its Gutman index, by BFS of the composed graph, as the joints are read.
 
-    `sides` lists every graph that a spec joins (a spec joining any other
+    A joint is anything that unpacks as (g, h, v, u), a JointSpec or a plain
+    tuple, whose anchors are in range; it is yielded as it was read.
+    `sides` lists every graph that a joint joins (a joint joining any other
     raises KeyError).  When the first pair is asked for, each distinct
     side is checked, and the tables of all of them built once
-    (`_side_tables`), before a spec is read or any ball grows.  A
+    (`_side_tables`), before a joint is read or any ball grows.  A
     table-backed side raises ValueError, as the balls read its reach; such
     a joint's index is `gutman_index(edge_joint_graph(spec))`.  A
     disconnected one fails the connectivity gate (`_require_connected`)
@@ -245,16 +264,16 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
     Joint i is taken as two half-joints, each one side's vertices against
     the other side: its G against its H, then its H against its G.  So
     every source lies in its own side, and joint i's sources run G's
-    vertices, then H's.  The specs are read only until their sources, past
+    vertices, then H's.  The joints are read only until their sources, past
     those already summed, fill a batch of _BATCH_SOURCES, and the sources
     of one batch grow their balls together (`_ball_sums`), whatever joints
     they belong to: a batch may end inside a joint and the next one go on
     with it.  2 * Gut is the sum of w(a) times a's distance sum over a
     joint's sources, one exact dot product per joint's run of sources in
-    the batch (`_exact_dot` over segments).  A joint's spec and index are
-    yielded, in spec order, once the batch holding its last source is
-    summed, so the stream holds O(batch) joints at a time.  An odd total
-    raises ArithmeticError.
+    the batch (`_exact_dot` over segments).  A joint and its index are
+    yielded, in order, once the batch holding its last source is summed,
+    so the stream holds O(batch) joints at a time.  An odd total raises
+    ArithmeticError.
     """
     sides = list({id(g): g for g in sides}.values())
     for g in sides:
@@ -263,20 +282,19 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
         _require_connected(g, "the Gutman index")
     offset, lo, hi, pre = _side_tables(sides)
     where = {id(g): int(o) for g, o in zip(sides, offset)}
-    specs = iter(specs)
-    # Per pending joint, its spec and the (position, order, anchor position)
+    joints = iter(joints)
+    # Per pending joint, the joint and the (position, order, anchor position)
     # of its two halves, laid flat; `done` of their `ahead` sources are
     # summed, and `carry` is the first joint's ordered-pair total so far.
-    pending: list[JointSpec] = []
-    halves: list[int] = []
+    pending, halves = [], []
     done = ahead = carry = 0
     while True:
-        while ahead - done < _BATCH_SOURCES and (spec := next(specs, None)) is not None:
-            g, h = spec.g, spec.h
-            at_g, at_h = where[id(g)], where[id(h)]
-            halves += at_g, g.order, at_g + spec.v, at_h, h.order, at_h + spec.u
-            pending.append(spec)
-            ahead += g.order + h.order
+        while ahead - done < _BATCH_SOURCES and (joint := next(joints, None)) is not None:
+            g, h, v, u = joint
+            at_g, at_h, order_g, order_h = where[id(g)], where[id(h)], g.order, h.order
+            halves += at_g, order_g, at_g + v, at_h, order_h, at_h + u
+            pending.append(joint)
+            ahead += order_g + order_h
         if done == ahead:
             return
         own, order, anchor = np.array(halves, dtype=np.int64).reshape(-1, 3).T
@@ -285,20 +303,22 @@ def _direct_stream(sides: Iterable[SimpleGraph], specs: Iterable[JointSpec]) -> 
         first = np.cumsum(order) - order
         end = min(done + _BATCH_SOURCES, ahead)
         source = np.arange(done, end)
+        # each source's half-joint k, and where each joint's run of sources
+        # starts in the batch, which runs from the first pending joint
         k = np.searchsorted(first, source, side="right") - 1
-        other, joint = k ^ 1, k // 2
-        a = own[k] + 1 + source - first[k]
-        ball = (a, a, own[other] + 1, own[other])
-        longest = int(joint_order[: joint[-1] + 1].max())
-        weight, sums = _ball_sums((lo, hi, pre), ball, anchor[k], anchor[other], total[joint], longest)
-        # one total per joint of the batch, which runs from the first pending
-        # one; all but the last end in it
-        twice = _exact_dot(weight, sums, np.flatnonzero(np.diff(joint, prepend=-1)))
+        starts = np.maximum(first[::2][: np.searchsorted(first[::2], end)] - done, 0)
+        other = k ^ 1
+        a = (own + 1 - first)[k] + source
+        at = own[other]
+        longest = int(joint_order[: len(starts)].max())
+        weight, sums = _ball_sums((lo, hi, pre), (a, a, at + 1, at), anchor[k], anchor[other], total[k >> 1], longest)
+        # one total per joint of the batch; all but the last end in it
+        twice = _exact_dot(weight, sums, starts)
         twice[0] += carry
         ends = np.cumsum(joint_order)
         finished = int(np.searchsorted(ends, end, side="right"))
-        for spec, t in zip(pending[:finished], twice):
-            yield spec, _halve(t)
+        for joint, t in zip(pending[:finished], twice):
+            yield joint, _halve(t)
         carry = twice[-1] if finished < len(twice) else 0
         summed = int(ends[finished - 1]) if finished else 0
         del pending[:finished], halves[: 6 * finished]
@@ -313,17 +333,19 @@ def _direct_gutman(specs: list[JointSpec]) -> list[int]:
 def closed_form_joint_gutman(spec: JointSpec) -> int:
     """Gutman index of the edge joint, by the exact pair-class decomposition.
 
-    Works for arbitrary anchors; both inputs must be connected.  O(1) once
-    each side's degree total, T and index are known: all three are kept on
-    the graph, so a side that many grid points share is summed once, and
-    each point reads them as Python integers.  `gutman_index` runs the
-    connectivity gate first, once per graph.  A reach-backed side takes
-    both sums over its jump forest and never fills its distance matrix.
+    Works for arbitrary anchors; both inputs must be connected.  `spec` is a
+    JointSpec, or a plain (g, h, v, u) tuple whose anchors are in range, as
+    the audits pass their joints.  O(1) once each side's degree total, T
+    and index are known: all three are kept on the graph, so a side that
+    many grid points share is summed once, and each point reads them as
+    Python integers.  `gutman_index` runs the connectivity gate first, once
+    per graph.  A reach-backed side takes both sums over its jump forest
+    and never fills its distance matrix.
     """
-    g, h = spec.g, spec.h
+    g, h, v, u = spec
     gut = gutman_index(g) + gutman_index(h)
     a_g, a_h = 2 * g.size + 1, 2 * h.size + 1
-    t_g, t_h = degree_distance_sums(g).item(spec.v - 1), degree_distance_sums(h).item(spec.u - 1)
+    t_g, t_h = degree_distance_sums(g).item(v - 1), degree_distance_sums(h).item(u - 1)
     return gut + a_g * a_h + t_g * (a_h + 1) + t_h * (a_g + 1)
 
 
@@ -337,12 +359,18 @@ def _require_jaco_pair(jn: JacoGraph, jm: JacoGraph) -> None:
         raise ValueError(f"orders must satisfy n >= m >= 2, got n={jn.n}, m={jm.n}")
 
 
-def _first_vertex_parts(j: JacoGraph) -> tuple[int, int, int, int]:
+def _first_vertex_parts(g: SimpleGraph) -> tuple[int, int, int, int]:
     """Gut, d(v_1), S = sum over k >= 2 of d(v_k), and T(1) = sum over k >= 2 of d(v_k) * d(v_1, v_k)."""
-    g = j.underlying
-    gut = gutman_index(g)
     first = g.degree_array().item(0)
-    return gut, first, 2 * g.size - first, degree_distance_sums(g).item(0)
+    return gutman_index(g), first, 2 * g.size - first, degree_distance_sums(g).item(0)
+
+
+def _paper_columns(parts_g: tuple[int, int, int, int], parts_h: tuple[int, int, int, int]) -> tuple[int, int]:
+    """Published right-hand side and missing block of the trivial joint of G and H, from their first-vertex parts."""
+    gut_g, first_g, s_g, t_g = parts_g
+    gut_h, first_h, s_h, t_h = parts_h
+    paper = gut_g + gut_h + t_g + t_h + (first_g + 1) * (t_h + s_h) + t_g * s_h + s_g * t_h + s_g * s_h + 4
+    return paper, (first_h + 1) * (t_g + s_g)
 
 
 def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
@@ -355,16 +383,13 @@ def joint_paper_rhs(jn: JacoGraph, jm: JacoGraph) -> int:
         + T_G * S_H + S_G * T_H + S_G * S_H + 4.
     """
     _require_jaco_pair(jn, jm)
-    gut_g, first_g, s_g, t_g = _first_vertex_parts(jn)
-    gut_h, _, s_h, t_h = _first_vertex_parts(jm)
-    return gut_g + gut_h + t_g + t_h + (first_g + 1) * (t_h + s_h) + t_g * s_h + s_g * t_h + s_g * s_h + 4
+    return _paper_columns(_first_vertex_parts(jn.underlying), _first_vertex_parts(jm.underlying))[0]
 
 
 def missing_anchor_block(jn: JacoGraph, jm: JacoGraph) -> int:
     """Predicted value of the pair class absent from the published formula: (d_H(u_1) + 1) * (T_G + S_G)."""
     _require_jaco_pair(jn, jm)
-    _, _, s_g, t_g = _first_vertex_parts(jn)
-    return (int(jm.underlying.degree_array()[0]) + 1) * (t_g + s_g)
+    return _paper_columns(_first_vertex_parts(jn.underlying), _first_vertex_parts(jm.underlying))[1]
 
 
 @dataclass(frozen=True)
@@ -423,30 +448,69 @@ def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | Non
     return row
 
 
-def _identity_jacos(n_max: int) -> dict[int, JacoGraph]:
-    """Identity Jaco graphs of orders 2..n_max, keyed by order.
+def _identity_graphs(n_max: int, m_max: int, per_pair: int) -> dict[int, SimpleGraph]:
+    """Underlying graphs of the identity Jaco graphs of orders 2..n_max, keyed by order, once the bounds are checked.
 
-    Built once per audit, so each graph's distances are computed once (they
-    are memoized on its underlying graph) however many grid points use it.
+    Built once per audit, so each graph's index and T are computed once
+    (they are kept on the graph) however many joints use it.
     """
-    return {k: build_jaco(IDENTITY, k) for k in range(2, n_max + 1)}
+    _require_at_least(n_max, 2, "n_max")
+    _require_at_least(m_max, 2, "m_max")
+    _require_at_least(per_pair, 0, "per_pair")
+    return {k: build_jaco(IDENTITY, k).underlying for k in range(2, n_max + 1)}
+
+
+def _trivial_joints(graphs: dict[int, SimpleGraph], m_max: int) -> Iterator[tuple]:
+    """The trivial joint of J_n and J_m at each grid point 2 <= m <= min(n, m_max), in grid order."""
+    for n, g in graphs.items():
+        for m in range(2, min(n, m_max) + 1):
+            yield g, graphs[m], 1, 1
+
+
+def _anchor_joints(graphs: dict[int, SimpleGraph], m_max: int, per_pair: int, seed: int) -> Iterator[tuple]:
+    """Per grid point, in grid order, per_pair seeded anchor pairs other than (1, 1)."""
+    randint = random.Random(seed).randint
+    for n, g in graphs.items():
+        for m in range(2, min(n, m_max) + 1):
+            h = graphs[m]
+            for _ in range(per_pair):
+                vi, uj = 1, 1
+                while vi == 1 and uj == 1:
+                    vi = randint(1, n)
+                    uj = randint(1, m)
+                yield g, h, vi, uj
+
+
+def _audit_checks(graphs: dict[int, SimpleGraph], joints: Iterable[tuple]) -> Iterator[tuple[int, ...]]:
+    """(n, m, vi, uj, closed form, direct) of each joint of `graphs`, made as `_direct_stream` sums it."""
+    for joint, direct in _direct_stream(graphs.values(), joints):
+        g, h, v, u = joint
+        yield g.order, h.order, v, u, closed_form_joint_gutman(joint), direct
+
+
+def _joint_audits(n_max: int, m_max: int, per_pair: int, seed: int) -> tuple[list[JointDelta], Iterator]:
+    """Both edge-joint audits through one stream: the trivial grid's rows, and the anchor checks still to read.
+
+    One set of graphs J_2..J_n_max and one `_direct_stream` serve the
+    trivial joint of each (n, m) grid point, and after them per_pair
+    seeded anchor pairs per point.  The trivial rows are made before this
+    returns, from each order's first-vertex parts taken once; the stream
+    then goes on with the anchor checks, made as they are read.  Both
+    grids are read lazily, so the audits hold O(batch) joints.
+    """
+    graphs = _identity_graphs(n_max, m_max, per_pair)
+    checks = _audit_checks(graphs, chain(_trivial_joints(graphs, m_max), _anchor_joints(graphs, m_max, per_pair, seed)))
+    parts = {k: _first_vertex_parts(g) for k, g in graphs.items()}
+    rows = []
+    for n, m, _, _, closed, direct in islice(checks, sum(min(n, m_max) - 1 for n in graphs)):
+        paper, missing = _paper_columns(parts[n], parts[m])
+        rows.append(JointDelta(n, m, paper, closed, direct, missing))
+    return rows, checks
 
 
 def joint_delta_report(n_max: int, m_max: int) -> list[JointDelta]:
-    """Trivial-anchor audit over the grid 2 <= m <= min(n, m_max), m <= n <= n_max."""
-    _require_at_least(n_max, 2, "n_max")
-    _require_at_least(m_max, 2, "m_max")
-    jacos = _identity_jacos(n_max)
-    # the grid is read as the stream sums it, never held whole
-    specs = (
-        JointSpec(jacos[n].underlying, jacos[m].underlying, 1, 1) for n in jacos for m in range(2, min(n, m_max) + 1)
-    )
-    rows = []
-    for spec, direct in _direct_stream((j.underlying for j in jacos.values()), specs):
-        jn, jm = jacos[spec.g.order], jacos[spec.h.order]
-        paper, missing = joint_paper_rhs(jn, jm), missing_anchor_block(jn, jm)
-        rows.append(JointDelta(jn.n, jm.n, paper, closed_form_joint_gutman(spec), direct, missing))
-    return rows
+    """Trivial-anchor audit over the grid 2 <= m <= min(n, m_max), m <= n <= n_max: `_joint_audits` with no anchors."""
+    return _joint_audits(n_max, m_max, per_pair=0, seed=0)[0]
 
 
 @dataclass(frozen=True)
@@ -465,46 +529,15 @@ class AnchorCheck:
         return self.closed_form == self.direct
 
 
-def _anchor_specs(
-    graphs: dict[int, SimpleGraph], m_max: int, per_pair: int, seed: int
-) -> Iterator[JointSpec]:
-    """The anchor audit's joints: per (n, m) point, in order, per_pair seeded anchor pairs other than (1, 1).
-
-    `graphs` holds the identity Jaco graphs of orders 2..n_max by order.
-    """
-    rng = random.Random(seed)
-    for n, g in graphs.items():
-        for m in range(2, min(n, m_max) + 1):
-            for _ in range(per_pair):
-                vi, uj = 1, 1
-                while vi == 1 and uj == 1:
-                    vi = rng.randint(1, n)
-                    uj = rng.randint(1, m)
-                yield JointSpec(g, graphs[m], vi, uj)
-
-
 def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> Iterator[AnchorCheck]:
     """Seeded non-trivial anchor checks across the same (n, m) grid, made as they are read.
 
     The arguments are checked and the graphs built on the call; each check
-    is made when it is read, with its direct value from `_direct_stream`,
+    is made when it is read, from the anchor grid of `_joint_audits` alone,
     so the grid's joints are never held at once.
     """
-    _require_at_least(n_max, 2, "n_max")
-    _require_at_least(m_max, 2, "m_max")
-    _require_at_least(per_pair, 0, "per_pair")
-    graphs = {k: j.underlying for k, j in _identity_jacos(n_max).items()}
-    return (
-        AnchorCheck(
-            n=spec.g.order,
-            m=spec.h.order,
-            vi=spec.v,
-            uj=spec.u,
-            closed_form=closed_form_joint_gutman(spec),
-            direct=direct,
-        )
-        for spec, direct in _direct_stream(graphs.values(), _anchor_specs(graphs, m_max, per_pair, seed))
-    )
+    graphs = _identity_graphs(n_max, m_max, per_pair)
+    return (AnchorCheck(*check) for check in _audit_checks(graphs, _anchor_joints(graphs, m_max, per_pair, seed)))
 
 
 def anchor_audit(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> list[AnchorCheck]:

@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, file output."""
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -329,20 +330,24 @@ def _off_by_one_recursion(row):
     return dataclasses.replace(row, direct=row.direct + 1)
 
 
-def _off_by_one_joint(row):
-    return dataclasses.replace(row, closed_form=row.closed_form + 1)
-
-
 class TestErratumNamesTheFirstFailure:
     ARGV = ("erratum", "--n-max", "6", "--m-max", "4")
+    # `erratum` evaluates one closed form per trivial grid point, in grid
+    # order, and then one per anchor check: 12 points on this grid
+    GRID = 12
 
     def _patch(self, monkeypatch, module, name, picks, change):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, **k: _corrupt(real(*a, **k), picks, change))
 
+    def _wrong_closed_forms(self, monkeypatch, picks):
+        """The closed form, one too large at the calls numbered in `picks`, counting from 0."""
+        real, calls = edge_joint.closed_form_joint_gutman, itertools.count()
+        monkeypatch.setattr(edge_joint, "closed_form_joint_gutman", lambda joint: real(joint) + (next(calls) in picks))
+
     def test_recursion_row(self, capsys, monkeypatch):
         self._patch(monkeypatch, recursion, "recursion_delta_report", {1, 3}, _off_by_one_recursion)
-        self._patch(monkeypatch, edge_joint, "joint_delta_report", {0}, _off_by_one_joint)
+        self._wrong_closed_forms(monkeypatch, {0})
         code, _, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (
@@ -352,8 +357,7 @@ class TestErratumNamesTheFirstFailure:
 
     def test_joint_point(self, capsys, monkeypatch):
         code, clean, _ = run(capsys, *self.ARGV)
-        self._patch(monkeypatch, edge_joint, "joint_delta_report", {2, 4}, _off_by_one_joint)
-        self._patch(monkeypatch, edge_joint, "anchor_checks", {0}, _off_by_one_joint)
+        self._wrong_closed_forms(monkeypatch, {2, 4, self.GRID})
         code, out, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (
@@ -367,7 +371,7 @@ class TestErratumNamesTheFirstFailure:
         code, clean, _ = run(capsys, *self.ARGV)
         checks = edge_joint.anchor_audit(6, 4, per_pair=5, seed=0)
         bad = checks[7]
-        self._patch(monkeypatch, edge_joint, "anchor_checks", {7}, _off_by_one_joint)
+        self._wrong_closed_forms(monkeypatch, {self.GRID + 7})
         code, out, err = run(capsys, *self.ARGV)
         assert code == 2
         assert err == (

@@ -1,4 +1,5 @@
 """Edge-joint composition and its Gutman index formulas."""
+import collections
 import random
 from unittest import mock
 
@@ -25,7 +26,7 @@ from jaco_gutman import (
     joint_paper_rhs,
     missing_anchor_block,
 )
-from jaco_gutman import cli, edge_joint, graph_core
+from jaco_gutman import cli, edge_joint, graph_core, jaco, recursion
 from jaco_gutman.graph_core import StructureAssumptionViolated
 
 from bruteforce import adjacency_from_edges, bfs_distances, brute_gutman, random_connected_graph
@@ -444,6 +445,22 @@ def _read_log(specs, log):
         yield spec
 
 
+def _stream_within_a_batch_ahead(sides, joints, sources):
+    """The stream's (joint, index) pairs over `joints`, checking how far it has read as each comes back."""
+    longest = max(g.order + h.order for g, h, _, _ in joints)
+    read, pairs = [], []
+    for joint, value in edge_joint._direct_stream(sides, _read_log(joints, read)):
+        # each joint comes back as it was read, the next one in order
+        assert joint is read[len(pairs)]
+        pairs.append((joint, value))
+        # the stream has read past the joints it yielded by at most the
+        # batch being summed, one joint that ends in it and one read ahead
+        unyielded = sum(g.order + h.order for g, h, _, _ in read[len(pairs) :])
+        assert unyielded < sources + 2 * longest
+    assert len(read) == len(joints)
+    return pairs
+
+
 # One source per batch splits every joint across batches, 7 splits most of
 # them, and 64 holds several whole joints in one batch.
 @pytest.mark.parametrize("sources", [1, 7, 64])
@@ -453,21 +470,98 @@ def test_direct_stream_reads_a_batch_ahead(sources, monkeypatch):
     rng = random.Random(sources)
     pairs = [(g, h) for g in sides for h in sides][::7]
     specs = [JointSpec(g, h, rng.randint(1, g.order), rng.randint(1, h.order)) for g, h in pairs]
-    longest = max(spec.g.order + spec.h.order for spec in specs)
-    read = []
-    values = []
-    for spec, value in edge_joint._direct_stream(sides, _read_log(specs, read)):
-        # each joint comes back with its own spec, the next one read
-        assert spec is read[len(values)]
-        values.append(value)
-        # the stream has read past the joints it yielded by at most the
-        # batch being summed, one joint that ends in it and one read ahead
-        unyielded = sum(spec.g.order + spec.h.order for spec in read[len(values) :])
-        assert unyielded < sources + 2 * longest
-    assert len(read) == len(specs) > 20
-    assert list(edge_joint._direct_stream(sides, specs)) == list(zip(specs, values))
+    streamed = _stream_within_a_batch_ahead(sides, specs, sources)
+    values = [value for _, value in streamed]
+    assert len(specs) > 20
+    assert list(edge_joint._direct_stream(sides, specs)) == streamed
     assert values == edge_joint._direct_gutman(specs)
     assert values == [gutman_index(edge_joint_graph(spec)) for spec in specs]
+    # the audits' plain (g, h, v, u) tuples, read from the end of the trivial
+    # grid on into the anchor grid, keep the same bound
+    graphs = edge_joint._identity_graphs(9, 6, 2)
+    joints = [*edge_joint._trivial_joints(graphs, 6), *edge_joint._anchor_joints(graphs, 6, 2, sources)]
+    streamed = _stream_within_a_batch_ahead(graphs.values(), joints, sources)
+    assert [value for _, value in streamed] == [gutman_index(edge_joint_graph(JointSpec(*j))) for j in joints]
+
+
+# One source per batch and 7 split joints across batches, 64 holds several
+# whole joints in a batch and 4 096 is the default, so a batch may hold the
+# end of the trivial grid and the start of the anchor grid, or end between
+# them.  A batch of one source runs one batch per vertex, so small batches
+# take smaller grids.
+@pytest.mark.parametrize("sources", [1, 7, 64, 4096])
+@pytest.mark.parametrize("draw", range(3))
+def test_one_stream_serves_both_audits(sources, draw, monkeypatch, capsys):
+    rng = random.Random(f"one stream {sources} {draw}")
+    bound = {1: 8, 7: 14}.get(sources, 30)
+    n_max, m_max, seed = rng.randint(2, bound), rng.randint(2, bound), rng.randrange(2**32)
+    real = edge_joint.closed_form_joint_gutman
+
+    def skewed(joint):
+        # wrong at some joints, whichever audit evaluates them, so that
+        # both audits have failures to count and to name
+        g, h, v, u = joint
+        return real(joint) + ((3 * g.order + h.order + v * u) % 11 == 0)
+
+    monkeypatch.setattr(edge_joint, "closed_form_joint_gutman", skewed)
+    rows = joint_delta_report(n_max, m_max)
+    checks = anchor_audit(n_max, m_max, per_pair=5, seed=seed)
+    monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
+    shared_rows, stream = edge_joint._joint_audits(n_max, m_max, per_pair=5, seed=seed)
+    shared = list(stream)
+    assert shared_rows == rows
+    assert shared == [(c.n, c.m, c.vi, c.uj, c.closed_form, c.direct) for c in checks]
+    # the command counts the passes and names the first failure from the shared stream
+    code = cli.main(["erratum", "--n-max", str(n_max), "--m-max", str(m_max), "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    passed = sum(c.ok for c in checks)
+    assert out.endswith(f"# anchor audit: {passed}/{len(checks)} non-trivial anchor checks passed (seed={seed})\n")
+    named = [
+        f"edge-joint point (n, m) = ({r.n}, {r.m}): closed form {r.closed_form}, direct {r.direct}"
+        for r in rows
+        if not r.closed_matches_direct
+    ]
+    named += [
+        f"anchor check (n, m, vi, uj) = ({c.n}, {c.m}, {c.vi}, {c.uj}): closed form {c.closed_form}, direct {c.direct}"
+        for c in checks
+        if not c.ok
+    ]
+    if named:
+        assert (code, err) == (2, f"error: an audited value mismatched the direct oracle at {named[0]}\n")
+    else:
+        assert (code, err) == (0, "")
+    # on a sample, the direct values are the composed graphs' own indices
+    graphs = {k: build_jaco(IDENTITY, k).underlying for k in range(2, n_max + 1)}
+    joints = [(r.n, r.m, 1, 1, r.direct) for r in rows] + [(n, m, vi, uj, direct) for n, m, vi, uj, _, direct in shared]
+    for n, m, vi, uj, direct in rng.sample(joints, min(len(joints), 12)):
+        assert direct == gutman_index(edge_joint_graph(JointSpec(graphs[n], graphs[m], vi, uj)))
+
+
+def test_erratum_makes_one_closed_form_per_check_and_one_build_per_order(monkeypatch, capsys):
+    # The benchmark's self-test pins `edge_joint.points == grid * 6` on this
+    # command: one closed form per trivial grid point and per anchor check.
+    n_max, m_max = 8, 6
+    grid = sum(min(n, m_max) - 1 for n in range(2, n_max + 1))
+    closed, builds = [], collections.Counter()
+    real_closed, real_build = edge_joint.closed_form_joint_gutman, jaco.build_jaco
+
+    def counting_closed(joint):
+        closed.append(joint)
+        return real_closed(joint)
+
+    def counting_build(f, order):
+        builds[order] += 1
+        return real_build(f, order)
+
+    monkeypatch.setattr(edge_joint, "closed_form_joint_gutman", counting_closed)
+    for module in (cli, edge_joint, jaco, recursion):
+        if getattr(module, "build_jaco", None) is real_build:
+            monkeypatch.setattr(module, "build_jaco", counting_build)
+    assert cli.main(["erratum", "--n-max", str(n_max), "--m-max", str(m_max)]) == 0
+    assert "# anchor audit: 125/125 non-trivial" in capsys.readouterr().out
+    assert len(closed) == grid * 6 == 150
+    # J_2..J_8 for both edge-joint audits, and J_9 for the recursion audit
+    assert builds == {order: 1 for order in range(2, n_max + 2)}
 
 
 @pytest.mark.parametrize(
