@@ -2,13 +2,15 @@
 
 No command multiplies float matrices, so numpy's BLAS worker threads only
 cost CPU time when they start.  OPENBLAS_NUM_THREADS defaults to 1 here,
-before `cli` imports numpy; a value the user set wins.
+before `cli` runs, so the default applies whenever a command loads numpy;
+`gutman` and `wiener` up to `base.SMALL_ORDER` vertices load none.  A value
+the user set wins.
 
-The cyclic garbage collector is kept off the start-up heap.  Importing
-`cli` and numpy leaves about 32 000 long-lived objects, so once they have
-imported, `gc.freeze()` moves them out of every later collection.  When the
-command returns or raises, `gc.freeze()` runs again, so the collections of
-interpreter teardown walk none of the heap.  The collector stays enabled
+The cyclic garbage collector is kept off the start-up heap.  Once `cli`
+has imported, `gc.freeze()` moves the long-lived objects of the start-up
+out of every later collection.  When the command returns or raises,
+`gc.freeze()` runs again, so the collections of interpreter teardown walk
+none of the heap.  The collector stays enabled
 throughout and the exit code is the command's.  (Disabling the collector
 during the imports as well saved a few milliseconds but kept their garbage,
 about 0.3 MB more peak RSS on `erratum`.)

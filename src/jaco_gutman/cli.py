@@ -12,9 +12,16 @@ All output is deterministic; the only randomized piece, the non-trivial
 anchor audit inside `erratum`, draws from a seeded generator (--seed,
 default 0).
 
-A process runs one subcommand, so each `_cmd_*` imports the modules it uses
-(`serialize`, `edge_joint`, `recursion`, `sequences`) when it runs: `gutman`
-and `wiener` load `graph_core` and `jaco` only.
+A process runs one subcommand, so it builds only that subcommand's parser
+(every parser when argv names none, so that a usage error reads the same),
+and each `_cmd_*` imports the layers it uses when it runs.  At module level
+this imports only the standard library and `base`, which loads no numpy:
+`gutman` and `wiener` up to `base.SMALL_ORDER` vertices run there alone.
+Every other command, and those two above that order, imports `graph_core`,
+then `jaco`, then its own layers (`edge_joint`, `recursion`, `sequences`,
+`serialize` last).  Lowest layer first: without a bytecode cache each module
+then compiles with fewer half-run modules above it, which keeps about 0.5 MB
+off the peak RSS.
 """
 from __future__ import annotations
 
@@ -24,11 +31,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
-# Lowest layer first: without a bytecode cache each module then compiles with
-# fewer half-run modules above it, which keeps about 0.5 MB off the peak RSS.
-# The commands import their other layers in the same order, `serialize` last.
-from .graph_core import StructureAssumptionViolated, gutman_index, wiener_index
-from .jaco import SEQUENCE_NAMES, LinearFunction, build_jaco
+from .base import SEQUENCE_NAMES, SMALL_ORDER, StructureAssumptionViolated, small_order_index
 
 if TYPE_CHECKING:
     from .edge_joint import JointDelta
@@ -74,11 +77,7 @@ def _add_function_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=_nonneg, default=0, help="offset of f(x) = mx + c (default 0)")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="jaco", description="Linear Jaco graphs, Gutman index, formula audits")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("build", help="construct a graph and serialize it")
+def _add_build(p: argparse.ArgumentParser) -> None:
     _add_function_flags(p)
     p.add_argument("--n", type=_positive, required=True, help="graph order")
     p.add_argument("--format", choices=("dot", "json", "csv"), default="json")
@@ -86,20 +85,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, help="write to this file instead of stdout")
     p.set_defaults(func=_cmd_build)
 
-    for name, help_text in (("gutman", "Gutman index"), ("wiener", "Wiener index")):
-        p = sub.add_parser(name, help=f"print the {help_text} of the underlying graph")
-        _add_function_flags(p)
-        p.add_argument("--n", type=_positive, required=True, help="graph order")
-        p.add_argument("--out", type=Path)
-        p.set_defaults(func=_cmd_gutman if name == "gutman" else _cmd_wiener)
 
-    p = sub.add_parser("recursion-check", help="audit the order recursion (f(x) = x)")
+def _add_index(p: argparse.ArgumentParser) -> None:
+    _add_function_flags(p)
+    p.add_argument("--n", type=_positive, required=True, help="graph order")
+    p.add_argument("--out", type=Path)
+    p.set_defaults(func=_cmd_index)
+
+
+def _add_recursion_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=_positive, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_recursion_check)
 
-    p = sub.add_parser("joint", help="compose two identity Jaco graphs and compare formulas")
+
+def _add_joint(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_positive, required=True, help="order of the first graph")
     p.add_argument("--m", type=_positive, required=True, help="order of the second graph")
     p.add_argument("--vi", type=_positive, default=1, help="anchor in the first graph (default 1)")
@@ -108,7 +109,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_joint)
 
-    p = sub.add_parser("sequences", help="tabulate per-order sequences")
+
+def _add_sequences(p: argparse.ArgumentParser) -> None:
     _add_function_flags(p)
     p.add_argument("--n-max", type=_positive, required=True)
     p.add_argument(
@@ -120,14 +122,49 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, help="file for one table, directory for several")
     p.set_defaults(func=_cmd_sequences)
 
-    p = sub.add_parser("erratum", help="run both formula audits with per-term deltas")
+
+def _add_erratum(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=_positive, default=20)
     p.add_argument("--m-max", type=_positive, default=10)
     p.add_argument("--seed", type=_integer, default=0, help="seed for the anchor audit (default 0)")
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_erratum)
 
+
+# Each subcommand's help line and the function that adds its flags, in the
+# order that usage messages list them.
+_SUBCOMMANDS = {
+    "build": ("construct a graph and serialize it", _add_build),
+    "gutman": ("print the Gutman index of the underlying graph", _add_index),
+    "wiener": ("print the Wiener index of the underlying graph", _add_index),
+    "recursion-check": ("audit the order recursion (f(x) = x)", _add_recursion_check),
+    "joint": ("compose two identity Jaco graphs and compare formulas", _add_joint),
+    "sequences": ("tabulate per-order sequences", _add_sequences),
+    "erratum": ("run both formula audits with per-term deltas", _add_erratum),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The `jaco` parser, with only `command`'s subparser when that names a subcommand.
+
+    Otherwise (None, or a name that is not a subcommand) every subparser is
+    built, so the message for an unknown or missing subcommand lists them all.
+    """
+    parser = _Parser(prog="jaco", description="Linear Jaco graphs, Gutman index, formula audits")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, add_flags) in _SUBCOMMANDS.items():
+        if command == name or command not in _SUBCOMMANDS:
+            add_flags(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _command_of(argv: list[str]) -> str | None:
+    """The first item of argv that is not an option: the subcommand, if argv names one.
+
+    The top-level parser takes no option with a value, so that item is the
+    one argparse reads as the subcommand.
+    """
+    return next((item for item in argv if not item.startswith("-")), None)
 
 
 # Characters per write.  A text stream encodes what it is given in one go, so
@@ -149,9 +186,9 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from . import serialize
+    from . import graph_core, jaco, serialize  # lowest layer first: see the module docstring
 
-    j = build_jaco(LinearFunction(args.m, args.c), args.n)
+    j = jaco.build_jaco(jaco.LinearFunction(args.m, args.c), args.n)
     if args.format == "json":
         text = serialize.jaco_to_json(j)
     elif args.format == "csv":
@@ -162,25 +199,26 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gutman(args: argparse.Namespace) -> int:
-    j = build_jaco(LinearFunction(args.m, args.c), args.n)
-    _emit(f"{gutman_index(j.underlying)}\n", args.out)
-    return 0
+def _cmd_index(args: argparse.Namespace) -> int:
+    """`gutman` or `wiener`: without numpy up to SMALL_ORDER vertices, by graph_core's forest sum above."""
+    gutman = args.command == "gutman"
+    if args.n <= SMALL_ORDER:
+        value = small_order_index(args.m, args.c, args.n, gutman)
+    else:
+        from . import graph_core, jaco  # lowest layer first: see the module docstring
 
-
-def _cmd_wiener(args: argparse.Namespace) -> int:
-    j = build_jaco(LinearFunction(args.m, args.c), args.n)
-    _emit(f"{wiener_index(j.underlying)}\n", args.out)
+        g = jaco.build_jaco(jaco.LinearFunction(args.m, args.c), args.n).underlying
+        value = graph_core.gutman_index(g) if gutman else graph_core.wiener_index(g)
+    _emit(f"{value}\n", args.out)
     return 0
 
 
 def _cmd_recursion_check(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise UsageError("--n-max must be at least 2")
-    from .recursion import recursion_delta_report
-    from . import serialize
+    from . import graph_core, jaco, recursion, serialize  # lowest layer first: see the module docstring
 
-    rows = recursion_delta_report(args.n_max)
+    rows = recursion.recursion_delta_report(args.n_max)
     if args.format == "csv":
         text = serialize.recursion_report_csv(rows)
     else:
@@ -196,10 +234,9 @@ def _cmd_joint(args: argparse.Namespace) -> int:
         raise UsageError(f"--vi {args.vi} out of range 1..{args.n}")
     if args.uj > args.m:
         raise UsageError(f"--uj {args.uj} out of range 1..{args.m}")
-    from .edge_joint import joint_check
-    from . import serialize
+    from . import graph_core, jaco, edge_joint, serialize  # lowest layer first: see the module docstring
 
-    row = joint_check(args.n, args.m, args.vi, args.uj)
+    row = edge_joint.joint_check(args.n, args.m, args.vi, args.uj)
     if args.format == "csv":
         text = serialize.joint_single_csv(row)
     else:
@@ -221,11 +258,10 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     unknown = [w for w in names if w not in SEQUENCE_NAMES]
     if unknown:
         raise UsageError(f"unknown sequence name {unknown[0]!r}")
-    from .sequences import sequence_tables
-    from . import serialize
+    from . import graph_core, jaco, sequences, serialize  # lowest layer first: see the module docstring
 
-    f = LinearFunction(args.m, args.c)
-    tables = sequence_tables(names, f, args.n_max)
+    f = jaco.LinearFunction(args.m, args.c)
+    tables = sequences.sequence_tables(names, f, args.n_max)
     render = serialize.sequence_to_csv if args.format == "csv" else serialize.sequence_to_json
     suffix = ".csv" if args.format == "csv" else ".json"
     if args.out is not None and len(tables) > 1:
@@ -251,12 +287,10 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
         raise UsageError("--n-max must be at least 2")
     if args.m_max < 2:
         raise UsageError("--m-max must be at least 2")
-    from .edge_joint import _joint_audits
-    from .recursion import recursion_delta_report
-    from . import serialize
+    from . import graph_core, jaco, edge_joint, recursion, serialize  # lowest layer first: see the module docstring
 
-    recursion_rows = recursion_delta_report(args.n_max)
-    joint_rows, anchor_checks = _joint_audits(args.n_max, args.m_max, per_pair=5, seed=args.seed)
+    recursion_rows = recursion.recursion_delta_report(args.n_max)
+    joint_rows, anchor_checks = edge_joint._joint_audits(args.n_max, args.m_max, per_pair=5, seed=args.seed)
     # each (n, m, vi, uj, closed form, direct) check is counted as it is
     # made, and only the first failing one kept
     checks, anchors_ok, failed = 0, 0, None
@@ -308,7 +342,7 @@ def _audit_exit(failure: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(_command_of(sys.argv[1:] if argv is None else argv))
     args = None
     try:
         args = parser.parse_args(argv)

@@ -53,13 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-
-class DisconnectedGraphError(ValueError):
-    """An index that is only defined for connected graphs was requested."""
-
-
-class StructureAssumptionViolated(RuntimeError):
-    """A structural assumption that an exact fast path relies on does not hold."""
+from .base import DisconnectedGraphError, StructureAssumptionViolated, _connectivity_error
 
 
 def _is_int(value: object) -> bool:
@@ -551,13 +545,6 @@ def is_connected(g: SimpleGraph) -> bool:
     if g.order == 0:
         raise ValueError("connectivity is undefined for the empty graph")
     return len(_component_sizes(g)) == 1
-
-
-def _connectivity_error(what: str, order: int) -> ValueError:
-    """The error for `what` of a graph that is empty (order 0) or else disconnected."""
-    if order == 0:
-        return ValueError(f"{what} is undefined for the empty graph")
-    return DisconnectedGraphError(f"{what} is defined for connected graphs only and this graph is disconnected")
 
 
 def _require_connected(g: SimpleGraph, what: str) -> None:

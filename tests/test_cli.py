@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from jaco_gutman import IDENTITY, StructureAssumptionViolated, build_jaco
-from jaco_gutman import cli, edge_joint, recursion, sequences
+from jaco_gutman import cli, edge_joint, graph_core, recursion, sequences
+from jaco_gutman.base import SMALL_ORDER
 from jaco_gutman.cli import entrypoint, main
 from jaco_gutman.serialize import jaco_from_json, jaco_to_json
 
@@ -460,12 +461,13 @@ class TestExitCodes:
 
     # A failed allocation is raised, never made: each command's callee is
     # patched, in the module the command reads it from, to raise what numpy
-    # raises for an array too large to allocate.
+    # raises for an array too large to allocate.  The index commands call
+    # numpy's layers only above SMALL_ORDER.
     @pytest.mark.parametrize(
         "callee, argv",
         [
-            ("gutman_index", ["gutman", "--n", "5"]),
-            ("wiener_index", ["wiener", "--n", "5"]),
+            ("gutman_index", ["gutman", "--n", str(SMALL_ORDER + 1)]),
+            ("wiener_index", ["wiener", "--n", str(SMALL_ORDER + 1)]),
             ("sequence_tables", ["sequences", "--n-max", "5"]),
             ("joint_check", ["joint", "--n", "5", "--m", "5"]),
         ],
@@ -479,7 +481,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise error
 
-        owner = {"sequence_tables": sequences, "joint_check": edge_joint}.get(callee, cli)
+        owner = {"sequence_tables": sequences, "joint_check": edge_joint}.get(callee, graph_core)
         monkeypatch.setattr(owner, callee, exhausted)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {argv[0]} ran out of memory{detail}\n")
@@ -578,11 +580,11 @@ _ENTRY = {
 
 
 def _entry_run(entry):
-    """Code that runs `jaco gutman --n 5` through `entry`, then prints the BLAS
-    variable and the process's thread count."""
+    """Code that runs `jaco build --n 5`, a command that loads numpy, through
+    `entry`, then prints the BLAS variable and the process's thread count."""
     return (
         "import os, sys\n"
-        "sys.argv = ['jaco', 'gutman', '--n', '5']\n"
+        "sys.argv = ['jaco', 'build', '--n', '5']\n"
         "try:\n"
         f"    {_ENTRY[entry]}\n"
         "except SystemExit as stop:\n"
@@ -629,15 +631,16 @@ class TestEntryPoints:
 
     # Each subcommand imports only the layers it runs, and no stdlib module
     # it does not use; site may have loaded `random` before the entry runs.
+    # `gutman` and `wiener` of small orders run on `base` alone.
     @pytest.mark.parametrize(
         "argv, layers, unused",
         [
-            pytest.param(["gutman", "--n", "5"], [], ["json", "random"], id="gutman"),
-            pytest.param(["wiener", "--n", "5"], [], ["json", "random"], id="wiener"),
-            pytest.param(["build", "--n", "5"], ["serialize"], ["json", "random"], id="build"),
+            pytest.param(["gutman", "--n", "5"], [], ["json", "numpy", "random"], id="gutman"),
+            pytest.param(["wiener", "--n", "5"], [], ["json", "numpy", "random"], id="wiener"),
+            pytest.param(["build", "--n", "5"], ["graph_core", "jaco", "serialize"], ["json", "random"], id="build"),
             pytest.param(
                 ["erratum", "--n-max", "4", "--m-max", "3"],
-                ["edge_joint", "recursion", "serialize"],
+                ["edge_joint", "graph_core", "jaco", "recursion", "serialize"],
                 ["json"],
                 id="erratum",
             ),
@@ -656,14 +659,44 @@ class TestEntryPoints:
             "print(sorted(name for name in sys.modules if name.startswith('jaco_gutman.')))\n"
             "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
         )
-        loaded = sorted(f"jaco_gutman.{name}" for name in ["cli", "graph_core", "jaco", *layers])
+        loaded = sorted(f"jaco_gutman.{name}" for name in ["base", "cli", *layers])
         assert _fresh(code)[-3:] == ["[]", str(loaded), "True True"]
 
     @pytest.mark.parametrize("entry", sorted(_ENTRY))
     @pytest.mark.parametrize("blas_threads, seen", [(None, "1"), ("2", "2")])
     def test_entry_points_default_to_one_blas_thread(self, entry, blas_threads, seen):
         out, variable, _ = _fresh(_entry_run(entry), blas_threads)
-        assert (out, variable) == ("58", seen)
+        assert (out + "\n", variable) == (J5_JSON, seen)
+
+    # numpy loads only above SMALL_ORDER, and then after the entry point has
+    # set the BLAS default: the import of numpy records the variable it sees.
+    @pytest.mark.parametrize(
+        "argv, seen",
+        [
+            (["gutman", "--n", "5"], "numpy not loaded"),
+            (["wiener", "--n", "5"], "numpy not loaded"),
+            (["wiener", "--n", str(SMALL_ORDER)], "numpy not loaded"),
+            (["gutman", "--n", str(SMALL_ORDER + 1)], "numpy loaded with OPENBLAS_NUM_THREADS=1"),
+        ],
+    )
+    def test_index_commands_load_numpy_only_above_the_small_order(self, argv, seen):
+        code = (
+            "import os, sys\n"
+            "seen = ['numpy not loaded']\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            threads = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+            "            seen[0] = f'numpy loaded with OPENBLAS_NUM_THREADS={threads}'\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            f"sys.argv = ['jaco', *{argv!r}]\n"
+            "try:\n"
+            f"    {_ENTRY['module']}\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0, stop.code\n"
+            "print(seen[0])\n"
+        )
+        assert _fresh(code)[-1] == seen
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
     @pytest.mark.parametrize("entry", sorted(_ENTRY))

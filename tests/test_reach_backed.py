@@ -374,12 +374,17 @@ for command in sys.argv[1:]:
 """
 
 
-def _peak_growth_mb(command):
-    """How far the peak RSS of `jaco <command>` exceeds that of `jaco gutman --n 2`, in MB."""
+# The smallest command that loads numpy and the graph layers; `gutman` and
+# `wiener` of orders up to base.SMALL_ORDER load no numpy.
+_FLOOR = "build --n 2"
+
+
+def _peak_growth_mb(command, floor=_FLOOR):
+    """How far the peak RSS of `jaco <command>` exceeds that of `jaco <floor>`, in MB."""
     # A child's max RSS includes the peak of the process that spawned it, so
     # both children come from a small probe process rather than from pytest.
     proc = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, "gutman --n 2", command], capture_output=True, text=True, check=True
+        [sys.executable, "-c", _RSS_PROBE, floor, command], capture_output=True, text=True, check=True
     )
     (code_small, rss_small), (code_large, rss_large) = (map(int, line.split()) for line in proc.stdout.splitlines())
     assert code_small == code_large == 0
@@ -387,9 +392,10 @@ def _peak_growth_mb(command):
 
 
 def test_gutman_3000_peak_memory():
-    # The index sums over the jump forest in O(n) memory, about 0 MB above
-    # the floor; its 9 MB int8 distance matrix alone would break the bound.
-    grown_mb = _peak_growth_mb("gutman --n 3000")
+    # Both orders run without numpy.  The index sums over the jump forest in
+    # two lists of n + 1 integers, about 0.3 MB above `gutman --n 2`; a 9 MB
+    # int8 distance matrix alone would break the bound.
+    grown_mb = _peak_growth_mb("gutman --n 3000", floor="gutman --n 2")
     assert grown_mb < 5, f"gutman --n 3000 peaked {grown_mb:.1f} MB above gutman --n 2"
 
 
@@ -399,7 +405,7 @@ def test_gutman_million_peak_memory():
     # 931 GiB.  The bound leaves less than one more such array of headroom,
     # so keeping one more per-vertex array on the graph breaks it.
     grown_mb = _peak_growth_mb("gutman --n 1000000")
-    assert grown_mb < 52, f"gutman --n 1000000 peaked {grown_mb:.0f} MB above gutman --n 2"
+    assert grown_mb < 52, f"gutman --n 1000000 peaked {grown_mb:.0f} MB above {_FLOOR}"
 
 
 @pytest.mark.parametrize("f", [IDENTITY, LinearFunction(2, 1), LinearFunction(0, 2)], ids=str)
@@ -441,7 +447,7 @@ def test_sequences_5000_peak_memory():
     # memory, about 5 MB above the floor; the int8 matrix of J_5001 alone
     # would be 25 MB.
     grown_mb = _peak_growth_mb("sequences --n-max 5000")
-    assert grown_mb < 12, f"sequences --n-max 5000 peaked {grown_mb:.1f} MB above gutman --n 2"
+    assert grown_mb < 12, f"sequences --n-max 5000 peaked {grown_mb:.1f} MB above {_FLOOR}"
 
 
 def test_export_2000_peak_memory():
@@ -449,7 +455,7 @@ def test_export_2000_peak_memory():
     # above the floor: no arc table, no list of the pieces beside the text
     # (25 MB above the floor) and no encoded copy of the whole text.
     grown_mb = _peak_growth_mb("build --m 2 --c 1 --n 2000 --format json")
-    assert grown_mb < 18, f"build --m 2 --c 1 --n 2000 peaked {grown_mb:.0f} MB above gutman --n 2"
+    assert grown_mb < 18, f"build --m 2 --c 1 --n 2000 peaked {grown_mb:.0f} MB above {_FLOOR}"
 
 
 def test_erratum_40_peak_memory():
@@ -460,7 +466,7 @@ def test_erratum_40_peak_memory():
     # about 2 MB above the floor in all; holding all 3 900 anchor checks
     # and their joints read 3.4 MB.
     grown_mb = _peak_growth_mb("erratum --n-max 40 --m-max 40")
-    assert grown_mb < 3, f"erratum --n-max 40 --m-max 40 peaked {grown_mb:.1f} MB above gutman --n 2"
+    assert grown_mb < 3, f"erratum --n-max 40 --m-max 40 peaked {grown_mb:.1f} MB above {_FLOOR}"
 
 
 def test_erratum_100_peak_memory():
@@ -469,7 +475,7 @@ def test_erratum_100_peak_memory():
     # of the edge-joint report (1.5 MB traced) and one batch.  Holding every
     # anchor check and joint at once read 12.5 MB.
     grown_mb = _peak_growth_mb("erratum --n-max 100 --m-max 100")
-    assert grown_mb < 7, f"erratum --n-max 100 --m-max 100 peaked {grown_mb:.1f} MB above gutman --n 2"
+    assert grown_mb < 7, f"erratum --n-max 100 --m-max 100 peaked {grown_mb:.1f} MB above {_FLOOR}"
 
 
 def test_joint_100000_peak_memory(tmp_path):
@@ -479,6 +485,6 @@ def test_joint_100000_peak_memory(tmp_path):
     # 40 GB.  Past 2^63, the direct value must still equal the closed form.
     out = tmp_path / "joint.json"
     grown_mb = _peak_growth_mb(f"joint --n 100000 --m 100000 --vi 777 --uj 5 --format json --out {out}")
-    assert grown_mb < 100, f"joint --n 100000 --m 100000 peaked {grown_mb:.0f} MB above gutman --n 2"
+    assert grown_mb < 100, f"joint --n 100000 --m 100000 peaked {grown_mb:.0f} MB above {_FLOOR}"
     row = json.loads(out.read_text())
     assert row["direct"] == row["closed_form"] > 2**63
