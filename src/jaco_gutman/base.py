@@ -23,6 +23,7 @@ So C(a), the sum of w(b) * dist(a, b) over b > a, obeys the forest identity
 where S(a) is the weight of the vertices above a.  hi(a) >= a, so one pass
 from n down gives every C(a), and the index is the sum of w(a) * C(a): with
 the degree hi(v) - lo(v) as w the Gutman index, with w = 1 the Wiener index.
+`small_order_index` makes that one pass for either index; only w differs.
 """
 from __future__ import annotations
 
@@ -82,12 +83,14 @@ def arc_rule_reach(m: int, c: int, n: int) -> Iterator[int]:
 def small_order_index(m: int, c: int, n: int, gutman: bool) -> int:
     """The Gutman index if `gutman`, else the Wiener index, of J_n(mx + c), exactly.
 
-    Both need a connected graph: a fixed point hi(v) = v below n raises
-    DisconnectedGraphError naming the index before anything is summed.  A
-    reach that falls below its predecessor's raises
-    StructureAssumptionViolated, since the forest identity relies on
-    nondecreasing reaches.  Time is O(n) and memory two lists of n + 1
-    integers: hi and C.
+    One backward pass of the forest identity serves both: from a = n down
+    it weighs a by hi(a) - lo(a), its degree, for the Gutman index (walking
+    lo(a) along) and by 1 for the Wiener index.  Both need a connected
+    graph: a fixed point hi(v) = v below n raises DisconnectedGraphError
+    naming the index before anything is summed.  A reach that falls below
+    its predecessor's raises StructureAssumptionViolated, since the forest
+    identity relies on nondecreasing reaches.  Time is O(n) and memory two
+    lists of n + 1 integers: hi and C.
     """
     what = "the Gutman index" if gutman else "the Wiener index"
     hi = [0, *arc_rule_reach(m, c, n)]  # hi[v] for v = 1..n; hi[0] = 0 stops the lo walk
@@ -97,18 +100,15 @@ def small_order_index(m: int, c: int, n: int, gutman: bool) -> int:
         raise StructureAssumptionViolated(f"the reaches of the order-{n} graph of {m}x + {c} decrease")
     forest = [0] * (n + 1)  # C(a); C(n) = 0
     above = total = 0  # S(a) and the index so far
-    if gutman:
-        lo = n  # lo(a), the first u with hi(u) >= a, walked down with a
-        for a in range(n, 0, -1):
-            while hi[lo - 1] >= a:
-                lo -= 1
-            reach = hi[a]
-            here = forest[a] = above + forest[reach]
-            weight = reach - lo
-            total += weight * here
-            above += weight
-    else:
-        for a in range(n, 0, -1):
-            here = forest[a] = n - a + forest[hi[a]]
-            total += here
+    # lo(a), the first u with hi(u) >= a, walked down with a.  The Wiener
+    # weight needs no lo: started at 1, the sentinel hi[0] = 0 holds it there.
+    lo = n if gutman else 1
+    for a in range(n, 0, -1):
+        while hi[lo - 1] >= a:
+            lo -= 1
+        reach = hi[a]
+        here = forest[a] = above + forest[reach]
+        weight = reach - lo if gutman else 1
+        total += weight * here
+        above += weight
     return total

@@ -10,7 +10,8 @@ with no message.
 
 All output is deterministic; the only randomized piece, the non-trivial
 anchor audit inside `erratum`, draws from a seeded generator (--seed,
-default 0).
+default 0).  CPython seeds it with |seed|, so a seed and its negative draw
+the same anchors.
 
 A process runs one subcommand, so it builds only that subcommand's parser
 (every parser when argv names none, so that a usage error reads the same),
@@ -126,7 +127,12 @@ def _add_sequences(p: argparse.ArgumentParser) -> None:
 def _add_erratum(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=_positive, default=20)
     p.add_argument("--m-max", type=_positive, default=10)
-    p.add_argument("--seed", type=_integer, default=0, help="seed for the anchor audit (default 0)")
+    p.add_argument(
+        "--seed",
+        type=_integer,
+        default=0,
+        help="seed for the anchor audit (default 0); a seed and its negative draw the same anchors",
+    )
     p.add_argument("--out", type=Path)
     p.set_defaults(func=_cmd_erratum)
 

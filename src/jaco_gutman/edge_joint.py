@@ -49,11 +49,14 @@ other; the index of any joint is `gutman_index(edge_joint_graph(spec))`.
 
 Both audits of `erratum` run through one such stream over one set of
 identity graphs J_2..J_n_max: the trivial grid first, then the seeded
-anchor grid, each read lazily (`_joint_audits`).  Inside the audits a
-joint is a plain (g, h, v, u) tuple, in range by construction, and a check
-a plain (n, m, vi, uj, closed form, direct) tuple, so they make no object
-per check; `joint_delta_report` and `anchor_checks` are views over the
-same checks.
+anchor grid, each read lazily from one walk of the grid (`_grid`,
+`_joint_audits`).  Inside the audits a joint is a plain (g, h, v, u) tuple,
+in range by construction, and a check a plain (n, m, vi, uj, closed form,
+direct) tuple, so they make no object per check (`_audit_checks`).
+`joint_delta_report` and `anchor_checks` are views over the same checks,
+and `joint_check` is one point of them: the check of its single joint, and
+at trivial anchors the published columns that `_paper_columns` gives the
+audit's row.
 """
 from __future__ import annotations
 
@@ -70,6 +73,7 @@ from .graph_core import (
     StructureAssumptionViolated,
     _exact_dot,
     _halve,
+    _is_int,
     _require_at_least,
     _require_connected,
     _require_vertex,
@@ -325,11 +329,6 @@ def _direct_stream(sides: Iterable[SimpleGraph], joints: Iterable[tuple]) -> Ite
         done, ahead = end - summed, ahead - summed
 
 
-def _direct_gutman(specs: list[JointSpec]) -> list[int]:
-    """Gutman index of each joint of reach-backed sides, in spec order: the indices of `_direct_stream`."""
-    return [index for _, index in _direct_stream((g for spec in specs for g in (spec.g, spec.h)), specs)]
-
-
 def closed_form_joint_gutman(spec: JointSpec) -> int:
     """Gutman index of the edge joint, by the exact pair-class decomposition.
 
@@ -418,17 +417,18 @@ class JointDelta:
 
 
 def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | None]:
-    """Single composed pair of identity Jaco graphs, all values in one row.
+    """Single composed pair of identity Jaco graphs, all values in one row: one point of the `erratum` audit.
 
-    The published columns only apply to the trivial anchor choice with
-    n >= m >= 2; they are None otherwise.  When m == n, J_n serves as both
-    sides.
+    The closed form and the direct value are the check that `_audit_checks`
+    makes of this one joint, and the published columns are `_paper_columns`
+    over the two sides' first-vertex parts, as in `_joint_audits`.  Those
+    columns only apply to the trivial anchor choice with n >= m >= 2; they
+    are None otherwise.  When m == n, J_n serves as both sides.
     """
-    jn = build_jaco(IDENTITY, n)
-    jm = jn if m == n else build_jaco(IDENTITY, m)
-    spec = JointSpec(jn.underlying, jm.underlying, vi, uj)
-    (direct,) = _direct_gutman([spec])
-    closed = closed_form_joint_gutman(spec)
+    g = build_jaco(IDENTITY, n).underlying
+    graphs = {n: g, m: g if m == n else build_jaco(IDENTITY, m).underlying}
+    spec = JointSpec(g, graphs[m], vi, uj)
+    ((*_, closed, direct),) = _audit_checks(graphs, [spec])
     row: dict[str, int | None] = {
         "n": n,
         "m": m,
@@ -441,44 +441,49 @@ def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | Non
         "missing_block": None,
     }
     if spec.trivial and n >= m >= 2:
-        paper = joint_paper_rhs(jn, jm)
-        row["paper_rhs"] = paper
-        row["delta_paper"] = paper - direct
-        row["missing_block"] = missing_anchor_block(jn, jm)
+        paper, missing = _paper_columns(_first_vertex_parts(g), _first_vertex_parts(graphs[m]))
+        row.update(paper_rhs=paper, delta_paper=paper - direct, missing_block=missing)
     return row
 
 
-def _identity_graphs(n_max: int, m_max: int, per_pair: int) -> dict[int, SimpleGraph]:
-    """Underlying graphs of the identity Jaco graphs of orders 2..n_max, keyed by order, once the bounds are checked.
+def _identity_graphs(n_max: int, m_max: int, per_pair: int, seed: int) -> dict[int, SimpleGraph]:
+    """Underlying graphs of the identity Jaco graphs of orders 2..n_max, keyed by order, once the arguments are checked.
 
-    Built once per audit, so each graph's index and T are computed once
-    (they are kept on the graph) however many joints use it.
+    The bounds must be integers of at least 2, 2 and 0, and the seed any
+    integer; a bool, float or string raises ValueError naming it.  Built
+    once per audit, so each graph's index and T are computed once (they
+    are kept on the graph) however many joints use it.
     """
     _require_at_least(n_max, 2, "n_max")
     _require_at_least(m_max, 2, "m_max")
     _require_at_least(per_pair, 0, "per_pair")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     return {k: build_jaco(IDENTITY, k).underlying for k in range(2, n_max + 1)}
 
 
+def _grid(graphs: dict[int, SimpleGraph], m_max: int) -> Iterator[tuple[SimpleGraph, SimpleGraph]]:
+    """(J_n, J_m) at each grid point 2 <= m <= min(n, m_max), in grid order: n up, then m up."""
+    return ((g, graphs[m]) for n, g in graphs.items() for m in range(2, min(n, m_max) + 1))
+
+
 def _trivial_joints(graphs: dict[int, SimpleGraph], m_max: int) -> Iterator[tuple]:
-    """The trivial joint of J_n and J_m at each grid point 2 <= m <= min(n, m_max), in grid order."""
-    for n, g in graphs.items():
-        for m in range(2, min(n, m_max) + 1):
-            yield g, graphs[m], 1, 1
+    """The trivial joint of J_n and J_m at each grid point, in grid order."""
+    return ((g, h, 1, 1) for g, h in _grid(graphs, m_max))
 
 
 def _anchor_joints(graphs: dict[int, SimpleGraph], m_max: int, per_pair: int, seed: int) -> Iterator[tuple]:
-    """Per grid point, in grid order, per_pair seeded anchor pairs other than (1, 1)."""
-    randint = random.Random(seed).randint
-    for n, g in graphs.items():
-        for m in range(2, min(n, m_max) + 1):
-            h = graphs[m]
-            for _ in range(per_pair):
-                vi, uj = 1, 1
-                while vi == 1 and uj == 1:
-                    vi = randint(1, n)
-                    uj = randint(1, m)
-                yield g, h, vi, uj
+    """Per grid point, in grid order, per_pair seeded anchor pairs other than (1, 1).
+
+    Each pair draws randint(1, n), then randint(1, m), again while both are 1.
+    """
+    randint = random.Random(int(seed)).randint  # random takes no numpy integer
+    for g, h in _grid(graphs, m_max):
+        for _ in range(per_pair):
+            vi = uj = 1
+            while vi == uj == 1:
+                vi, uj = randint(1, g.order), randint(1, h.order)
+            yield g, h, vi, uj
 
 
 def _audit_checks(graphs: dict[int, SimpleGraph], joints: Iterable[tuple]) -> Iterator[tuple[int, ...]]:
@@ -498,7 +503,7 @@ def _joint_audits(n_max: int, m_max: int, per_pair: int, seed: int) -> tuple[lis
     then goes on with the anchor checks, made as they are read.  Both
     grids are read lazily, so the audits hold O(batch) joints.
     """
-    graphs = _identity_graphs(n_max, m_max, per_pair)
+    graphs = _identity_graphs(n_max, m_max, per_pair, seed)
     checks = _audit_checks(graphs, chain(_trivial_joints(graphs, m_max), _anchor_joints(graphs, m_max, per_pair, seed)))
     parts = {k: _first_vertex_parts(g) for k, g in graphs.items()}
     rows = []
@@ -536,7 +541,7 @@ def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> I
     is made when it is read, from the anchor grid of `_joint_audits` alone,
     so the grid's joints are never held at once.
     """
-    graphs = _identity_graphs(n_max, m_max, per_pair)
+    graphs = _identity_graphs(n_max, m_max, per_pair, seed)
     return (AnchorCheck(*check) for check in _audit_checks(graphs, _anchor_joints(graphs, m_max, per_pair, seed)))
 
 

@@ -52,6 +52,9 @@ class LinearFunction:
             raise ValueError("coefficients must be integers")
         if self.m < 0 or self.c < 0:
             raise ValueError("coefficients must be nonnegative")
+        # held as Python integers, so that f(x) cannot wrap as a numpy integer would
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "c", int(self.c))
 
     def __call__(self, x: int) -> int:
         return self.m * x + self.c

@@ -1,6 +1,7 @@
 """Edge-joint composition and its Gutman index formulas."""
 import collections
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,11 @@ def k2():
 
 def path(n):
     return from_edges(n, [(i, i + 1) for i in range(1, n)])
+
+
+def _direct_gutman(specs):
+    """Each spec's Gutman index by the interval balls of `_direct_stream`, in spec order."""
+    return [index for _, index in edge_joint._direct_stream((g for s in specs for g in (s.g, s.h)), specs)]
 
 
 class TestComposition:
@@ -266,6 +272,78 @@ class TestJointCheck:
         else:
             assert row["paper_rhs"] is row["missing_block"] is row["delta_paper"] is None
 
+    @pytest.mark.parametrize("draw", range(16))
+    def test_joint_is_one_point_of_the_audit_checks(self, draw, monkeypatch):
+        # the row is the audit's check of its one joint, from one closed form
+        # and one stream, and at trivial anchors with n >= m >= 2 its
+        # published columns are the trivial audit's row for (n, m)
+        rng = random.Random(f"joint point {draw}")
+        n, m = rng.randint(1, 30), rng.randint(1, 30)
+        vi, uj = (1, 1) if draw % 3 == 0 else (rng.randint(1, n), rng.randint(1, m))
+        graphs = {k: build_jaco(IDENTITY, k).underlying for k in (n, m)}
+        (expected,) = edge_joint._audit_checks(graphs, [(graphs[n], graphs[m], vi, uj)])
+        calls = collections.Counter()
+
+        def counting(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        def refuse(*args):
+            raise AssertionError("joint_check took the published columns a second way")
+
+        for name in ("closed_form_joint_gutman", "_direct_stream"):
+            monkeypatch.setattr(edge_joint, name, counting(name, getattr(edge_joint, name)))
+        monkeypatch.setattr(edge_joint, "joint_paper_rhs", refuse)
+        monkeypatch.setattr(edge_joint, "missing_anchor_block", refuse)
+        row = joint_check(n, m, vi, uj)
+        assert calls == {"closed_form_joint_gutman": 1, "_direct_stream": 1}
+        assert (row["n"], row["m"], row["vi"], row["uj"], row["closed_form"], row["direct"]) == expected
+        monkeypatch.undo()
+        if vi == uj == 1 and n >= m >= 2:
+            (delta,) = (d for d in joint_delta_report(n, m) if (d.n, d.m) == (n, m))
+            columns = ("paper_rhs", "closed_form", "direct", "missing_block", "delta_paper")
+            assert [row[c] for c in columns] == [getattr(delta, c) for c in columns]
+        else:
+            assert row["paper_rhs"] is row["missing_block"] is row["delta_paper"] is None
+
+    @pytest.mark.parametrize("audit", [edge_joint.anchor_checks, anchor_audit])
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_anchor_audits_reject_a_seed_that_is_not_an_integer(self, audit, seed, monkeypatch):
+        # the seed is checked with the bounds, before any graph is built
+        def refuse(*args):
+            raise AssertionError("a graph was built before the seed was checked")
+
+        monkeypatch.setattr(edge_joint, "build_jaco", refuse)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            audit(4, 3, per_pair=2, seed=seed)
+
+    def test_anchor_grid_draws_n_then_m(self):
+        # a seed names its anchors: per grid point and pair, randint(1, n)
+        # then randint(1, m), drawn again while both are 1
+        randint = random.Random(5).randint
+        expected = []
+        for n in range(2, 9):
+            for m in range(2, min(n, 6) + 1):
+                for _ in range(3):
+                    vi = uj = 1
+                    while vi == uj == 1:
+                        vi = randint(1, n)
+                        uj = randint(1, m)
+                    expected.append((n, m, vi, uj))
+        assert [(c.n, c.m, c.vi, c.uj) for c in edge_joint.anchor_checks(8, 6, per_pair=3, seed=5)] == expected
+
+    @pytest.mark.parametrize(
+        "audit", [lambda *a, **k: list(edge_joint.anchor_checks(*a, **k)), anchor_audit], ids=["anchor_checks", "anchor_audit"]
+    )
+    def test_anchor_audits_take_a_numpy_integer_seed(self, audit):
+        # as every count here; a seed and its negative draw the same anchors
+        checks = audit(6, 4, per_pair=2, seed=np.int64(-3))
+        assert checks == audit(6, 4, per_pair=2, seed=3) == audit(6, 4, per_pair=2, seed=-3)
+        assert all(check.ok for check in checks)
+
     def test_anchor_audit_all_pass(self):
         checks = anchor_audit(8, 8, per_pair=3, seed=11)
         assert checks
@@ -392,8 +470,8 @@ def test_audit_stacks_are_the_composed_graphs(specs, sources):
     # against G, is the same graph, so its two half-joints sum to the same
     # index even where a batch boundary splits them
     with mock.patch.object(edge_joint, "_BATCH_SOURCES", sources):
-        values = edge_joint._direct_gutman(specs)
-        assert edge_joint._direct_gutman([JointSpec(s.h, s.g, s.u, s.v) for s in specs]) == values
+        values = _direct_gutman(specs)
+        assert _direct_gutman([JointSpec(s.h, s.g, s.u, s.v) for s in specs]) == values
     composed = [edge_joint_graph(spec) for spec in specs]
     assert values == [gutman_index(graph) for graph in composed]
     assert values == [brute_gutman(graph.order, graph.edge_list()) for graph in composed]
@@ -417,7 +495,7 @@ def test_disconnected_side_in_a_stack_raises(monkeypatch):
 
     monkeypatch.setattr(edge_joint, "_ball_sums", no_balls)
     with pytest.raises(DisconnectedGraphError, match=message):
-        edge_joint._direct_gutman(specs)
+        _direct_gutman(specs)
     # the composed graph's own index says the same
     with pytest.raises(DisconnectedGraphError, match=message):
         gutman_index(edge_joint_graph(specs[1]))
@@ -435,7 +513,7 @@ def test_table_backed_side_in_a_stack_raises(monkeypatch):
 
     monkeypatch.setattr(edge_joint, "_ball_sums", no_balls)
     with pytest.raises(ValueError, match=r"reach-backed sides; use gutman_index\(edge_joint_graph\(spec\)\)$"):
-        edge_joint._direct_gutman(specs)
+        _direct_gutman(specs)
 
 
 def _read_log(specs, log):
@@ -474,11 +552,11 @@ def test_direct_stream_reads_a_batch_ahead(sources, monkeypatch):
     values = [value for _, value in streamed]
     assert len(specs) > 20
     assert list(edge_joint._direct_stream(sides, specs)) == streamed
-    assert values == edge_joint._direct_gutman(specs)
+    assert values == _direct_gutman(specs)
     assert values == [gutman_index(edge_joint_graph(spec)) for spec in specs]
     # the audits' plain (g, h, v, u) tuples, read from the end of the trivial
     # grid on into the anchor grid, keep the same bound
-    graphs = edge_joint._identity_graphs(9, 6, 2)
+    graphs = edge_joint._identity_graphs(9, 6, 2, sources)
     joints = [*edge_joint._trivial_joints(graphs, 6), *edge_joint._anchor_joints(graphs, 6, 2, sources)]
     streamed = _stream_within_a_batch_ahead(graphs.values(), joints, sources)
     assert [value for _, value in streamed] == [gutman_index(edge_joint_graph(JointSpec(*j))) for j in joints]
@@ -601,7 +679,7 @@ def test_stack_past_the_int64_bound_sums_each_slice(object_sums, monkeypatch):
         monkeypatch.setattr(graph_core, "_INT64_SAFE", 0)
         monkeypatch.setattr(edge_joint, "_INT64_SAFE", 0)
     monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", 16)
-    assert edge_joint._direct_gutman(specs) == expected
+    assert _direct_gutman(specs) == expected
 
 
 def test_odd_stack_total_raises(monkeypatch):
@@ -618,7 +696,7 @@ def test_odd_stack_total_raises(monkeypatch):
     monkeypatch.setattr(edge_joint, "_ball_sums", doctored)
     jk2 = build_jaco(IDENTITY, 2).underlying
     with pytest.raises(ArithmeticError, match="is odd"):
-        edge_joint._direct_gutman([JointSpec(jk2, jk2, 1, 1), JointSpec(jk2, jk2, 2, 2)])
+        _direct_gutman([JointSpec(jk2, jk2, 1, 1), JointSpec(jk2, jk2, 2, 2)])
 
 
 def test_a_ball_that_stops_growing_raises(monkeypatch):
@@ -634,7 +712,7 @@ def test_a_ball_that_stops_growing_raises(monkeypatch):
     monkeypatch.setattr(edge_joint, "_side_tables", frozen)
     spec = JointSpec(build_jaco(IDENTITY, 3).underlying, build_jaco(IDENTITY, 2).underlying, 2, 1)
     with pytest.raises(RuntimeError, match="has not filled its joint after 5 rounds"):
-        edge_joint._direct_gutman([spec])
+        _direct_gutman([spec])
 
 
 def _mixed_order_specs():
@@ -670,7 +748,7 @@ def test_retired_and_late_opening_balls_keep_their_sums(sources, floor, mixed_or
     monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
     if floor is not None:
         monkeypatch.setattr(edge_joint, "_COMPACT_FLOOR", floor)
-    assert edge_joint._direct_gutman(MIXED_ORDER_SPECS) == mixed_order_indices
+    assert _direct_gutman(MIXED_ORDER_SPECS) == mixed_order_indices
 
 
 def test_a_ball_that_never_fills_among_retired_ones_raises(monkeypatch):
@@ -693,7 +771,7 @@ def test_a_ball_that_never_fills_among_retired_ones_raises(monkeypatch):
     specs = [JointSpec(jk3, jk2, v, u) for v in (1, 2, 3) for u in (1, 2)] * 8 + [JointSpec(bad, jk2, 3, 1)]
     message = "^a ball has not filled its joint after 7 rounds, more than the joint's order allows$"
     with pytest.raises(StructureAssumptionViolated, match=message):
-        edge_joint._direct_gutman(specs)
+        _direct_gutman(specs)
 
 
 def _brute_degree_distance_sums(order, edges):
@@ -779,5 +857,5 @@ def test_joint_index_past_the_int64_bound_is_exact(sources, monkeypatch):
     if sources is not None:
         monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
     specs = [JointSpec(g, h, 1, 1), JointSpec(g, h, 777, 5), JointSpec(g, h, n, m)]
-    assert edge_joint._direct_gutman(specs) == [expected] * 3
+    assert _direct_gutman(specs) == [expected] * 3
     assert [closed_form_joint_gutman(spec) for spec in specs] == [expected] * 3

@@ -1,6 +1,7 @@
 """Construction rule, structural validators, and the degree landscape."""
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,14 @@ class TestLinearFunction:
             LinearFunction(True, False)
         with pytest.raises(ValueError):
             LinearFunction(1, True)
+
+    def test_numpy_coefficients_are_held_as_python_integers(self):
+        # a numpy coefficient would wrap in f(x), which raises here as an
+        # overflow RuntimeWarning under the test suite's warning filter
+        f = LinearFunction(np.int64(2**62), np.int64(5))
+        assert type(f.m) is int and type(f.c) is int
+        assert f(4) == 2**64 + 5
+        assert f == LinearFunction(2**62, 5) and hash(f) == hash(LinearFunction(2**62, 5))
 
 
 class TestBuilder:
