@@ -1,11 +1,14 @@
-"""Graph exports against naive per-arc renderings of the defining rule.
+"""Graph exports against naive per-arc renderings of the defining rule, and audit report texts.
 
 `jaco_to_json`, `jaco_to_csv` and `jaco_to_dot` render the arcs one run of
 equal tails at a time: a built graph from its reach, any other graph from its
 arc table.  Here each output is compared with text built arc by
 arc from `bruteforce.slow_jaco_arcs`, with the standard library's JSON
-encoder for the JSON format.
+encoder for the JSON format.  The audit reports that a subcommand prints are
+pinned by the CLI corpus; `joint_report_json`, which none prints, is pinned
+here.
 """
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -16,11 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, SequenceTable, build_jaco, graph_core, sequence_table
+from jaco_gutman.edge_joint import joint_delta_report
 from jaco_gutman.serialize import (
     jaco_from_json,
     jaco_to_csv,
     jaco_to_dot,
     jaco_to_json,
+    joint_report_json,
     sequence_to_csv,
     sequence_to_json,
 )
@@ -176,3 +181,14 @@ def test_exports_under_a_profiler_match():
     finally:
         sys.setprofile(None)
     assert profiled == plain
+
+
+def test_joint_report_json_text_is_pinned():
+    # No subcommand prints this report, so the CLI corpus does not pin it.
+    one = '[{"n":2,"m":2,"paper_rhs":15,"closed_form":19,"direct":19,"delta_paper":-4,"missing_block":4,"residual":0}]\n'
+    assert joint_report_json(joint_delta_report(2, 2)) == one
+    text = joint_report_json(joint_delta_report(12, 6))
+    last = '{"n":12,"m":6,"paper_rhs":8231,"closed_form":8781,"direct":8781,"delta_paper":-550,"missing_block":550,"residual":0}]\n'
+    assert text.startswith(one[:-2] + ",") and text.endswith("," + last)
+    assert (len(text), text.count("{")) == (5142, 45)
+    assert hashlib.sha256(text.encode()).hexdigest() == "08daeb3881eba8e920e8710e64a6b15f28ea480ccfc15711c38d9d3591365f54"
