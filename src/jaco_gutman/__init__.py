@@ -1,13 +1,15 @@
 """Linear Jaco graphs, exact Gutman and Wiener indices, and formula audits.
 
 The public names are loaded on first use (PEP 562), so `import jaco_gutman`
-loads no numpy.  The entry points in `__main__` rely on this: they set the
-BLAS thread default before anything imports numpy.
+loads no numpy, and neither does reading a name defined in the numpy-free
+`base`: the exceptions and `SEQUENCE_NAMES`.  The entry points in `__main__`
+rely on this: they set the BLAS thread default before anything imports numpy.
 """
 
 import importlib
 
 _PUBLIC = {
+    "base": ("DisconnectedGraphError", "SEQUENCE_NAMES", "StructureAssumptionViolated"),
     "edge_joint": (
         "AnchorCheck",
         "JointDelta",
@@ -22,9 +24,7 @@ _PUBLIC = {
         "missing_anchor_block",
     ),
     "graph_core": (
-        "DisconnectedGraphError",
         "SimpleGraph",
-        "StructureAssumptionViolated",
         "all_pairs_distances",
         "degree",
         "from_edges",
@@ -40,7 +40,6 @@ _PUBLIC = {
         "LinearFunction",
         "PrefixFacts",
         "PropertyReport",
-        "SEQUENCE_NAMES",
         "build_jaco",
         "component_structure",
         "hope_graph",

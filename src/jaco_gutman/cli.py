@@ -117,7 +117,7 @@ def _add_sequences(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--which",
         default=",".join(SEQUENCE_NAMES),
-        help="comma-separated subset of: " + ", ".join(SEQUENCE_NAMES),
+        help="comma-separated subset of: " + ", ".join(SEQUENCE_NAMES) + "; each name at most once",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=Path, help="file for one table, directory for several")
@@ -264,6 +264,9 @@ def _cmd_sequences(args: argparse.Namespace) -> int:
     unknown = [w for w in names if w not in SEQUENCE_NAMES]
     if unknown:
         raise UsageError(f"unknown sequence name {unknown[0]!r}")
+    repeated = [w for w in names if names.count(w) > 1]
+    if repeated:
+        raise UsageError(f"sequence name {repeated[0]!r} is repeated")
     from . import graph_core, jaco, sequences, serialize  # lowest layer first: see the module docstring
 
     f = jaco.LinearFunction(args.m, args.c)

@@ -423,7 +423,8 @@ def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | Non
     makes of this one joint, and the published columns are `_paper_columns`
     over the two sides' first-vertex parts, as in `_joint_audits`.  Those
     columns only apply to the trivial anchor choice with n >= m >= 2; they
-    are None otherwise.  When m == n, J_n serves as both sides.
+    are None otherwise.  When m == n, J_n serves as both sides.  The key
+    order is the column order that `joint` prints, the None fields left out.
     """
     g = build_jaco(IDENTITY, n).underlying
     graphs = {n: g, m: g if m == n else build_jaco(IDENTITY, m).underlying}

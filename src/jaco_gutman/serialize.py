@@ -14,6 +14,14 @@ is held once and no list of its pieces is kept beside it.  A built graph's arcs 
 from its reach, one piece per run of equal tails (`_arc_runs`), so
 exporting it never builds its arc table.  `json` is imported only by the
 functions that parse or dump with it, so `build` and `erratum` never load it.
+
+The audit reports name their columns once (`RECURSION_COLUMNS`,
+`JOINT_COLUMNS`), as the attribute names of their rows, and read each row's
+values by name; one csv writer (`_csv`) and one json writer (`_json`) render
+every report.  A single-joint row from `joint_check` prints its fields that
+are not None, in its own key order.  `sequence_to_csv` keeps its own writer,
+an f-string per row, which is about twice as fast as `_csv` on the long
+tables that `sequences` prints.
 """
 from __future__ import annotations
 
@@ -32,8 +40,9 @@ if TYPE_CHECKING:
     from .recursion import RecursionDelta
     from .sequences import SequenceTable
 
-RECURSION_HEADER = "n,i,paper_rhs,exact_rhs,direct,delta_paper"
-JOINT_HEADER = "n,m,paper_rhs,closed_form,direct,delta_paper,missing_block,residual"
+# The columns of each audit report, in print order: attributes of its rows.
+RECURSION_COLUMNS = ("n", "i", "paper_rhs", "exact_rhs", "direct", "delta_paper")
+JOINT_COLUMNS = ("n", "m", "paper_rhs", "closed_form", "direct", "delta_paper", "missing_block", "residual")
 
 
 # Characters per append.  A batch this short keeps the pieces held beside the
@@ -147,12 +156,25 @@ def jaco_to_dot(j: JacoGraph, directed: bool = False) -> str:
     return _concat(chain([f"{kind} J{j.n} {{\n"], vertices, _arc_runs(j, "  v", f" {joiner} v", ";\n", ""), ["}\n"]))
 
 
-def _csv(header: str, records: Iterable[Iterable[int]]) -> str:
-    """The header line, then one line of comma-separated values per record."""
-    return _concat(chain([header + "\n"], (",".join(map(str, record)) + "\n" for record in records)))
+def _csv(columns: Iterable[str], records: Iterable[Iterable[int]]) -> str:
+    """The header line of `columns`, then one line of comma-separated values per record."""
+    return _concat(chain([",".join(columns) + "\n"], (",".join(map(str, record)) + "\n" for record in records)))
+
+
+def _json(payload: object) -> str:
+    """`payload` as compact JSON, newline-terminated."""
+    import json
+
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _record(row: RecursionDelta | JointDelta, columns: Iterable[str]) -> dict[str, int]:
+    """The row's values of `columns`, read by name, in their order."""
+    return {name: getattr(row, name) for name in columns}
 
 
 def sequence_to_csv(table: SequenceTable) -> str:
+    # Its own f-string writer: through `_csv`, v1_vn_distance at 10^6 rows took 0.60 s, not 0.27 s (best of 3).
     return _concat(chain(["n,value\n"], (f"{n},{value}\n" for n, value in table.rows)))
 
 
@@ -164,73 +186,37 @@ def sequence_to_json(table: SequenceTable) -> str:
     return _concat(chain([head, next(rows, "")], ("," + row for row in rows), ["]}\n"]))
 
 
-def _recursion_row_values(row: RecursionDelta) -> list[int]:
-    return [row.n, row.i, row.paper_rhs, row.exact_rhs, row.direct, row.delta_paper]
-
-
 def recursion_report_csv(rows: Iterable[RecursionDelta], per_term: bool = False) -> str:
+    if not per_term:
+        return _csv(RECURSION_COLUMNS, (_record(row, RECURSION_COLUMNS).values() for row in rows))
     from .recursion import TERM_NAMES
 
-    header = RECURSION_HEADER
-    if per_term:
-        header += "," + ",".join(f"delta_{name}" for name in TERM_NAMES)
-
-    def record(row: RecursionDelta) -> list[int]:
-        values = _recursion_row_values(row)
-        if per_term:
-            deltas = row.term_deltas()
-            values.extend(deltas[name] for name in TERM_NAMES)
-        return values
-
-    return _csv(header, map(record, rows))
+    columns = chain(RECURSION_COLUMNS, (f"delta_{name}" for name in TERM_NAMES))
+    records = (chain(_record(row, RECURSION_COLUMNS).values(), row.term_deltas().values()) for row in rows)
+    return _csv(columns, records)
 
 
 def recursion_report_json(rows: Iterable[RecursionDelta]) -> str:
-    import json
-
-    payload = []
-    for row in rows:
-        entry = dict(zip(RECURSION_HEADER.split(","), _recursion_row_values(row)))
-        entry["term_deltas"] = row.term_deltas()
-        payload.append(entry)
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def _joint_row_values(row: JointDelta) -> list[int]:
-    return [
-        row.n,
-        row.m,
-        row.paper_rhs,
-        row.closed_form,
-        row.direct,
-        row.delta_paper,
-        row.missing_block,
-        row.residual,
-    ]
+    return _json([{**_record(row, RECURSION_COLUMNS), "term_deltas": row.term_deltas()} for row in rows])
 
 
 def joint_report_csv(rows: Iterable[JointDelta]) -> str:
-    return _csv(JOINT_HEADER, map(_joint_row_values, rows))
+    return _csv(JOINT_COLUMNS, (_record(row, JOINT_COLUMNS).values() for row in rows))
 
 
 def joint_report_json(rows: Iterable[JointDelta]) -> str:
-    import json
+    return _json([_record(row, JOINT_COLUMNS) for row in rows])
 
-    payload = [dict(zip(JOINT_HEADER.split(","), _joint_row_values(row))) for row in rows]
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+def _present(row: Mapping[str, int | None]) -> dict[str, int]:
+    """The fields of a `joint_check` row that are not None, in its order."""
+    return {name: value for name, value in row.items() if value is not None}
 
 
 def joint_single_csv(row: Mapping[str, int | None]) -> str:
-    columns = ["n", "m", "vi", "uj", "direct", "closed_form"]
-    if row["paper_rhs"] is not None:
-        columns += ["paper_rhs", "delta_paper", "missing_block"]
-    header = ",".join(columns)
-    values = ",".join(str(row[c]) for c in columns)
-    return f"{header}\n{values}\n"
+    fields = _present(row)
+    return _csv(fields, [fields.values()])
 
 
 def joint_single_json(row: Mapping[str, int | None]) -> str:
-    import json
-
-    payload = {k: v for k, v in row.items() if v is not None}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    return _json(_present(row))

@@ -292,6 +292,20 @@ class TestSequences:
         code, _, err = run(capsys, "sequences", "--which", "girth", "--n-max", "4")
         assert code == 1 and "unknown sequence" in err
 
+    @pytest.mark.parametrize("which", ["edges,edges", "gutman, edges,gutman"])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-dir"])
+    def test_repeated_name_is_usage_error_before_any_table(self, capsys, tmp_path, monkeypatch, which, out):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(sequences, "sequence_tables", refuse)
+        target = tmp_path / "tables"
+        argv = ["sequences", "--n-max", "3", "--which", which, *(["--out", str(target)] if out else [])]
+        code, stdout, err = run(capsys, *argv)
+        name = which.split(",")[0].strip()
+        assert (code, stdout, err) == (1, "", f"usage error: sequence name {name!r} is repeated\n")
+        assert not target.exists()
+
     def test_disconnected_is_domain_error(self, capsys):
         code, _, err = run(
             capsys, "sequences", "--which", "gutman", "--m", "0", "--c", "2", "--n-max", "7"
@@ -615,6 +629,17 @@ class TestEntryPoints:
             "print(len(jaco_gutman.__all__), cli.__name__)"
         )
         assert _fresh(code) == ["46 jaco_gutman.cli"]
+
+    def test_names_defined_in_base_load_no_numpy(self):
+        names = ["DisconnectedGraphError", "StructureAssumptionViolated", "SEQUENCE_NAMES"]
+        code = (
+            "import sys, jaco_gutman\n"
+            f"values = [getattr(jaco_gutman, name) for name in {names!r}]\n"
+            "print('numpy' in sys.modules)\n"
+            "from jaco_gutman import graph_core, jaco\n"
+            f"print([value is getattr(graph_core, name, None) or value is getattr(jaco, name, None) for name, value in zip({names!r}, values)])\n"
+        )
+        assert _fresh(code) == ["False", "[True, True, True]"]
 
     def test_library_imports_set_no_blas_threads(self):
         code = "import os, jaco_gutman.cli, jaco_gutman.__main__; print(os.environ.get('OPENBLAS_NUM_THREADS'))"

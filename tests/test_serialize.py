@@ -6,7 +6,8 @@ arc table.  Here each output is compared with text built arc by
 arc from `bruteforce.slow_jaco_arcs`, with the standard library's JSON
 encoder for the JSON format.  The audit reports that a subcommand prints are
 pinned by the CLI corpus; `joint_report_json`, which none prints, is pinned
-here.
+here, and each report's csv and json renderings are checked to name one
+column list.
 """
 import hashlib
 import json
@@ -19,13 +20,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, SequenceTable, build_jaco, graph_core, sequence_table
-from jaco_gutman.edge_joint import joint_delta_report
+from jaco_gutman.edge_joint import joint_check, joint_delta_report
+from jaco_gutman.recursion import TERM_NAMES, recursion_delta_report
 from jaco_gutman.serialize import (
+    JOINT_COLUMNS,
+    RECURSION_COLUMNS,
     jaco_from_json,
     jaco_to_csv,
     jaco_to_dot,
     jaco_to_json,
+    joint_report_csv,
     joint_report_json,
+    joint_single_csv,
+    joint_single_json,
+    recursion_report_csv,
+    recursion_report_json,
     sequence_to_csv,
     sequence_to_json,
 )
@@ -192,3 +201,64 @@ def test_joint_report_json_text_is_pinned():
     assert text.startswith(one[:-2] + ",") and text.endswith("," + last)
     assert (len(text), text.count("{")) == (5142, 45)
     assert hashlib.sha256(text.encode()).hexdigest() == "08daeb3881eba8e920e8710e64a6b15f28ea480ccfc15711c38d9d3591365f54"
+
+
+def _spread_terms(entry):
+    """A recursion report entry with its term_deltas spread into delta_<term> columns, as the per-term csv prints them."""
+    deltas = entry.pop("term_deltas")
+    return {**entry, **{f"delta_{name}": value for name, value in deltas.items()}}
+
+
+def _drop_terms(entry):
+    del entry["term_deltas"]
+    return entry
+
+
+def _present_keys(row):
+    return [name for name, value in row.items() if value is not None]
+
+
+_RECURSION_ROWS = recursion_delta_report(9)
+_JOINT_ROWS = joint_delta_report(9, 5)
+_SINGLE_ROWS = {
+    "trivial anchors, n >= m >= 2": joint_check(9, 5),
+    "trivial anchors, m > n": joint_check(5, 9),
+    "non-trivial anchors": joint_check(9, 5, 3, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "csv_text, json_text, as_csv, columns",
+    [
+        pytest.param(
+            recursion_report_csv(_RECURSION_ROWS),
+            recursion_report_json(_RECURSION_ROWS),
+            _drop_terms,
+            list(RECURSION_COLUMNS),
+            id="recursion report",
+        ),
+        pytest.param(
+            recursion_report_csv(_RECURSION_ROWS, per_term=True),
+            recursion_report_json(_RECURSION_ROWS),
+            _spread_terms,
+            [*RECURSION_COLUMNS, *(f"delta_{name}" for name in TERM_NAMES)],
+            id="recursion report, per term",
+        ),
+        pytest.param(
+            joint_report_csv(_JOINT_ROWS), joint_report_json(_JOINT_ROWS), dict, list(JOINT_COLUMNS), id="joint report"
+        ),
+        *(
+            pytest.param(joint_single_csv(row), joint_single_json(row), dict, _present_keys(row), id=f"joint_check, {case}")
+            for case, row in _SINGLE_ROWS.items()
+        ),
+    ],
+)
+def test_csv_header_and_json_keys_are_one_column_list(csv_text, json_text, as_csv, columns):
+    header, *lines = csv_text.splitlines()
+    payload = json.loads(json_text)
+    entries = [as_csv(entry) for entry in (payload if isinstance(payload, list) else [payload])]
+    assert header.split(",") == columns
+    assert len(entries) == len(lines) > 0
+    assert all(list(entry) == columns for entry in entries)
+    assert [line.split(",") for line in lines] == [[str(value) for value in entry.values()] for entry in entries]
+
