@@ -261,4 +261,3 @@ def test_csv_header_and_json_keys_are_one_column_list(csv_text, json_text, as_cs
     assert len(entries) == len(lines) > 0
     assert all(list(entry) == columns for entry in entries)
     assert [line.split(",") for line in lines] == [[str(value) for value in entry.values()] for entry in entries]
-
