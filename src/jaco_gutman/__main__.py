@@ -3,8 +3,8 @@
 No command multiplies float matrices, so numpy's BLAS worker threads only
 cost CPU time when they start.  OPENBLAS_NUM_THREADS defaults to 1 here,
 before `cli` runs, so the default applies whenever a command loads numpy;
-`gutman` and `wiener` up to `base.SMALL_ORDER` vertices load none.  A value
-the user set wins.
+`build` loads none at any order, nor do `gutman` and `wiener` up to
+`base.SMALL_ORDER` vertices.  A value the user set wins.
 
 The cyclic garbage collector is kept off the start-up heap.  Once `cli`
 has imported, `gc.freeze()` moves the long-lived objects of the start-up

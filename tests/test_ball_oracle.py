@@ -30,14 +30,15 @@ def ball_sums(g, w):
     """
     n = g.order
     _, lo, hi, _ = edge_joint._side_tables([g])
-    pre = np.cumsum(np.concatenate(([0], w, [0])))
+    below = np.cumsum(np.concatenate(([0, 0], w, [0])))
     total = int(w.sum())
     parts = []
     for start in range(1, n + 1, _ORACLE_SOURCES):
         a = np.arange(start, min(start + _ORACLE_SOURCES, n + 1))
         nowhere = np.zeros(len(a), np.int64)
         ball = (a, a, np.full(len(a), n + 1), nowhere)
-        _, sums = edge_joint._ball_sums((lo, hi, pre), ball, nowhere, nowhere, np.full(len(a), total), n)
+        tables = lo, hi, below[1:], below[:-1]
+        _, sums = edge_joint._ball_sums(tables, ball, nowhere, nowhere, np.full(len(a), total), n)
         parts.append(sums)
     return np.concatenate(parts)
 

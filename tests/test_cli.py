@@ -593,12 +593,18 @@ _ENTRY = {
 }
 
 
+# `sequences` loads numpy at every order; `build` and small `gutman` and `wiener` load none.
+_NUMPY_ARGV = ["sequences", "--n-max", "5", "--which", "edges", "--format", "json"]
+_NUMPY_OUT = '{"name":"edges","m":1,"c":0,"rows":[[1,0],[2,1],[3,2],[4,3],[5,5]]}\n'
+
+
 def _entry_run(entry):
-    """Code that runs `jaco build --n 5`, a command that loads numpy, through
-    `entry`, then prints the BLAS variable and the process's thread count."""
+    """Code that runs `jaco sequences --n-max 5 --which edges --format json`, a
+    command that loads numpy, through `entry`, then prints the BLAS variable
+    and the process's thread count."""
     return (
         "import os, sys\n"
-        "sys.argv = ['jaco', 'build', '--n', '5']\n"
+        f"sys.argv = ['jaco', *{_NUMPY_ARGV!r}]\n"
         "try:\n"
         f"    {_ENTRY[entry]}\n"
         "except SystemExit as stop:\n"
@@ -656,13 +662,28 @@ class TestEntryPoints:
 
     # Each subcommand imports only the layers it runs, and no stdlib module
     # it does not use; site may have loaded `random` before the entry runs.
-    # `gutman` and `wiener` of small orders run on `base` alone.
+    # `gutman` and `wiener` of small orders run on `base` alone, and `build`
+    # in every format and at every order on `base` and `serialize`.
     @pytest.mark.parametrize(
         "argv, layers, unused",
         [
             pytest.param(["gutman", "--n", "5"], [], ["json", "numpy", "random"], id="gutman"),
             pytest.param(["wiener", "--n", "5"], [], ["json", "numpy", "random"], id="wiener"),
-            pytest.param(["build", "--n", "5"], ["graph_core", "jaco", "serialize"], ["json", "random"], id="build"),
+            pytest.param(["build", "--n", "5"], ["serialize"], ["json", "numpy", "random"], id="build"),
+            pytest.param(
+                ["build", "--m", "1000000000000", "--c", "7", "--n", "40", "--format", "csv"],
+                ["serialize"],
+                ["json", "numpy", "random"],
+                id="build-csv",
+            ),
+            pytest.param(["build", "--n", "300", "--format", "dot"], ["serialize"], ["json", "numpy", "random"], id="build-dot"),
+            pytest.param(
+                ["build", "--m", "0", "--c", "50", "--n", "10", "--format", "dot", "--directed"],
+                ["serialize"],
+                ["json", "numpy", "random"],
+                id="build-directed",
+            ),
+            pytest.param(["build", "--n", "5", "--out", os.devnull], ["serialize"], ["json", "numpy", "random"], id="build-out"),
             pytest.param(
                 ["erratum", "--n-max", "4", "--m-max", "3"],
                 ["edge_joint", "graph_core", "jaco", "recursion", "serialize"],
@@ -691,7 +712,7 @@ class TestEntryPoints:
     @pytest.mark.parametrize("blas_threads, seen", [(None, "1"), ("2", "2")])
     def test_entry_points_default_to_one_blas_thread(self, entry, blas_threads, seen):
         out, variable, _ = _fresh(_entry_run(entry), blas_threads)
-        assert (out + "\n", variable) == (J5_JSON, seen)
+        assert (out + "\n", variable) == (_NUMPY_OUT, seen)
 
     # numpy loads only above SMALL_ORDER, and then after the entry point has
     # set the BLAS default: the import of numpy records the variable it sees.

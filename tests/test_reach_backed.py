@@ -374,9 +374,9 @@ for command in sys.argv[1:]:
 """
 
 
-# The smallest command that loads numpy and the graph layers; `gutman` and
-# `wiener` of orders up to base.SMALL_ORDER load no numpy.
-_FLOOR = "build --n 2"
+# The smallest command that loads numpy and the graph layers; `build`, and
+# `gutman` and `wiener` of orders up to base.SMALL_ORDER, load no numpy.
+_FLOOR = "sequences --n-max 2 --which edges"
 
 
 def _peak_growth_mb(command, floor=_FLOOR):
@@ -451,11 +451,12 @@ def test_sequences_5000_peak_memory():
 
 
 def test_export_2000_peak_memory():
-    # 13 MB of JSON, held once as it grows from its run pieces, about 13 MB
-    # above the floor: no arc table, no list of the pieces beside the text
-    # (25 MB above the floor) and no encoded copy of the whole text.
-    grown_mb = _peak_growth_mb("build --m 2 --c 1 --n 2000 --format json")
-    assert grown_mb < 18, f"build --m 2 --c 1 --n 2000 peaked {grown_mb:.0f} MB above {_FLOOR}"
+    # Both commands load no numpy.  13 MB of JSON, held once as it grows from
+    # its run pieces, about 13 MB above `gutman --n 2`: no arc table, no list
+    # of the pieces beside the text (25 MB more) and no encoded copy of the
+    # whole text.  Loading numpy alone would add 14 MB.
+    grown_mb = _peak_growth_mb("build --m 2 --c 1 --n 2000 --format json", floor="gutman --n 2")
+    assert grown_mb < 18, f"build --m 2 --c 1 --n 2000 peaked {grown_mb:.0f} MB above gutman --n 2"
 
 
 def test_erratum_40_peak_memory():
@@ -488,3 +489,12 @@ def test_joint_100000_peak_memory(tmp_path):
     assert grown_mb < 100, f"joint --n 100000 --m 100000 peaked {grown_mb:.0f} MB above {_FLOOR}"
     row = json.loads(out.read_text())
     assert row["direct"] == row["closed_form"] > 2**63
+
+
+def test_joint_million_peak_memory():
+    # The direct stream ends, and frees its side tables over both sides
+    # (three int64 arrays of 2 * 10^6 entries), before the closed form keeps
+    # each side's T: about 62 MB above the floor.  Holding both at once, as
+    # the closed form inside the stream did, read 85 MB.
+    grown_mb = _peak_growth_mb("joint --n 1000000 --m 1000000")
+    assert grown_mb < 68, f"joint --n 1000000 --m 1000000 peaked {grown_mb:.0f} MB above {_FLOOR}"

@@ -1,8 +1,9 @@
 """Graph exports against naive per-arc renderings of the defining rule, and audit report texts.
 
 `jaco_to_json`, `jaco_to_csv` and `jaco_to_dot` render the arcs one run of
-equal tails at a time: a built graph from its reach, any other graph from its
-arc table.  Here each output is compared with text built arc by
+equal tails at a time: a built graph, and the numpy-free record of
+`base.jaco_reach` that `build` renders, from the reach, any other graph from
+its arc table.  Here each output is compared with text built arc by
 arc from `bruteforce.slow_jaco_arcs`, with the standard library's JSON
 encoder for the JSON format.  The audit reports that a subcommand prints are
 pinned by the CLI corpus; `joint_report_json`, which none prints, is pinned
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jaco_gutman import IDENTITY, JacoGraph, LinearFunction, SequenceTable, build_jaco, graph_core, sequence_table
+from jaco_gutman.base import jaco_reach
 from jaco_gutman.edge_joint import joint_check, joint_delta_report
 from jaco_gutman.recursion import TERM_NAMES, recursion_delta_report
 from jaco_gutman.serialize import (
@@ -75,6 +77,7 @@ def test_exports_match_naive_renderings(m, c, n):
     arcs = slow_jaco_arcs(m, c, n)
     j = build_jaco(LinearFunction(m, c), n)
     check_renderings(j, m, c, arcs)
+    check_renderings(jaco_reach(m, c, n), m, c, arcs)
     assert jaco_from_json(jaco_to_json(j)) == j
 
 

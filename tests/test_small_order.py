@@ -1,10 +1,10 @@
-"""The numpy-free indices of `base` against the numpy path and the brute-force oracle."""
+"""The numpy-free indices of `base` against the numpy path and the brute-force oracle, and its reach check."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jaco_gutman import LinearFunction, build_jaco, gutman_index, wiener_index
-from jaco_gutman import base
+from jaco_gutman import base, cli
 from jaco_gutman.base import StructureAssumptionViolated, small_order_index
 
 from bruteforce import brute_gutman, brute_wiener, slow_jaco_arcs
@@ -38,6 +38,17 @@ def test_small_order_index_equals_the_brute_force_oracle(m, c):
                 assert got[0] is base.DisconnectedGraphError, (m, c, n)
             else:
                 assert got == expected, (m, c, n, gutman)
+
+
+@pytest.mark.parametrize("reach", [[1, 1, 3], [2, 3, 4]], ids=["below v", "above n"])
+def test_a_reach_outside_v_to_n_is_refused_and_build_prints_nothing(monkeypatch, capsys, reach):
+    # `build` renders the checked reach, so it exits 2 before any output.
+    monkeypatch.setattr(base, "arc_rule_reach", lambda m, c, n: iter(reach))
+    with pytest.raises(StructureAssumptionViolated, match="leave v..n"):
+        base.jaco_reach(1, 0, 3)
+    assert cli.main(["build", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: the reaches of the order-3 graph of 1x + 0 leave v..n or decrease\n")
 
 
 def test_a_decreasing_reach_is_refused(monkeypatch):
