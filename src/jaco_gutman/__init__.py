@@ -11,8 +11,6 @@ import importlib
 _PUBLIC = {
     "base": ("DisconnectedGraphError", "SEQUENCE_NAMES", "StructureAssumptionViolated"),
     "edge_joint": (
-        "AnchorCheck",
-        "JointDelta",
         "JointSpec",
         "anchor_audit",
         "anchor_checks",

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, TextIO
 from .base import SEQUENCE_NAMES, SMALL_ORDER, StructureAssumptionViolated, jaco_reach, small_order_index
 
 if TYPE_CHECKING:
-    from .edge_joint import JointDelta
+    from .edge_joint import JointCheck
     from .recursion import RecursionDelta
 
 
@@ -301,12 +301,11 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
 
     recursion_rows = recursion.recursion_delta_report(args.n_max)
     joint_rows, anchor_checks = edge_joint._joint_audits(args.n_max, args.m_max, per_pair=5, seed=args.seed)
-    # each (n, m, vi, uj, closed form, direct) check is counted as it is
-    # made, and only the first failing one kept
+    # each check is counted as it is made, and only the first failing one kept
     checks, anchors_ok, failed = 0, 0, None
     for check in anchor_checks:
         checks += 1
-        if check[4] == check[5]:
+        if check.ok:
             anchors_ok += 1
         elif failed is None:
             failed = check
@@ -323,23 +322,21 @@ def _cmd_erratum(args: argparse.Namespace) -> int:
 
 
 def _first_audit_failure(
-    recursion_rows: list[RecursionDelta],
-    joint_rows: list[JointDelta],
-    anchor: tuple[int, int, int, int, int, int] | None,
+    recursion_rows: list[RecursionDelta], joint_rows: list[JointCheck], anchor: JointCheck | None
 ) -> str | None:
     """The first audited value that differs from its direct oracle, named, or None.
 
-    `anchor` is the first failed anchor check, as (n, m, vi, uj, closed
-    form, direct), or None.
+    `anchor` is the first failed anchor check, or None.
     """
     for row in recursion_rows:
         if not row.exact_matches_direct:
             return f"recursion row n={row.n}: exact {row.exact_rhs}, direct {row.direct}"
     for row in joint_rows:
-        if not row.closed_matches_direct:
+        if not row.ok:
             return f"edge-joint point (n, m) = ({row.n}, {row.m}): closed form {row.closed_form}, direct {row.direct}"
     if anchor is not None:
-        return "anchor check (n, m, vi, uj) = ({}, {}, {}, {}): closed form {}, direct {}".format(*anchor)
+        where = f"({anchor.n}, {anchor.m}, {anchor.vi}, {anchor.uj})"
+        return f"anchor check (n, m, vi, uj) = {where}: closed form {anchor.closed_form}, direct {anchor.direct}"
     return None
 
 

@@ -51,12 +51,13 @@ Both audits of `erratum` run through one such stream over one set of
 identity graphs J_2..J_n_max: the trivial grid first, then the seeded
 anchor grid, each read lazily from one walk of the grid (`_grid`,
 `_joint_audits`).  Inside the audits a joint is a plain (g, h, v, u) tuple,
-in range by construction, and a check a plain (n, m, vi, uj, closed form,
-direct) tuple, so they make no object per check (`_audit_checks`).
-`joint_delta_report` and `anchor_checks` are views over the same checks,
-and `joint_check` is one point of them: the check of its single joint, and
-at trivial anchors the published columns that `_paper_columns` gives the
-audit's row.
+in range by construction.  Every checked joint is one `JointCheck`, a named
+tuple made as the stream sums the joint (`_audit_checks`) and carried as it
+is to the printers; its `ok` is the one test of closed form against direct
+value.  The trivial grid's rows are the same records with the published
+columns filled in.  `joint_delta_report` and `anchor_checks` are views over
+those checks, and `joint_check` is one point of them: the check of its
+single joint, with the published columns at trivial anchors, as a dict.
 """
 from __future__ import annotations
 
@@ -64,6 +65,7 @@ import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,18 +208,23 @@ def _ball_sums(
     is the whole joint.  An eccentricity is below its joint's order, so a
     ball that has not filled after `longest` rounds raises
     StructureAssumptionViolated: a side is not the proper interval graph
-    its reach describes.  Each term is below W, which bounds the sums by
-    longest * W: they run in int64 when that is below _INT64_SAFE, else in
-    Python integers.
+    its reach describes.  Each term is below W, so after rounds 0..r a sum
+    is below (r + 1) * max W, and the rounds run about 2 log_phi n for a
+    Jaco joint, however large its order.  The sums therefore run in int64
+    while (r + 1) * max W is below _INT64_SAFE, and in Python integers from
+    the first round where it is not: the live and the kept sums are widened
+    together, and the sums come back as Python integers (dtype object)
+    exactly when a round past that bound ran.
     """
     lo, hi, pre, before = tables
     gl, gr, _, hr = ball
     hl = hr + 1
-    sums = np.zeros(len(gl), dtype=np.int64 if longest * int(total.max()) < _INT64_SAFE else object)
+    most = int(total.max())
+    sums = np.zeros(len(gl), dtype=np.int64)
     # the growing sources' sums, and their places in `sums` once compacted
     acc, live, weight = sums, None, None
     opened = np.zeros(len(gl), dtype=bool)
-    for _ in range(longest):
+    for r in range(longest):
         has_v = (gl <= v) & (v <= gr)
         inside = pre.take(gr)
         inside -= before.take(gl)
@@ -233,6 +240,9 @@ def _ball_sums(
             if live is not None:
                 sums[live] = acc
             return weight, sums
+        if (r + 1) * most >= _INT64_SAFE and acc.dtype != object:
+            sums = sums.astype(object)
+            acc = sums if live is None else acc.astype(object)
         acc += missed
         gl, gr, hl, hr = lo.take(gl), hi.take(gr), lo.take(hl), hi.take(hr)
         fresh = (has_v > opened).nonzero()[0]
@@ -394,65 +404,60 @@ def missing_anchor_block(jn: JacoGraph, jm: JacoGraph) -> int:
     return _paper_columns(_first_vertex_parts(jn.underlying), _first_vertex_parts(jm.underlying))[1]
 
 
-@dataclass(frozen=True)
-class JointDelta:
-    """Audit row for one (n, m) grid point with trivial anchors."""
+class JointCheck(NamedTuple):
+    """One checked joint of J_n and J_m at anchors (vi, uj): its closed form against its direct value.
+
+    At trivial anchors with n >= m >= 2 the audit row also holds the
+    published right-hand side and the missing block; elsewhere they, and the
+    columns derived from them, are None.
+    """
 
     n: int
     m: int
-    paper_rhs: int
+    vi: int
+    uj: int
     closed_form: int
     direct: int
-    missing_block: int
+    paper_rhs: int | None = None
+    missing_block: int | None = None
 
     @property
-    def delta_paper(self) -> int:
-        return self.paper_rhs - self.direct
-
-    @property
-    def closed_matches_direct(self) -> bool:
+    def ok(self) -> bool:
         return self.closed_form == self.direct
 
     @property
-    def residual(self) -> int:
+    def delta_paper(self) -> int | None:
+        return None if self.paper_rhs is None else self.paper_rhs - self.direct
+
+    @property
+    def residual(self) -> int | None:
         """paper_rhs + missing_block - direct; zero when the block explains all."""
-        return self.paper_rhs + self.missing_block - self.direct
+        return None if self.paper_rhs is None else self.paper_rhs + self.missing_block - self.direct
 
 
 def joint_check(n: int, m: int, vi: int = 1, uj: int = 1) -> dict[str, int | None]:
     """Single composed pair of identity Jaco graphs, all values in one row: one point of the `erratum` audit.
 
-    The closed form and the direct value are the pair that `_audit_checks`
-    makes of this one joint, from the same `_direct_stream` and
-    `closed_form_joint_gutman`, and the published columns are
-    `_paper_columns` over the two sides' first-vertex parts, as in
-    `_joint_audits`.  Those columns only apply to the trivial anchor choice
-    with n >= m >= 2; they are None otherwise.  When m == n, J_n serves as
-    both sides.  The key order is the column order that `joint` prints, the
-    None fields left out.  The stream runs to its end, and frees its side
-    tables, before the closed form computes and keeps each side's T, so the
-    two are never held together: about 23 MB less peak RSS at n = m = 10^6.
+    The row is the `JointCheck` that `_audit_checks` makes of this one
+    joint, from the same `_direct_stream` and `closed_form_joint_gutman`,
+    with the published columns that `_joint_audits` gives it: `_paper_columns`
+    over the two sides' first-vertex parts.  Those columns only apply to the
+    trivial anchor choice with n >= m >= 2; they are None otherwise.  When
+    m == n, J_n serves as both sides.  The key order is the column order that
+    `joint` prints, the None fields left out.  The stream runs to its end,
+    and frees its side tables, before the closed form computes and keeps
+    each side's T, so the two are never held together: about 23 MB less
+    peak RSS at n = m = 10^6.
     """
     g = build_jaco(IDENTITY, n).underlying
     graphs = {n: g, m: g if m == n else build_jaco(IDENTITY, m).underlying}
     spec = JointSpec(g, graphs[m], vi, uj)
     ((_, direct),) = _direct_stream(graphs.values(), [spec])
-    closed = closed_form_joint_gutman(spec)
-    row: dict[str, int | None] = {
-        "n": n,
-        "m": m,
-        "vi": vi,
-        "uj": uj,
-        "direct": direct,
-        "closed_form": closed,
-        "paper_rhs": None,
-        "delta_paper": None,
-        "missing_block": None,
-    }
-    if spec.trivial and n >= m >= 2:
-        paper, missing = _paper_columns(_first_vertex_parts(g), _first_vertex_parts(graphs[m]))
-        row.update(paper_rhs=paper, delta_paper=paper - direct, missing_block=missing)
-    return row
+    trivial = spec.trivial and n >= m >= 2
+    columns = _paper_columns(_first_vertex_parts(g), _first_vertex_parts(graphs[m])) if trivial else ()
+    check = JointCheck(n, m, vi, uj, closed_form_joint_gutman(spec), direct, *columns)
+    keys = ("n", "m", "vi", "uj", "direct", "closed_form", "paper_rhs", "delta_paper", "missing_block")
+    return {key: getattr(check, key) for key in keys}
 
 
 def _identity_graphs(n_max: int, m_max: int, per_pair: int, seed: int) -> dict[int, SimpleGraph]:
@@ -495,55 +500,40 @@ def _anchor_joints(graphs: dict[int, SimpleGraph], m_max: int, per_pair: int, se
             yield g, h, vi, uj
 
 
-def _audit_checks(graphs: dict[int, SimpleGraph], joints: Iterable[tuple]) -> Iterator[tuple[int, ...]]:
-    """(n, m, vi, uj, closed form, direct) of each joint of `graphs`, made as `_direct_stream` sums it."""
+def _audit_checks(graphs: dict[int, SimpleGraph], joints: Iterable[tuple]) -> Iterator[JointCheck]:
+    """The check of each joint of `graphs`, made as `_direct_stream` sums it."""
     for joint, direct in _direct_stream(graphs.values(), joints):
         g, h, v, u = joint
-        yield g.order, h.order, v, u, closed_form_joint_gutman(joint), direct
+        yield JointCheck(g.order, h.order, v, u, closed_form_joint_gutman(joint), direct)
 
 
-def _joint_audits(n_max: int, m_max: int, per_pair: int, seed: int) -> tuple[list[JointDelta], Iterator]:
+def _joint_audits(n_max: int, m_max: int, per_pair: int, seed: int) -> tuple[list[JointCheck], Iterator[JointCheck]]:
     """Both edge-joint audits through one stream: the trivial grid's rows, and the anchor checks still to read.
 
     One set of graphs J_2..J_n_max and one `_direct_stream` serve the
     trivial joint of each (n, m) grid point, and after them per_pair
     seeded anchor pairs per point.  The trivial rows are made before this
-    returns, from each order's first-vertex parts taken once; the stream
-    then goes on with the anchor checks, made as they are read.  Both
-    grids are read lazily, so the audits hold O(batch) joints.
+    returns, their published columns filled in from each order's
+    first-vertex parts taken once; the stream then goes on with the anchor
+    checks, made as they are read.  Both grids are read lazily, so the
+    audits hold O(batch) joints.
     """
     graphs = _identity_graphs(n_max, m_max, per_pair, seed)
     checks = _audit_checks(graphs, chain(_trivial_joints(graphs, m_max), _anchor_joints(graphs, m_max, per_pair, seed)))
     parts = {k: _first_vertex_parts(g) for k, g in graphs.items()}
     rows = []
-    for n, m, _, _, closed, direct in islice(checks, sum(min(n, m_max) - 1 for n in graphs)):
-        paper, missing = _paper_columns(parts[n], parts[m])
-        rows.append(JointDelta(n, m, paper, closed, direct, missing))
+    for check in islice(checks, sum(min(n, m_max) - 1 for n in graphs)):
+        paper, missing = _paper_columns(parts[check.n], parts[check.m])
+        rows.append(check._replace(paper_rhs=paper, missing_block=missing))
     return rows, checks
 
 
-def joint_delta_report(n_max: int, m_max: int) -> list[JointDelta]:
+def joint_delta_report(n_max: int, m_max: int) -> list[JointCheck]:
     """Trivial-anchor audit over the grid 2 <= m <= min(n, m_max), m <= n <= n_max: `_joint_audits` with no anchors."""
     return _joint_audits(n_max, m_max, per_pair=0, seed=0)[0]
 
 
-@dataclass(frozen=True)
-class AnchorCheck:
-    """Closed form vs direct value at one pseudo-random non-trivial anchor pair."""
-
-    n: int
-    m: int
-    vi: int
-    uj: int
-    closed_form: int
-    direct: int
-
-    @property
-    def ok(self) -> bool:
-        return self.closed_form == self.direct
-
-
-def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> Iterator[AnchorCheck]:
+def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> Iterator[JointCheck]:
     """Seeded non-trivial anchor checks across the same (n, m) grid, made as they are read.
 
     The arguments are checked and the graphs built on the call; each check
@@ -551,9 +541,9 @@ def anchor_checks(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> I
     so the grid's joints are never held at once.
     """
     graphs = _identity_graphs(n_max, m_max, per_pair, seed)
-    return (AnchorCheck(*check) for check in _audit_checks(graphs, _anchor_joints(graphs, m_max, per_pair, seed)))
+    return _audit_checks(graphs, _anchor_joints(graphs, m_max, per_pair, seed))
 
 
-def anchor_audit(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> list[AnchorCheck]:
+def anchor_audit(n_max: int, m_max: int, per_pair: int = 5, seed: int = 0) -> list[JointCheck]:
     """Seeded non-trivial anchor checks across the same (n, m) grid: the whole of `anchor_checks`."""
     return list(anchor_checks(n_max, m_max, per_pair, seed))

@@ -36,7 +36,7 @@ from .base import JacoReach
 
 if TYPE_CHECKING:
     # Only annotations name these, so `build` loads no graph or audit module.
-    from .edge_joint import JointDelta
+    from .edge_joint import JointCheck
     from .jaco import JacoGraph
     from .recursion import RecursionDelta
     from .sequences import SequenceTable
@@ -179,7 +179,7 @@ def _json(payload: object) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def _record(row: RecursionDelta | JointDelta, columns: Iterable[str]) -> dict[str, int]:
+def _record(row: RecursionDelta | JointCheck, columns: Iterable[str]) -> dict[str, int]:
     """The row's values of `columns`, read by name, in their order."""
     return {name: getattr(row, name) for name in columns}
 
@@ -211,11 +211,11 @@ def recursion_report_json(rows: Iterable[RecursionDelta]) -> str:
     return _json([{**_record(row, RECURSION_COLUMNS), "term_deltas": row.term_deltas()} for row in rows])
 
 
-def joint_report_csv(rows: Iterable[JointDelta]) -> str:
+def joint_report_csv(rows: Iterable[JointCheck]) -> str:
     return _csv(JOINT_COLUMNS, (_record(row, JOINT_COLUMNS).values() for row in rows))
 
 
-def joint_report_json(rows: Iterable[JointDelta]) -> str:
+def joint_report_json(rows: Iterable[JointCheck]) -> str:
     return _json([_record(row, JOINT_COLUMNS) for row in rows])
 
 

@@ -88,7 +88,7 @@ def test_criterion_4_joint_audit(capsys):
     start = time.monotonic()
     rows = joint_delta_report(40, 40)
     for row in rows:
-        assert row.closed_matches_direct
+        assert row.ok
         assert row.paper_rhs + row.missing_block == row.direct
     by_nm = {(row.n, row.m): row for row in rows}
     assert (by_nm[2, 2].paper_rhs, by_nm[2, 2].direct, by_nm[2, 2].missing_block) == (15, 19, 4)

@@ -91,6 +91,8 @@ class TestBuild:
             jaco_from_json("not json at all {")
         with pytest.raises(ValueError):
             jaco_from_json('{"m":1,"c":0}')
+        with pytest.raises(ValueError, match="^graph JSON must be an object$"):
+            jaco_from_json("[1, 2]")
 
     @pytest.mark.parametrize(
         "text",
@@ -634,7 +636,7 @@ class TestEntryPoints:
             "assert not hasattr(jaco_gutman, 'no_such_name')\n"
             "print(len(jaco_gutman.__all__), cli.__name__)"
         )
-        assert _fresh(code) == ["46 jaco_gutman.cli"]
+        assert _fresh(code) == ["44 jaco_gutman.cli"]
 
     def test_names_defined_in_base_load_no_numpy(self):
         names = ["DisconnectedGraphError", "StructureAssumptionViolated", "SEQUENCE_NAMES"]

@@ -101,6 +101,9 @@ class TestComposition:
             JointSpec(k2(), k2(), 3, 1)
         with pytest.raises(ValueError):
             JointSpec(k2(), k2(), 1, 0)
+        for g, h in ((from_edges(0, []), k2()), (k2(), from_edges(0, []))):
+            with pytest.raises(ValueError, match="^both graphs must have at least one vertex$"):
+                JointSpec(g, h, 1, 1)
 
     def test_cross_distance_law(self):
         g = build_jaco(IDENTITY, 6).underlying
@@ -140,7 +143,7 @@ class TestClosedForm:
     def test_grid_closed_matches_direct(self):
         rows = joint_delta_report(12, 12)
         for row in rows:
-            assert row.closed_matches_direct
+            assert row.ok
             assert row.residual == 0
 
     def test_nontrivial_anchor_example(self):
@@ -300,7 +303,8 @@ class TestJointCheck:
         monkeypatch.setattr(edge_joint, "missing_anchor_block", refuse)
         row = joint_check(n, m, vi, uj)
         assert calls == {"closed_form_joint_gutman": 1, "_direct_stream": 1}
-        assert (row["n"], row["m"], row["vi"], row["uj"], row["closed_form"], row["direct"]) == expected
+        checked = ("n", "m", "vi", "uj", "closed_form", "direct")
+        assert [row[key] for key in checked] == [getattr(expected, key) for key in checked]
         monkeypatch.undo()
         if vi == uj == 1 and n >= m >= 2:
             (delta,) = (d for d in joint_delta_report(n, m) if (d.n, d.m) == (n, m))
@@ -428,7 +432,7 @@ class TestJointCheck:
         # jump forest and each direct value from interval balls
         monkeypatch.setattr(graph_core, "layered_distance_matrix", refuse)
         rows = joint_delta_report(12, 8)
-        assert rows and all(row.closed_matches_direct and row.residual == 0 for row in rows)
+        assert rows and all(row.ok and row.residual == 0 for row in rows)
         checks = anchor_audit(12, 8, per_pair=2, seed=4)
         assert checks and all(check.ok for check in checks)
         row = joint_check(30, 20, 7, 3)
@@ -588,7 +592,7 @@ def test_one_stream_serves_both_audits(sources, draw, monkeypatch, capsys):
     shared_rows, stream = edge_joint._joint_audits(n_max, m_max, per_pair=5, seed=seed)
     shared = list(stream)
     assert shared_rows == rows
-    assert shared == [(c.n, c.m, c.vi, c.uj, c.closed_form, c.direct) for c in checks]
+    assert shared == checks
     # the command counts the passes and names the first failure from the shared stream
     code = cli.main(["erratum", "--n-max", str(n_max), "--m-max", str(m_max), "--seed", str(seed)])
     out, err = capsys.readouterr()
@@ -597,7 +601,7 @@ def test_one_stream_serves_both_audits(sources, draw, monkeypatch, capsys):
     named = [
         f"edge-joint point (n, m) = ({r.n}, {r.m}): closed form {r.closed_form}, direct {r.direct}"
         for r in rows
-        if not r.closed_matches_direct
+        if not r.ok
     ]
     named += [
         f"anchor check (n, m, vi, uj) = ({c.n}, {c.m}, {c.vi}, {c.uj}): closed form {c.closed_form}, direct {c.direct}"
@@ -610,7 +614,7 @@ def test_one_stream_serves_both_audits(sources, draw, monkeypatch, capsys):
         assert (code, err) == (0, "")
     # on a sample, the direct values are the composed graphs' own indices
     graphs = {k: build_jaco(IDENTITY, k).underlying for k in range(2, n_max + 1)}
-    joints = [(r.n, r.m, 1, 1, r.direct) for r in rows] + [(n, m, vi, uj, direct) for n, m, vi, uj, _, direct in shared]
+    joints = [(c.n, c.m, c.vi, c.uj, c.direct) for c in rows + shared]
     for n, m, vi, uj, direct in rng.sample(joints, min(len(joints), 12)):
         assert direct == gutman_index(edge_joint_graph(JointSpec(graphs[n], graphs[m], vi, uj)))
 
@@ -680,6 +684,75 @@ def test_stack_past_the_int64_bound_sums_each_slice(object_sums, monkeypatch):
         monkeypatch.setattr(edge_joint, "_INT64_SAFE", 0)
     monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", 16)
     assert _direct_gutman(specs) == expected
+
+
+def _reach_path(n):
+    """The path 1 - 2 - ... - n as a reach-backed graph."""
+    return SimpleGraph.from_reach(np.minimum(np.arange(2, n + 2), n))
+
+
+# A path of 40 leads, so a batch of its first 16 sources has eccentricities
+# from 24 to 39 and compacts long before it fills; the Jaco joints add
+# batches of other totals W and shorter runs.
+BOUND_SPECS = [
+    JointSpec(_reach_path(20), _reach_path(20), 20, 1),
+    JointSpec(build_jaco(IDENTITY, 30).underlying, build_jaco(LinearFunction(2, 1), 20).underlying, 7, 20),
+    JointSpec(build_jaco(LinearFunction(1, 3), 12).underlying, _reach_path(9), 1, 5),
+]
+
+
+def _batch_bounds(specs, sources):
+    """Per batch of `sources` sources: the rounds it adds to its sums, its largest W, and its first compaction round.
+
+    A source's sum grows in the rounds 0..ecc - 1, and a joint's sources are
+    its composed graph's vertices in order.  The compaction round is the
+    first at which a floor of one source compacts the batch, or None.
+    """
+    eccs, totals = [], []
+    for spec in specs:
+        composed = edge_joint_graph(spec)
+        adj = adjacency_from_edges(composed.order, composed.edge_list())
+        eccs += [max(bfs_distances(adj, a).values()) for a in range(1, composed.order + 1)]
+        totals += [2 * composed.size] * composed.order
+    bounds = []
+    for start in range(0, len(eccs), sources):
+        ecc = eccs[start : start + sources]
+        compacted = [r for r in range(max(ecc)) if 1 <= sum(e > r for e in ecc) <= len(ecc) // 2]
+        bounds.append((max(ecc), max(totals[start : start + sources]), compacted[0] if compacted else None))
+    return bounds
+
+
+# The first round whose sums may pass the bound, in the first batch: round
+# 0, a round before its first compaction, one after it, its last, or none;
+# the bound then falls elsewhere in the other batches.
+@pytest.mark.parametrize("switch", ["round 0", "before compaction", "after compaction", "last round", "never"])
+@pytest.mark.parametrize("sources", [16, 4096])
+def test_ball_sums_widen_at_the_first_round_past_the_int64_bound(switch, sources, monkeypatch):
+    monkeypatch.setattr(edge_joint, "_BATCH_SOURCES", sources)
+    monkeypatch.setattr(edge_joint, "_COMPACT_FLOOR", 1)
+    composed = [edge_joint_graph(spec) for spec in BOUND_SPECS]
+    expected = [brute_gutman(graph.order, graph.edge_list()) for graph in composed]
+    assert _direct_gutman(BOUND_SPECS) == expected
+    bounds = _batch_bounds(BOUND_SPECS, sources)
+    rounds, most, compacted = bounds[0]
+    assert 2 < compacted < rounds - 2
+    # widening at round s needs (s + 1) * W >= bound > s * W
+    first = {"round 0": 0, "before compaction": compacted - 2, "after compaction": compacted + 2}
+    first["last round"] = rounds - 1
+    safe = first[switch] * most + 1 if switch in first else rounds * most + 1
+    monkeypatch.setattr(edge_joint, "_INT64_SAFE", safe)
+    real, dtypes = edge_joint._ball_sums, []
+
+    def recording(*args):
+        weight, sums = real(*args)
+        dtypes.append(sums.dtype)
+        return weight, sums
+
+    monkeypatch.setattr(edge_joint, "_ball_sums", recording)
+    assert _direct_gutman(BOUND_SPECS) == expected
+    # a batch sums in Python integers exactly when its last round passed the bound
+    assert dtypes == [np.dtype(object if r * w >= safe else np.int64) for r, w, _ in bounds]
+    assert (dtypes[0] == object) == (switch != "never")
 
 
 def test_odd_stack_total_raises(monkeypatch):
@@ -835,13 +908,33 @@ def test_degree_distance_sums_need_a_connected_graph(graph):
 
 
 def _trivial_joint_reach(g, h):
-    """The trivial joint of reach-backed g and h as one reach: h read backwards, the bridge, then g."""
-    m = h.order
-    below, _ = h.split_degree_arrays()
-    lo = np.arange(1, m + 1) - below
-    backwards = (m + 1 - lo)[::-1]
-    backwards[-1] = m + 1
-    return np.concatenate((backwards, m + g.reach))
+    """The trivial joint of reach-backed g and h as one reach: g read backwards, the bridge, then h.
+
+    Position p holds g's vertex n + 1 - p, whose reach is n + 1 - lo(n + 1 - p).
+    Position n holds g's first vertex, which reaches h's first over the
+    bridge, and h's reach follows, shifted by n.  The forest sums of this
+    reach rest on the greedy-jump lemma, not on the interval balls, so its
+    index is a third witness beside the balls and the closed form.
+    """
+    n = g.order
+    backwards = n + 1 - g.lo[::-1]
+    backwards[-1] = n + 1
+    return np.concatenate((backwards, n + h.reach))
+
+
+@given(st.sampled_from(REACH_FUNCTIONS), st.integers(2, 40), st.sampled_from(REACH_FUNCTIONS), st.integers(2, 40))
+@settings(max_examples=60, deadline=None)
+def test_trivial_joint_reach_is_the_joint(f_g, n, f_h, m):
+    g, h = build_jaco(f_g, n).underlying, build_jaco(f_h, m).underlying
+    composed = edge_joint_graph(JointSpec(g, h, 1, 1))
+    assert gutman_index(SimpleGraph.from_reach(_trivial_joint_reach(g, h))) == brute_gutman(n + m, composed.edge_list())
+
+
+def test_trivial_joint_reach_is_the_joint_at_a_million():
+    n = 10**6
+    g = build_jaco(IDENTITY, n).underlying
+    row = joint_check(n, n)
+    assert gutman_index(SimpleGraph.from_reach(_trivial_joint_reach(g, g))) == row["direct"] == row["closed_form"]
 
 
 # Complete sides of 50 000 vertices: every joint's index is past 2^63, and so

@@ -94,6 +94,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_edges(3, edges)
 
+    def test_integer_array_of_three_columns_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a \(k, 2\) array of endpoint pairs, got shape \(1, 3\)$"):
+            from_edges(3, np.array([[1, 2, 3]]))
+
     def test_integer_array_is_not_iterated(self):
         class NoIteration(np.ndarray):
             def __iter__(self):

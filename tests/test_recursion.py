@@ -160,6 +160,14 @@ class TestPreconditions:
         with pytest.raises(StructureAssumptionViolated):
             recursion_exact_terms(doctored)
 
+    def test_structure_guard_finds_hope_vertices_that_are_not_a_clique(self):
+        # degrees 1, 1, 4, 1, 1: the prime index is 3, as it is for J_5, but
+        # the Hope vertices v_4 and v_5 are two apart, through v_3
+        doctored = jaco_from_arcs(IDENTITY, 5, [(1, 3), (2, 3), (3, 4), (3, 5)])
+        message = "^Hope vertices of the order-5 graph are not pairwise adjacent$"
+        with pytest.raises(StructureAssumptionViolated, match=message):
+            recursion_exact_terms(doctored)
+
     def test_report_structure_guard_fires_on_doctored_build(self, monkeypatch):
         # K3's neighbourhoods are intervals, but order 2 has two max-degree
         # vertices while v_3 attaches to both, so i = 0 disagrees with 1.
